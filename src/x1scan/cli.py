@@ -20,6 +20,7 @@ from .formula import (
     ConversionUnsat,
     Formula,
     ParseError,
+    VarLimitError,
     classify,
     conjoin_forced,
     convert_special,
@@ -96,7 +97,6 @@ def _scan_options(args) -> ScanOptions:
     return ScanOptions(
         order=args.order,
         seed=_resolve_seed(args),
-        parallel=args.parallel,
         trace_checks=args.trace,
     )
 
@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=None, help="RNG seed (default: $X1SCAN_SEED or 0)")
     g.add_argument("--order", choices=("fixed", "random"), default="fixed",
                    help="literal check order")
-    g.add_argument("--parallel", type=int, nargs="?", const=4, default=0, metavar="N",
-                   help="snapshot-concurrent incompatibility checks")
     g.add_argument("--budget-states", type=int, default=None, metavar="N",
                    help="reachability state budget (default: $X1SCAN_BUDGET or "
                         f"{DEFAULT_STATE_BUDGET})")
@@ -270,7 +268,7 @@ def cmd_diff(args) -> int:
         permutations=args.permutations,
         no_timing=args.no_timing,
     )
-    opts = ScanOptions(order=args.order, seed=_resolve_seed(args), parallel=args.parallel)
+    opts = ScanOptions(order=args.order, seed=_resolve_seed(args))
     report = differential_run(params, opts=opts)
     if args.out:
         written = write_discrepancies(report, args.out)
@@ -284,7 +282,7 @@ def cmd_bench(args) -> int:
     if not sizes:
         raise ValueError("empty size ladder")
     seed = _resolve_seed(args)
-    opts = ScanOptions(order=args.order, seed=seed, parallel=args.parallel)
+    opts = ScanOptions(order=args.order, seed=seed)
     rows = []
     for n in sizes:
         m = args.m_factor * n
@@ -325,7 +323,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (OracleBudgetError, ReachabilityBudgetError, ScanResourceError,
-            ConversionUnsat) as e:
+            ConversionUnsat, VarLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 MAX_CLAUSE_LITERALS = 3
+# largest n a header may declare; solver state, assignments and nets are sized
+# by the declared n, so a larger one is refused before anything is allocated
+MAX_VARS = 10**6
 
 
 class FormulaError(ValueError):
@@ -41,6 +44,11 @@ class ParseError(FormulaError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class VarLimitError(RuntimeError):
+    """The header declares more than MAX_VARS variables (a budget error, not
+    malformed input)."""
 
 
 class IncompleteAssignmentError(FormulaError):
@@ -108,12 +116,6 @@ class Formula:
     def n_clauses(self) -> int:
         return len(self.clauses)
 
-    def clause_by_id(self, cid: int) -> Clause:
-        for c in self.clauses:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
 
 def formula(n_vars: int, lit_rows: Iterable[Sequence[int]]) -> Formula:
     """Build a Formula from rows of literals, assigning ids 1.. in order."""
@@ -142,6 +144,11 @@ def parse_x1cnf(text: str) -> Formula:
                 raise ParseError(line_no, f"malformed header counts: {raw!r}") from None
             if n < 0 or m < 0:
                 raise ParseError(line_no, "header counts must be nonnegative")
+            if n > MAX_VARS:
+                raise VarLimitError(
+                    f"line {line_no}: header declares {n} variables, "
+                    f"above the limit MAX_VARS={MAX_VARS}"
+                )
             header = (n, m)
             continue
         try:

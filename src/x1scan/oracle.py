@@ -219,7 +219,6 @@ def differential_corpus(
     opts: ScanOptions | None = None,
     permutations: int = 10,
     no_timing: bool = False,
-    minimize: bool = True,
 ) -> DiffReport:
     """Scan-vs-oracle over an explicit corpus. Agreement means a verified sat
     against a satisfiable instance or an unsat against an unsatisfiable one;
@@ -261,7 +260,7 @@ def differential_corpus(
 
         if _agrees(v.status, oracle_sat):
             continue
-        small = minimize_counterexample(f, base) if minimize else f
+        small = minimize_counterexample(f, base)
         disagreements.append(
             Disagreement(
                 instance_id=i,

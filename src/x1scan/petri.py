@@ -6,7 +6,7 @@ consumes only from places of its own level and produces only into strictly
 higher levels or sinks, so the flow relation is acyclic by construction.
 Markings are plain frozensets of place names (set semantics: firing into an
 already-marked place would merge tokens; the constructions below never do, and
-``strict_post`` nets treat it as an error).
+:func:`fire` treats it as an error).
 
 Net construction for a general exactly-1 formula (n vars, m clauses):
 
@@ -45,7 +45,7 @@ class TokenGameError(RuntimeError):
 
 
 class SafetyViolationError(RuntimeError):
-    """A firing would re-mark an already marked place (strict nets only)."""
+    """A firing would re-mark an already marked place."""
 
 
 class ReachabilityBudgetError(RuntimeError):
@@ -62,7 +62,6 @@ class Net:
     level: dict[str, int]  # every transition and every non-sink place
     sinks: frozenset[str]
     initial: Marking
-    strict_post: bool = True
 
     def __post_init__(self) -> None:
         pset, tset = set(self.places), set(self.transitions)
@@ -117,12 +116,9 @@ def fire(net: Net, marking: Marking, t: str) -> Marking:
             f"transition {t} not enabled: missing {sorted(missing)}"
         )
     rest = marking - net.pre[t]
-    if net.strict_post:
-        clash = net.post[t] & rest
-        if clash:
-            raise SafetyViolationError(
-                f"firing {t} would re-mark {sorted(clash)}"
-            )
+    clash = net.post[t] & rest
+    if clash:
+        raise SafetyViolationError(f"firing {t} would re-mark {sorted(clash)}")
     return frozenset(rest | net.post[t])
 
 

@@ -18,13 +18,13 @@ Outcomes of the full check:
   whole formula, so its model witnesses satisfiability;
 * satisfiable scope with 3-literal residue -> no verdict on z yet.
 
-Checks are pure with respect to the passed state, so many literals can be
-probed concurrently against one snapshot.
+Checks are pure with respect to the passed state: a probe builds its scope on
+a scratch copy and hands it back with the verdict, for traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .formula import negate, var_of
 from .reduction import SolverState, clone, reduce_on_false, reduce_on_true
@@ -179,6 +179,9 @@ def xor2sat_satisfiable(sf: ScopeFormula) -> XorSat | XorUnsat:
 
 
 # --- the incompatibility verdict ------------------------------------------------
+# Each verdict carries the scope it was decided on (``built``), so a trace can
+# dump it without expanding the probe a second time. It takes no part in
+# equality.
 
 
 @dataclass(frozen=True)
@@ -186,17 +189,20 @@ class Incompatible:
     literal: int
     reason: str  # "early_conflict" | "scope_unsat"
     detail: tuple  # (var,) or the xor witness
+    built: Built | EarlyConflict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class NotYet:
     literal: int
+    built: Built | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CoversSatisfiable:
     literal: int
     model: dict[int, bool]
+    built: Built | None = field(default=None, compare=False, repr=False)
 
 
 def incompatible(
@@ -213,12 +219,12 @@ def incompatible(
     """
     res = build_scope(state, z_v)
     if isinstance(res, EarlyConflict):
-        return Incompatible(z_v, "early_conflict", (res.var,))
+        return Incompatible(z_v, "early_conflict", (res.var,), res)
     verdict = xor2sat_satisfiable(res.scope)
     if isinstance(verdict, XorUnsat):
-        return Incompatible(z_v, "scope_unsat", verdict.witness)
+        return Incompatible(z_v, "scope_unsat", verdict.witness, res)
     if res.residual3:
-        return NotYet(z_v)
+        return NotYet(z_v, res)
     model = dict(verdict.model)
     for v in range(1, state.base.n_vars + 1):
         if v in model:
@@ -230,7 +236,7 @@ def incompatible(
             model[v] = True
         elif -v in state.conjuncts:
             model[v] = False
-    return CoversSatisfiable(z_v, model)
+    return CoversSatisfiable(z_v, model, res)
 
 
 def scope_as_dict(result: Built | EarlyConflict, literal: int, verdict: str) -> dict:

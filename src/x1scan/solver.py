@@ -30,7 +30,6 @@ both-polarity clauses.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .formula import (
@@ -52,7 +51,6 @@ from .scope import (
     CoversSatisfiable,
     Incompatible,
     NotYet,
-    build_scope,
     incompatible,
     scope_as_dict,
 )
@@ -66,10 +64,8 @@ class ScanResourceError(RuntimeError):
 class ScanOptions:
     order: str = "fixed"  # "fixed" | "random" (seeded shuffle of the check list)
     seed: int | None = None
-    parallel: int = 0  # >1: checks of a pass run concurrently, merged in order
     trace_checks: bool = False  # keep a scope dump per incompatibility check
     audit_monotonicity: bool = False  # re-check past incompatibles after mutations
-    ignore_incompatible_checks: bool = False  # fault injection for harness self-tests
 
 
 @dataclass
@@ -97,6 +93,10 @@ class _MonotoneAudit:
     """Re-judges every literal found incompatible at the start of each later
     check pass: while still open it must stay incompatible.
 
+    The scan discards only the first incompatible literal of a pass, so the
+    audit probes the whole pass itself and remembers every incompatible
+    literal; the ones left open are re-judged at later passes.
+
     Re-checks only run where the procedure itself runs checks (necessary
     literals drained); a scope built mid-drain cannot see queued facts and
     its verdict means nothing."""
@@ -106,11 +106,7 @@ class _MonotoneAudit:
         self.checked = 0
         self.violations: list[dict] = []
 
-    def remember(self, z: int) -> None:
-        if z not in self.remembered:
-            self.remembered.append(z)
-
-    def at_pass(self, state: SolverState) -> None:
+    def at_pass(self, state: SolverState, zs: list[int]) -> None:
         for z in self.remembered:
             if len(state.live_literals[var_of(z)]) != 2:
                 continue
@@ -121,6 +117,9 @@ class _MonotoneAudit:
                     {"literal": z, "round": state.scan_round,
                      "became": type(res).__name__}
                 )
+        for z in zs:
+            if z not in self.remembered and isinstance(incompatible(state, z), Incompatible):
+                self.remembered.append(z)
 
 
 def _verify(f: Formula, a: dict[int, bool]) -> dict:
@@ -203,9 +202,6 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
                 return verdict("unsat", None, None)
             continue
 
-        if audit is not None:
-            audit.at_pass(state)
-
         zs = [
             z
             for v in sorted(state.live_literals)
@@ -214,26 +210,14 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         ]
         if opts.order == "random":
             rng.shuffle(zs)
+        if audit is not None:
+            audit.at_pass(state, zs)
 
         hit: tuple[int, object] | None = None
-        if opts.parallel > 1 and zs:
-            with ThreadPoolExecutor(max_workers=opts.parallel) as ex:
-                results = list(ex.map(lambda z: incompatible(state, z), zs))
-            if audit is not None and not opts.ignore_incompatible_checks:
-                # non-winning incompatibles stay open; they must stay incompatible
-                for z, res in zip(zs, results):
-                    if isinstance(res, Incompatible):
-                        audit.remember(z)
-            pairs = zip(zs, results)
-        else:
-            pairs = ((z, incompatible(state, z)) for z in zs)
-        for z, res in pairs:
+        for z in zs:
+            res = incompatible(state, z)
             if opts.trace_checks:
-                trace["scopes"].append(
-                    scope_as_dict(build_scope(state, z), z, _check_name(res))
-                )
-            if isinstance(res, Incompatible) and opts.ignore_incompatible_checks:
-                continue
+                trace["scopes"].append(scope_as_dict(res.built, z, _check_name(res)))
             if not isinstance(res, NotYet):
                 hit = (z, res)
                 break
@@ -241,8 +225,6 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         if hit is not None:
             z, res = hit
             if isinstance(res, Incompatible):
-                if audit is not None:
-                    audit.remember(z)
                 conflict = run_discard(z, "incompatible", None)
                 if conflict is not None:
                     if tainted:

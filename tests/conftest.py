@@ -1,5 +1,8 @@
 import pytest
 
+from x1scan import solver
+from x1scan.scope import Incompatible, NotYet
+
 # one line per acceptance criterion, shown in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
 
@@ -12,6 +15,19 @@ def criterion():
         assert ok, line
 
     return record
+
+
+@pytest.fixture
+def ignore_incompatible(monkeypatch):
+    """Plant a defect in the scan loop: every incompatible probe reads as
+    not-yet, so no literal is ever discarded by the scope check."""
+    real = solver.incompatible
+
+    def probe(state, z):
+        res = real(state, z)
+        return NotYet(z, res.built) if isinstance(res, Incompatible) else res
+
+    monkeypatch.setattr(solver, "incompatible", probe)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -75,14 +75,6 @@ def test_solve_unsat_exit(tmp_path, capsys):
     assert "s UNSATISFIABLE" in capsys.readouterr().out
 
 
-def test_solve_parallel_matches_sequential(golden_path, capsys):
-    rc = main(["solve", golden_path, "--json", "--no-timing"])
-    seq = capsys.readouterr().out
-    rc2 = main(["solve", golden_path, "--json", "--no-timing", "--parallel"])
-    par = capsys.readouterr().out
-    assert (rc, seq) == (rc2, par)
-
-
 def test_solve_random_order_seeded_deterministic(golden_path, capsys):
     args = ["solve", golden_path, "--json", "--no-timing", "--order", "random", "--seed", "11"]
     rc = main(args)
@@ -104,6 +96,21 @@ def test_solve_malformed_file_reports_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
     assert "line 2" in err and "end with 0" in err
+
+
+def test_solve_rejects_huge_declared_n(tmp_path, capsys):
+    # refused at the header, before any per-variable allocation
+    path = write_cnf(tmp_path, "huge.cnf", "p x1cnf 1000000000 1\n1 2 3 0\n")
+    rc = main(["solve", path])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INTERNAL
+    assert "1000000000" in err and "MAX_VARS=1000000" in err
+
+
+def test_solve_parallel_flag_is_gone(golden_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", golden_path, "--parallel"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_solve_missing_file(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import clause_by_id
+
 from x1scan.formula import (
     Clause,
     ConversionUnsat,
@@ -50,7 +52,7 @@ def test_formula_rejects_out_of_range_var():
 
 def test_clause_ids_are_one_based_and_stable():
     assert [c.id for c in GOLDEN.clauses] == [1, 2, 3]
-    assert GOLDEN.clause_by_id(2).lits == (1, -2, 3)
+    assert clause_by_id(GOLDEN, 2).lits == (1, -2, 3)
 
 
 # --- X-DIMACS ----------------------------------------------------------------

@@ -23,10 +23,8 @@ from x1scan.oracle import (
     special_clause_types,
     write_discrepancies,
 )
-from x1scan.solver import ScanOptions
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
-DEFECT = ScanOptions(ignore_incompatible_checks=True)
 
 
 class TestBruteForce:
@@ -166,27 +164,27 @@ class TestMinimizer:
         with pytest.raises(ValueError):
             minimize_counterexample(GOLDEN)
 
-    def test_planted_core_recovered(self):
+    def test_planted_core_recovered(self, ignore_incompatible):
         # with scope discards disabled the solver dead-ends on the planted
         # pair while the junk clause is droppable
         f = formula(5, [[3, 4, 5], [1, 2], [1, -2]])
-        small = minimize_counterexample(f, DEFECT)
+        small = minimize_counterexample(f)
         assert [c.lits for c in small.clauses] == [(1, 2), (1, -2)]
 
-    def test_literal_shrink(self):
+    def test_literal_shrink(self, ignore_incompatible):
         # minimal core emerges only after shrinking the 3-literal clause
         f = formula(3, [[1, 2, 3], [1, -2], [-3]])
-        small = minimize_counterexample(f, DEFECT)
+        small = minimize_counterexample(f)
         assert [c.lits for c in small.clauses] == [(1, 2), (1, -2)]
 
-    def test_already_minimal(self):
+    def test_already_minimal(self, ignore_incompatible):
         f = formula(2, [[1, 2], [1, -2]])
-        small = minimize_counterexample(f, DEFECT)
+        small = minimize_counterexample(f)
         assert [c.lits for c in small.clauses] == [(1, 2), (1, -2)]
 
-    def test_planted_defect_caught_by_campaign(self):
+    def test_planted_defect_caught_by_campaign(self, ignore_incompatible):
         f = formula(5, [[3, 4, 5], [1, 2], [1, -2]])
-        r = differential_corpus([f], opts=DEFECT, permutations=0)
+        r = differential_corpus([f], permutations=0)
         assert len(r.disagreements) == 1
         d = r.disagreements[0]
         assert d.oracle_status == "unsat"
@@ -195,9 +193,9 @@ class TestMinimizer:
 
 
 class TestEmission:
-    def test_write_discrepancies(self, tmp_path):
+    def test_write_discrepancies(self, tmp_path, ignore_incompatible):
         f = formula(5, [[3, 4, 5], [1, 2], [1, -2]])
-        r = differential_corpus([f], opts=DEFECT, permutations=0)
+        r = differential_corpus([f], permutations=0)
         paths = write_discrepancies(r, tmp_path)
         assert len(paths) == 2
         cnf, sidecar = paths

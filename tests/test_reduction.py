@@ -3,16 +3,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import as_formula, event_lines, fingerprint, index_consistent
+
 from x1scan.formula import evaluate_exactly1, formula, negate, var_of
 from x1scan.reduction import (
     ReductionError,
-    as_formula,
     clone,
     conflict_index,
     discard,
-    event_lines,
-    fingerprint,
-    index_consistent,
     init_state,
     necessary_literals,
     reduce_on_false,

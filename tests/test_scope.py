@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import fingerprint
+
 from x1scan.formula import formula, var_of
-from x1scan.reduction import fingerprint, init_state
+from x1scan.reduction import init_state
 from x1scan.scope import (
     Built,
     CoversSatisfiable,

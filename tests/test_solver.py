@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from x1scan import scope, solver
 from x1scan.formula import evaluate_exactly1, formula
 from x1scan.solver import (
     ScanOptions,
@@ -68,6 +69,26 @@ class TestGoldenRun:
         # both polarities of the conflicting variable appear in E
         assert {3, -3} <= set(first["E"])
 
+    @pytest.mark.parametrize("f", [
+        GOLDEN,
+        formula(6, [[1, 2, 3], [4, 5, 6]]),
+        formula(2, [[1, 2], [1, -2]]),
+    ])
+    def test_scope_dumps_reuse_the_probe_scope(self, f, monkeypatch):
+        calls = []
+        real = scope.build_scope
+
+        def counted(state, z):
+            calls.append(z)
+            return real(state, z)
+
+        # patch every binding, so a direct call from the solver counts too
+        for module in (scope, solver):
+            monkeypatch.setattr(module, "build_scope", counted, raising=False)
+        v = scan(f, ScanOptions(trace_checks=True))
+        assert v.trace["scopes"]
+        assert calls == [s["literal"] for s in v.trace["scopes"]]
+
     def test_random_order_still_solves(self):
         v = scan(GOLDEN, ScanOptions(order="random", seed=7))
         assert v.status == "sat"
@@ -116,13 +137,10 @@ class TestCompletion:
         assert v.assignment == {1: True, 2: False, 3: False, 4: True, 5: False, 6: False}
         evaluate_exactly1(f, v.assignment)
 
-    def test_tainted_dead_end_reports_unverified(self):
+    def test_tainted_dead_end_reports_unverified(self, ignore_incompatible):
         # fault injection: with scope discards ignored, the unsat pair from
         # TestUnsat dead-ends inside a completion pick instead
-        v = scan(
-            formula(2, [[1, 2], [1, -2]]),
-            ScanOptions(ignore_incompatible_checks=True),
-        )
+        v = scan(formula(2, [[1, 2], [1, -2]]))
         assert v.status == "claimed_sat_unverified"
         assert v.assignment is None
         assert v.trace["completion"] == [{"var": 1, "picked": 1}]
@@ -184,12 +202,14 @@ class TestProperties:
     def test_deterministic(self, f):
         assert verdict_as_dict(scan(f)) == verdict_as_dict(scan(f))
 
-    @given(formulas(max_n=3, max_m=4))
-    @settings(max_examples=40, deadline=None)
-    def test_parallel_matches_sequential(self, f):
-        seq = verdict_as_dict(scan(f))
-        par = verdict_as_dict(scan(f, ScanOptions(parallel=3)))
-        assert par == seq
+    @given(formulas())
+    @settings(max_examples=60, deadline=None)
+    def test_audit_leaves_verdict_unchanged(self, f):
+        plain = verdict_as_dict(scan(f))
+        audited = verdict_as_dict(scan(f, ScanOptions(audit_monotonicity=True)))
+        assert plain["trace"].pop("monotonicity") is None
+        assert audited["trace"].pop("monotonicity") is not None
+        assert audited == plain
 
     @given(formulas())
     @settings(max_examples=60, deadline=None)
