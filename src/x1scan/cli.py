@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", parents=[shared], help="empirical scaling ladder")
     bench.add_argument("--sizes", default="25,50,100,200,400",
                        help="comma-separated n ladder")
-    bench.add_argument("--m-factor", type=int, default=4, help="m = factor * n")
+    bench.add_argument("--m-factor", type=float, default=4,
+                       help="clauses per variable: m = round(factor * n)")
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--profile", default="uniform3", choices=("uniform3", "mixed", "adversarial"))
     return p
@@ -177,8 +178,10 @@ def cmd_solve(args) -> int:
             doc["timing_ms"] = elapsed_ms
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        if v.trace["conversion"] is not None:
-            c = v.trace["conversion"]
+        c = v.trace["conversion"]
+        if c is not None and c["contradiction_var"] is not None:
+            print(f"c conversion contradiction on variable {c['contradiction_var']}")
+        elif c is not None:
             print(f"c converted special formula: forced={c['forced']} "
                   f"removed={c['removed_clauses']}")
         if v.trace["completion"]:
@@ -224,7 +227,13 @@ def cmd_net(args) -> int:
     f = _load_formula(args.path)
     notice = None
     if classify(f).kind == "special":
-        conv = convert_special(f)  # ConversionUnsat surfaces as an internal error
+        try:
+            conv = convert_special(f)
+        except ConversionUnsat as e:
+            # the input has no model, so there is no net to emit
+            print(f"c conversion contradiction on variable {e.var}", file=sys.stderr)
+            print(_STATUS_LINE["unsat"])
+            return EXIT_UNSAT
         notice = {"forced": list(conv.forced), "removed_clauses": list(conv.removed_clauses)}
         print(f"c converted special formula: forced={notice['forced']} "
               f"removed={notice['removed_clauses']}", file=sys.stderr)
@@ -285,7 +294,7 @@ def cmd_bench(args) -> int:
     opts = ScanOptions(order=args.order, seed=seed)
     rows = []
     for n in sizes:
-        m = args.m_factor * n
+        m = round(args.m_factor * n)
         f = generate_random(n, m, seed=seed, profile=args.profile)
         times = []
         for _ in range(max(1, args.repeats)):
@@ -323,7 +332,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (OracleBudgetError, ReachabilityBudgetError, ScanResourceError,
-            ConversionUnsat, VarLimitError) as e:
+            VarLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -26,6 +26,7 @@ within a clause), so event logs and traces are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from .formula import Formula, classify, negate, var_of
 
@@ -47,6 +48,8 @@ class SolverState:
     n_conflict: int | None = None  # var with both polarities in N, once seen
     three_live: int = 0  # count of live 3-literal residues, kept incrementally
     events: list[dict] = field(default_factory=list)
+    # scope.PairIndex of the current state, cached by the probes
+    pair_index: Any = field(default=None, compare=False, repr=False)
 
     def log(self, kind: str, clause: int | None, literals: list[int]) -> None:
         self.events.append(
@@ -79,23 +82,6 @@ def init_state(f: Formula) -> SolverState:
         if c.is_conjunct:
             _add_conjunct(state, c.lits[0], source=c.id)
     return state
-
-
-def clone(state: SolverState) -> SolverState:
-    """Independent copy; scratch mutations never touch the original."""
-    return SolverState(
-        base=state.base,
-        live={k: list(ls) for k, ls in state.live.items()},
-        occurrence={lit: list(ids) for lit, ids in state.occurrence.items()},
-        live_literals=dict(state.live_literals),
-        conjuncts=set(state.conjuncts),
-        conjunct_order=list(state.conjunct_order),
-        pending=dict(state.pending),
-        scan_round=state.scan_round,
-        n_conflict=state.n_conflict,
-        three_live=state.three_live,
-        events=list(state.events),
-    )
 
 
 def conflict_index(state: SolverState, lit: int) -> list[int]:

@@ -1,14 +1,13 @@
 """Incompatibility checking: scope construction plus its XOR-SAT decision.
 
 To probe whether a literal z can still be part of a satisfying assignment, the
-check assumes z true and follows the forced consequences on a scratch copy of
-the solver state: clauses containing a literal held true collapse into
-conjuncts (their other literals all false), deleting a false literal shrinks
-clauses, and emerging units feed back into the workset E. Expansion stops as
-soon as no 3-literal residue is left or E has no unexpanded member. What
-remains is the scope: the unit conjuncts E plus the surviving 2-literal
-residues read as exactly-one pairs, which together form a 2SAT/XOR-SAT
-fragment decidable by parity union-find.
+check assumes z true and follows the forced consequences: clauses containing a
+literal held true collapse into conjuncts (their other literals all false),
+deleting a false literal shrinks clauses, and emerging units feed back into
+the workset E. Expansion stops as soon as no 3-literal residue is left or E
+has no unexpanded member. What remains is the scope: the unit conjuncts E plus
+the surviving 2-literal residues read as exactly-one pairs, which together
+form a 2SAT/XOR-SAT fragment decidable by parity union-find.
 
 Outcomes of the full check:
 
@@ -18,16 +17,30 @@ Outcomes of the full check:
   whole formula, so its model witnesses satisfiability;
 * satisfiable scope with 3-literal residue -> no verdict on z yet.
 
-Checks are pure with respect to the passed state: a probe builds its scope on
-a scratch copy and hands it back with the verdict, for traces.
+A probe costs what its scope costs. It never copies or mutates the solver
+state: the expansion reads the live clauses and keeps the clauses it changes
+in an overlay of its own, with a local count of 3-literal residues, and logs
+no events. The parity union-find over the state's 2-literal residues
+(``PairIndex``) is built once per state version, by the first probe after a
+mutation, and shared by the probes that follow. A probe decides its scope on a
+small union-find over that index's roots, adding only E and the pairs it made
+from 3-literal residues. This is exact: every base pair the probe absorbed or
+shrank is implied by two units of E, so E, all base pairs and the new pairs
+have the same models as E and the pairs that survive.
+
+The full scope is assembled only when read: by a trace dump, or when the
+verdict needs the XOR witness or model (an unsatisfiable scope, or one that
+covers the formula). Then ``xor2sat_satisfiable`` decides the assembled scope,
+so witness and model are those of the full fragment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .formula import negate, var_of
-from .reduction import SolverState, clone, reduce_on_false, reduce_on_true
+from .formula import var_of
+from .reduction import SolverState
 
 
 @dataclass(frozen=True)
@@ -48,10 +61,130 @@ class EarlyConflict:
     units: tuple[int, ...]  # E at detection, both offending polarities included
 
 
-@dataclass(frozen=True)
+class _ParityUnionFind:
+    """Union-find over int nodes, each kept with its parity relative to its
+    parent; a node joins on first sight. A union links root to root without
+    ranks, so which node ends up a root (and with it the model that
+    ``xor2sat_satisfiable`` reads off) follows the order of the constraints."""
+
+    def __init__(self) -> None:
+        self.parent: dict[int, int] = {}
+        self.offset: dict[int, int] = {}
+
+    def find(self, x: int) -> tuple[int, int]:
+        """Root of x and x's parity relative to it, compressing the path."""
+        parent, offset = self.parent, self.offset
+        if x not in parent:
+            parent[x] = x
+            offset[x] = 0
+            return x, 0
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        root = x
+        par = 0
+        for node in reversed(path):  # nearest-to-root first
+            par ^= offset[node]
+            parent[node] = root
+            offset[node] = par
+        return root, (offset[path[0]] if path else 0)
+
+    def union(self, a: int, b: int, rel: int) -> bool:
+        """Impose parity(a) ^ parity(b) == rel; False on contradiction."""
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        if ra == rb:
+            return (pa ^ pb) == rel
+        self.parent[ra] = rb
+        self.offset[ra] = pa ^ pb ^ rel
+        return True
+
+
+class PairIndex:
+    """The state's 2-literal residues as a parity union-find over variables,
+    resolved per variable v to (root, parity): v's value is the root's value
+    xor the parity. A literal l holds when v's value xor (l < 0) is 1, so a pair
+    {a, b} (exactly one true) relates its variables by 1 ^ (a < 0) ^ (b < 0).
+    The pairs and the ids of the 3-literal residues, ascending by clause id,
+    are kept for assembling full scopes."""
+
+    def __init__(self, state: SolverState) -> None:
+        # the event log grows with every mutation, so its length versions the state
+        self.version = len(state.events)
+        uf = _ParityUnionFind()
+        pairs: list[tuple[int, int, int]] = []
+        threes: list[int] = []
+        self.consistent = True  # False: the pairs alone have no model
+        for k in sorted(state.live):
+            ls = state.live[k]
+            if len(ls) == 3:
+                threes.append(k)
+            elif len(ls) == 2:
+                a, b = ls
+                pairs.append((k, a, b))
+                if not uf.union(var_of(a), var_of(b), 1 ^ (a < 0) ^ (b < 0)):
+                    self.consistent = False
+        self.root_parity = [uf.find(v) for v in range(state.base.n_vars + 1)]
+        self.pairs = tuple(pairs)
+        self.threes = tuple(threes)
+
+
+def pair_index(state: SolverState) -> PairIndex:
+    """The state's PairIndex, rebuilt only when the state has changed."""
+    index = state.pair_index
+    if index is None or index.version != len(state.events):
+        index = state.pair_index = PairIndex(state)
+    return index
+
+
 class Built:
-    scope: ScopeFormula
-    residual3: tuple[int, ...]  # live 3-literal clause ids left unreduced
+    """A probe's expansion that ended without a conflict.
+
+    ``touched`` maps each clause the probe changed to its live literals in the
+    probe ([] once absorbed); ``three_left`` counts the 3-literal residues left.
+    ``scope`` and ``residual3`` are assembled from these on first read."""
+
+    def __init__(self, index: PairIndex, units: tuple[int, ...], processed: int,
+                 touched: dict[int, list[int]], three_left: int) -> None:
+        self.index = index
+        self.units = units
+        self.processed = processed
+        self.touched = touched
+        self.three_left = three_left
+
+    @cached_property
+    def scope(self) -> ScopeFormula:
+        touched = self.touched
+        pairs = [p for p in self.index.pairs if p[0] not in touched]
+        pairs += [(k, ls[0], ls[1]) for k, ls in touched.items() if len(ls) == 2]
+        pairs.sort()
+        return ScopeFormula(
+            self.units, tuple((a, b) for _, a, b in pairs), self.units[: self.processed]
+        )
+
+    @cached_property
+    def residual3(self) -> tuple[int, ...]:
+        return tuple(k for k in self.index.threes if k not in self.touched)
+
+    def satisfiable(self) -> bool:
+        """Whether the scope has a model: E and the probe's new pairs added over
+        the index's roots, with node 0 as the constant false."""
+        if not self.index.consistent:
+            return False
+        rp = self.index.root_parity
+        uf = _ParityUnionFind()
+        for u in self.units:
+            r, p = rp[var_of(u)]
+            if not uf.union(r, 0, p ^ (u > 0)):
+                return False
+        for ls in self.touched.values():
+            if len(ls) == 2:
+                a, b = ls
+                (ra, pa), (rb, pb) = rp[var_of(a)], rp[var_of(b)]
+                if not uf.union(ra, rb, 1 ^ (a < 0) ^ (b < 0) ^ pa ^ pb):
+                    return False
+        return True
 
 
 def build_scope(state: SolverState, z_v: int) -> Built | EarlyConflict:
@@ -59,47 +192,56 @@ def build_scope(state: SolverState, z_v: int) -> Built | EarlyConflict:
 
     Expansion of the next conjunct only happens while some 3-literal residue
     is live; a scope can therefore carry units that were never expanded (they
-    still constrain the XOR fragment). The base state is never mutated.
+    still constrain the XOR fragment). The state is only read: a clause the
+    probe changes is copied into its overlay. A literal is expanded at most
+    once and its negation never joins E without a conflict, so a clause still
+    holds every literal the probe reads it for.
     """
-    scratch = clone(state)
+    index = pair_index(state)
+    live = state.live
+    occurrence = state.occurrence
+    touched: dict[int, list[int]] = {}
+    three = state.three_live
     e_order: list[int] = [z_v]
     e_set: set[int] = {z_v}
-    conflict_var: int | None = None
-
-    def add(lit: int) -> bool:
-        nonlocal conflict_var
-        if lit in e_set:
-            return True
-        e_set.add(lit)
-        e_order.append(lit)
-        if negate(lit) in e_set:
-            conflict_var = var_of(lit)
-            return False
-        return True
 
     pos = 0
-    while scratch.three_live > 0 and pos < len(e_order):
-        z_j = e_order[pos]
-        for lit, _k in reduce_on_true(scratch, z_j):
-            if not add(lit):
-                return EarlyConflict(conflict_var, tuple(e_order))
-        for lit, _k in reduce_on_false(scratch, negate(z_j)):
-            if not add(lit):
-                return EarlyConflict(conflict_var, tuple(e_order))
+    while three > 0 and pos < len(e_order):
+        z = e_order[pos]
+        emerged: list[int] = []
+        # residues holding z collapse: their other literals are all false
+        for k in occurrence.get(z, ()):
+            ls = touched.get(k, live[k])
+            if len(ls) < 2:
+                continue
+            if len(ls) == 3:
+                three -= 1
+            emerged.extend(-l for l in ls if l != z)
+            touched[k] = []
+        # residues holding -z lose it; one left with a single literal emerges it
+        nz = -z
+        for k in occurrence.get(nz, ()):
+            ls = touched.get(k, live[k])
+            if len(ls) < 2:
+                continue
+            rest = [l for l in ls if l != nz]
+            if len(rest) == 1:
+                emerged.append(rest[0])
+                touched[k] = []
+            else:
+                if len(rest) == 2:
+                    three -= 1
+                touched[k] = rest
+        for lit in emerged:
+            if lit in e_set:
+                continue
+            e_set.add(lit)
+            e_order.append(lit)
+            if -lit in e_set:
+                return EarlyConflict(var_of(lit), tuple(e_order))
         pos += 1
 
-    pairs: list[tuple[int, int]] = []
-    residual3: list[int] = []
-    for k in sorted(scratch.live):
-        ls = scratch.live[k]
-        if len(ls) == 2:
-            pairs.append((ls[0], ls[1]))
-        elif len(ls) == 3:
-            residual3.append(k)
-    return Built(
-        ScopeFormula(tuple(e_order), tuple(pairs), tuple(e_order[:pos])),
-        tuple(residual3),
-    )
+    return Built(index, tuple(e_order), pos, touched, three)
 
 
 # --- XOR-SAT over units and exactly-one pairs ----------------------------------
@@ -127,52 +269,22 @@ def xor2sat_satisfiable(sf: ScopeFormula) -> XorSat | XorUnsat:
     contradiction surfaces as a parity mismatch on an existing link; the first
     offending constraint (in deterministic application order) is the witness.
     """
-    parent: dict[int, int] = {}
-    offset: dict[int, int] = {}  # parity relative to the parent node
-
-    def find(x: int) -> tuple[int, int]:
-        """Root of x and x's parity relative to it, compressing the path."""
-        if x not in parent:
-            parent[x] = x
-            offset[x] = 0
-            return x, 0
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        root = x
-        par = 0
-        for node in reversed(path):  # nearest-to-root first
-            par ^= offset[node]
-            parent[node] = root
-            offset[node] = par
-        return root, (offset[path[0]] if path else 0)
-
-    def union(a: int, b: int, rel: int) -> bool:
-        """Impose parity(a) ^ parity(b) == rel; False on contradiction."""
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            return (pa ^ pb) == rel
-        parent[ra] = rb
-        offset[ra] = pa ^ pb ^ rel
-        return True
-
+    uf = _ParityUnionFind()
     for v in sf.mentioned_vars():
-        union(v, -v, 1)
+        uf.union(v, -v, 1)
     for u in sf.units:
-        if not union(u, _TRUE, 0):
+        if not uf.union(u, _TRUE, 0):
             return XorUnsat(("unit", u))
     for a, b in sf.xor_pairs:
-        if not union(a, b, 1):
+        if not uf.union(a, b, 1):
             return XorUnsat(("pair", a, b))
 
     # anchor's component is pinned so the anchor reads true; components never
     # touching a unit get their root pinned false
-    root0, p0 = find(_TRUE)
+    root0, p0 = uf.find(_TRUE)
     model: dict[int, bool] = {}
     for v in sf.mentioned_vars():
-        root, pv = find(v)
+        root, pv = uf.find(v)
         root_val = (not bool(p0)) if root == root0 else False
         model[v] = bool(pv) ^ root_val
     return XorSat(model)
@@ -215,15 +327,18 @@ def incompatible(
     own settled facts (single live polarity, fixed conjuncts) for variables
     the scope never mentioned. Variables free even after that are left to the
     caller. Residual 3-literal clauses are never tested for satisfiability:
-    they cannot make z_v incompatible.
+    they cannot make z_v incompatible. A satisfiable scope with residue left
+    needs neither witness nor model, so only the shared index decides it.
     """
     res = build_scope(state, z_v)
     if isinstance(res, EarlyConflict):
         return Incompatible(z_v, "early_conflict", (res.var,), res)
+    if res.three_left and res.satisfiable():
+        return NotYet(z_v, res)
     verdict = xor2sat_satisfiable(res.scope)
     if isinstance(verdict, XorUnsat):
         return Incompatible(z_v, "scope_unsat", verdict.witness, res)
-    if res.residual3:
+    if res.three_left:
         return NotYet(z_v, res)
     model = dict(verdict.model)
     for v in range(1, state.base.n_vars + 1):

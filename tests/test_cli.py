@@ -213,6 +213,22 @@ def test_net_converts_special_with_notice(tmp_path, capsys):
     assert doc["conversion_notice"] == {"forced": [-2], "removed_clauses": [1]}
 
 
+CONTRADICTORY_SPECIAL = "p x1cnf 2 2\n2 1 -1 0\n-2 1 -1 0\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "net"])
+def test_conversion_contradiction_is_unsat(tmp_path, capsys, command):
+    # both clauses carry x1 and -x1, so they force -x2 and x2 in turn
+    path = write_cnf(tmp_path, "contra.cnf", CONTRADICTORY_SPECIAL)
+    rc = main([command, path, "--no-timing"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_UNSAT
+    assert "s UNSATISFIABLE" in captured.out.splitlines()
+    notice = "c conversion contradiction on variable 2"
+    assert notice in (captured.out if command == "solve" else captured.err)
+    assert "converted special formula" not in captured.out + captured.err
+
+
 def test_net_dot_json_conflict(golden_path, capsys):
     rc = main(["net", golden_path, "--dot", "--json"])
     assert rc == EXIT_USAGE
@@ -294,6 +310,14 @@ def test_bench_csv_shape(capsys):
     assert lines[1].startswith("4,8,")
     assert lines[2].startswith("6,12,")
     assert lines[3].startswith("# loglog_slope ")
+
+
+def test_bench_takes_a_fractional_m_factor(capsys):
+    rc = main(["bench", "--sizes", "50,100", "--m-factor", "0.3", "--repeats", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[1].startswith("50,15,")
+    assert lines[2].startswith("100,30,")
 
 
 def test_bench_rejects_empty_ladder(capsys):

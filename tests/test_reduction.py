@@ -3,12 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import as_formula, event_lines, fingerprint, index_consistent
+from helpers import as_formula, event_lines, fingerprint, index_consistent, open_literals
 
 from x1scan.formula import evaluate_exactly1, formula, negate, var_of
 from x1scan.reduction import (
     ReductionError,
-    clone,
     conflict_index,
     discard,
     init_state,
@@ -123,15 +122,6 @@ def test_discard_twice_rejected():
         discard(st_, 1)
 
 
-def test_clone_is_isolated():
-    st_ = golden_state()
-    baseline = fingerprint(st_)
-    sub = clone(st_)
-    discard(sub, 1)
-    assert fingerprint(st_) == baseline
-    assert fingerprint(sub) != baseline
-
-
 def test_event_lines_are_json():
     st_ = golden_state()
     discard(st_, 1)
@@ -169,22 +159,13 @@ def general_formulas(max_n=4, max_m=5):
     )
 
 
-def eligible(state):
-    return [
-        lit
-        for v in sorted(state.live_literals)
-        for lit in state.live_literals[v]
-        if len(state.live_literals[v]) == 2
-    ]
-
-
 @settings(max_examples=120, deadline=None)
 @given(general_formulas(), st.randoms(use_true_random=False))
 def test_random_discard_walks_keep_invariants(f, rng):
     state = init_state(f)
     sizes = {k: len(ls) for k, ls in state.live.items()}
     while True:
-        cands = eligible(state)
+        cands = open_literals(state)
         if not cands:
             break
         z = rng.choice(cands)
@@ -213,7 +194,7 @@ def models(f, n):
 @given(general_formulas(max_n=4, max_m=4), st.randoms(use_true_random=False))
 def test_discard_preserves_models_given_the_discarded_literal_false(f, rng):
     state = init_state(f)
-    cands = eligible(state)
+    cands = open_literals(state)
     if not cands:
         return
     z = rng.choice(cands)
@@ -232,7 +213,7 @@ def test_discard_preserves_models_given_the_discarded_literal_false(f, rng):
 def test_event_replay_reconstructs_state(f, rng):
     state = init_state(f)
     for _ in range(3):
-        cands = eligible(state)
+        cands = open_literals(state)
         if not cands:
             break
         if discard(state, rng.choice(cands)) is not None:

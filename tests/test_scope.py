@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fingerprint
+from helpers import full_fingerprint, open_literals, reference_incompatible
 
 from x1scan.formula import formula, var_of
-from x1scan.reduction import init_state
+from x1scan.oracle import generate_random
+from x1scan.reduction import discard, init_state
 from x1scan.scope import (
     Built,
     CoversSatisfiable,
@@ -59,12 +60,16 @@ def test_build_scope_nothing_to_reduce():
 
 
 def test_build_scope_leaves_base_state_untouched():
-    state = init_state(GOLDEN)
-    before = fingerprint(state)
-    build_scope(state, 1)
-    build_scope(state, -2)
-    incompatible(state, 3)
-    assert fingerprint(state) == before
+    # a mid-scan state: two discards in, pairs and 3-literal residues both live
+    state = init_state(generate_random(30, 20, seed=3, profile="mixed"))
+    for z in (1, -2):
+        assert discard(state, z) is None
+    assert state.three_live and any(len(ls) == 2 for ls in state.live.values())
+    before = full_fingerprint(state)
+    for z in open_literals(state):
+        build_scope(state, z)
+        incompatible(state, z)
+    assert full_fingerprint(state) == before
 
 
 # --- xor2sat ---------------------------------------------------------------------
@@ -181,6 +186,20 @@ def test_incompatible_scope_unsat():
     assert res.reason == "scope_unsat"
 
 
+def test_base_pairs_in_an_odd_cycle_make_every_scope_unsat():
+    # pairs {1,2}, {2,3}, {1,3} have no model; probing x4 meets none of them
+    # and stops with clause 5 unreduced, yet its scope is unsatisfiable
+    f = formula(9, [[1, 2], [2, 3], [1, 3], [4, 5, 6], [7, 8, 9]])
+    state = init_state(f)
+    res = incompatible(state, 4)
+    assert isinstance(res, Incompatible)
+    assert res.reason == "scope_unsat"
+    assert res.detail == ("pair", 1, 3)
+    assert res.built.residual3 == (5,)
+    for z in open_literals(state):
+        assert_same_probe(incompatible(state, z), reference_incompatible(state, z))
+
+
 def test_covering_model_extends_with_settled_facts():
     # clause 2 never enters the scope of x3; x4's value comes from the state
     f = formula(4, [[3, 1], [4]])
@@ -208,3 +227,48 @@ def test_scope_as_dict_shapes():
     d2 = scope_as_dict(conflict, 1, "incompatible")
     assert d2["E"] == [1, 3, 2, -3]
     assert d2["verdict"] == "incompatible"
+
+
+# --- the probe against the reference: a scratch copy, every pair decided ------
+
+
+def assert_same_probe(res, ref):
+    assert type(res) is type(ref)
+    assert res.literal == ref.literal
+    assert getattr(res, "reason", None) == getattr(ref, "reason", None)
+    assert getattr(res, "detail", None) == getattr(ref, "detail", None)
+    assert getattr(res, "model", None) == getattr(ref, "model", None)
+    assert scope_as_dict(res.built, res.literal, "") == scope_as_dict(
+        ref.built, ref.literal, ""
+    )
+
+
+def general_clauses(n):
+    return st.lists(literals(n), min_size=1, max_size=3, unique_by=var_of)
+
+
+def general_formulas(max_n=9, max_m=12):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(
+            formula, st.just(n), st.lists(general_clauses(n), max_size=max_m)
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_formulas(), st.randoms(use_true_random=False))
+def test_probe_matches_reference_in_mid_scan_states(f, rng):
+    """Probe every open literal in random order, discard a random one, repeat;
+    each probe must equal the reference and leave the state as it was."""
+    state = init_state(f)
+    while True:
+        zs = open_literals(state)
+        if not zs:
+            break
+        rng.shuffle(zs)
+        before = full_fingerprint(state)
+        for z in zs:
+            assert_same_probe(incompatible(state, z), reference_incompatible(state, z))
+        assert full_fingerprint(state) == before
+        if discard(state, rng.choice(zs)) is not None:
+            break

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from x1scan import scope, solver
 from x1scan.formula import evaluate_exactly1, formula
+from x1scan.oracle import generate_random
 from x1scan.solver import (
     ScanOptions,
     extract_assignment,
@@ -93,6 +94,41 @@ class TestGoldenRun:
         v = scan(GOLDEN, ScanOptions(order="random", seed=7))
         assert v.status == "sat"
         assert v.verification["passed"]
+
+
+class TestProbeCost:
+    @pytest.mark.parametrize("f", [
+        GOLDEN,
+        generate_random(40, 12, seed=0, profile="uniform3"),
+        generate_random(30, 20, seed=3, profile="mixed"),
+        # base pairs in an odd cycle: every scope without an early conflict is unsat
+        formula(9, [[1, 2], [2, 3], [1, 3], [4, 5, 6], [7, 8, 9]]),
+    ])
+    def test_one_expansion_per_probe_and_one_xor_decision_per_pass(self, f, monkeypatch):
+        calls = []
+
+        def counted(real, tag):
+            def wrapped(*args):
+                calls.append(tag)
+                return real(*args)
+            return wrapped
+
+        # patch every binding, so a direct call from the solver counts too
+        for name, tag in (("build_scope", "build"), ("xor2sat_satisfiable", "xor")):
+            wrapped = counted(getattr(scope, name), tag)
+            for module in (scope, solver):
+                monkeypatch.setattr(module, name, wrapped, raising=False)
+        monkeypatch.setattr(solver, "incompatible", counted(solver.incompatible, "probe"))
+        # the scan loop reads the necessary literals once per pass
+        monkeypatch.setattr(solver, "necessary_literals",
+                            counted(solver.necessary_literals, "pass"))
+        scan(f)
+        probes = [i for i, c in enumerate(calls) if c == "probe"]
+        assert [calls[i + 1] for i in probes] == ["build"] * len(probes)
+        assert calls.count("build") == len(probes)
+        per_pass = " ".join(calls).split("pass")
+        assert max(p.split().count("xor") for p in per_pass) <= 1
+        assert calls.count("xor") < len(probes)
 
 
 class TestUnsat:
