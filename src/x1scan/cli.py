@@ -111,30 +111,41 @@ def _value_line(assignment: dict[int, bool]) -> str:
     return "v " + " ".join(str(l) for l in lits) + " 0"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = _Parser(add_help=False)
-    g = shared.add_argument_group("common")
-    g.add_argument("--json", action="store_true", help="machine-readable output")
-    g.add_argument("--trace", action="store_true", help="include the full event trace")
-    g.add_argument("--seed", type=int, default=None, help="RNG seed (default: $X1SCAN_SEED or 0)")
-    g.add_argument("--order", choices=("fixed", "random"), default="fixed",
-                   help="literal check order")
-    g.add_argument("--budget-states", type=int, default=None, metavar="N",
-                   help="reachability state budget (default: $X1SCAN_BUDGET or "
-                        f"{DEFAULT_STATE_BUDGET})")
-    g.add_argument("--no-timing", action="store_true", help="omit timing fields")
+_FLAGS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--trace": dict(action="store_true", help="include the full event trace"),
+    "--seed": dict(type=int, default=None, help="RNG seed (default: $X1SCAN_SEED or 0)"),
+    "--order": dict(choices=("fixed", "random"), default="fixed",
+                    help="literal check order"),
+    "--budget-states": dict(type=int, default=None, metavar="N",
+                            help="reachability state budget (default: $X1SCAN_BUDGET or "
+                                 f"{DEFAULT_STATE_BUDGET})"),
+    "--no-timing": dict(action="store_true", help="omit timing fields"),
+}
 
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Give a subcommand the common flags it reads, and only those."""
+    g = parser.add_argument_group("common")
+    for name in names:
+        g.add_argument(name, **_FLAGS[name])
+
+
+def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="x1scan", description="Exactly-1 3SAT scan solver and checking harness")
     sub = p.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", parents=[shared], help="run the scan procedure")
+    solve = sub.add_parser("solve", help="run the scan procedure")
     solve.add_argument("path", help="X-DIMACS file, or - for stdin")
+    _add_common(solve, "--json", "--trace", "--seed", "--order", "--no-timing")
 
-    oracle = sub.add_parser("oracle", parents=[shared], help="brute-force ground truth")
+    oracle = sub.add_parser("oracle", help="brute-force ground truth")
     oracle.add_argument("path", help=f"X-DIMACS file (n <= {BRUTE_VAR_LIMIT})")
+    _add_common(oracle, "--json", "--no-timing")
 
-    net = sub.add_parser("net", parents=[shared], help="emit a Petri net construction")
+    net = sub.add_parser("net", help="emit a Petri net construction")
     net.add_argument("path", help="X-DIMACS file, or - for stdin")
+    _add_common(net, "--json", "--budget-states")
     direction = net.add_mutually_exclusive_group()
     direction.add_argument("--forward", action="store_true", help="clause-checking net")
     direction.add_argument("--inverse", action="store_true",
@@ -143,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--check-reach", action="store_true",
                      help="also decide target reachability")
 
-    diff = sub.add_parser("diff", parents=[shared], help="differential campaign vs oracle")
+    diff = sub.add_parser("diff", help="differential campaign vs oracle")
+    _add_common(diff, "--seed", "--order", "--no-timing")
     diff.add_argument("--count", type=int, default=1000)
     diff.add_argument("--n-min", type=int, default=2)
     diff.add_argument("--n-max", type=int, default=8)
@@ -156,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--out", default=None, metavar="DIR",
                       help="write the discrepancy corpus here")
 
-    bench = sub.add_parser("bench", parents=[shared], help="empirical scaling ladder")
+    bench = sub.add_parser("bench", help="empirical scaling ladder")
+    _add_common(bench, "--seed", "--order")
     bench.add_argument("--sizes", default="25,50,100,200,400",
                        help="comma-separated n ladder")
     bench.add_argument("--m-factor", type=float, default=4,
@@ -328,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, FileNotFoundError, IsADirectoryError, ValueError) as e:
+    except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (OracleBudgetError, ReachabilityBudgetError, ScanResourceError,

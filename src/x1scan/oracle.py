@@ -231,7 +231,7 @@ def differential_corpus(
     timings: list[float] = []
     invariant = 0
     varied: list[int] = []
-    count = 0
+    count = scanned = agreements = 0
 
     for i, f in enumerate(corpus):
         count += 1
@@ -243,6 +243,7 @@ def differential_corpus(
         except Exception as e:  # recorded, never fatal to the campaign
             errors.append({"instance_id": i, "error": f"{type(e).__name__}: {e}"})
             continue
+        scanned += 1
 
         if f.n_vars <= 3 and f.n_clauses <= 4:
             for problem in _net_check_if_general(f, oracle_sat):
@@ -259,6 +260,7 @@ def differential_corpus(
                 varied.append(i)
 
         if _agrees(v.status, oracle_sat):
+            agreements += 1
             continue
         small = minimize_counterexample(f, base)
         disagreements.append(
@@ -272,14 +274,14 @@ def differential_corpus(
         )
 
     order_stats = {
-        "instances": count - len(errors),
+        "instances": scanned,
         "permutations": permutations,
         "invariant": invariant,
         "varied_instances": varied,
     }
     return DiffReport(
         instance_count=count,
-        agreements=count - len(disagreements) - len(errors),
+        agreements=agreements,
         disagreements=disagreements,
         order_invariance=order_stats,
         timing_ms=None if no_timing or not timings else _percentiles(timings),

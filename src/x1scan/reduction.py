@@ -8,16 +8,18 @@ conjuncts), plus:
 * an occurrence index, literal -> sorted clause ids currently containing it;
 * per variable, which polarities are still eligible (both at the start, one
   after the other was discarded);
-* the conjunct set N of literals fixed true, in derivation order;
-* a pending map, conjunct -> clause id it emerged from. Emptying a clause on
-  unit emergence loses the "sole member of clause k" fact that the necessary-
-  literal rule reads, so that attribution is kept here.
+* the conjunct set N of literals fixed true (the ``conjunct_added`` events
+  record the order they joined in);
+* a pending map, conjunct -> clause id it emerged from, in insertion order.
+  Input unit clauses enter first, in clause order; a clause that shrinks to
+  one literal is emptied, so the pending map is the only record of the
+  "sole member of clause k" fact that the necessary-literal rule reads.
 
-Reduction queries see only clauses with at least two live literals: a clause
-already down to one literal is a conjunct-in-waiting, not a residue, and unit
-clauses of the *input* are likewise invisible to reduction (they seed N
-directly). The stored occurrence index itself is unfiltered; the filter is
-applied per query, which keeps rebuild-and-compare checks trivial.
+Reduction queries see only clauses with at least two live literals. Reduction
+empties any clause it shrinks to one literal, so the only live clauses of one
+literal are the unit clauses of the *input*; they seed N directly. The stored
+occurrence index itself is unfiltered; the filter is applied per query, which
+keeps rebuild-and-compare checks trivial.
 
 All iteration orders are deterministic (ascending clause ids, literal order
 within a clause), so event logs and traces are reproducible byte for byte.
@@ -42,11 +44,9 @@ class SolverState:
     occurrence: dict[int, list[int]]  # literal -> sorted ids of clauses holding it
     live_literals: dict[int, tuple[int, ...]]  # var -> eligible polarities
     conjuncts: set[int]  # N
-    conjunct_order: list[int]
     pending: dict[int, int]  # emerged conjunct -> source clause id
     scan_round: int = 1
     n_conflict: int | None = None  # var with both polarities in N, once seen
-    three_live: int = 0  # count of live 3-literal residues, kept incrementally
     events: list[dict] = field(default_factory=list)
     # scope.PairIndex of the current state, cached by the probes
     pair_index: Any = field(default=None, compare=False, repr=False)
@@ -74,9 +74,7 @@ def init_state(f: Formula) -> SolverState:
         occurrence={lit: sorted(ids) for lit, ids in occurrence.items()},
         live_literals={v: (v, -v) for v in range(1, f.n_vars + 1)},
         conjuncts=set(),
-        conjunct_order=[],
         pending={},
-        three_live=sum(1 for c in f.clauses if len(c.lits) == 3),
     )
     for c in f.clauses:
         if c.is_conjunct:
@@ -90,8 +88,6 @@ def conflict_index(state: SolverState, lit: int) -> list[int]:
 
 
 def _empty_clause(state: SolverState, k: int) -> None:
-    if len(state.live[k]) == 3:
-        state.three_live -= 1
     for lit in state.live[k]:
         state.occurrence[lit].remove(k)
     state.live[k] = []
@@ -103,7 +99,6 @@ def _add_conjunct(state: SolverState, lit: int, source: int | None) -> None:
     if negate(lit) in state.conjuncts and state.n_conflict is None:
         state.n_conflict = var_of(lit)
     state.conjuncts.add(lit)
-    state.conjunct_order.append(lit)
     if source is not None:
         state.pending.setdefault(lit, source)
     state.log("conjunct_added", source, [lit])
@@ -129,8 +124,6 @@ def reduce_on_false(state: SolverState, z: int) -> list[tuple[int, int]]:
         state.live[k].remove(z)
         state.occurrence[z].remove(k)
         rest = state.live[k]
-        if len(rest) == 2:
-            state.three_live -= 1
         if len(rest) == 1:
             u = rest[0]
             state.log("two_to_unit", k, [u])
@@ -174,21 +167,13 @@ def discard(state: SolverState, z_v: int) -> int | None:
 
 
 def necessary_literals(state: SolverState) -> list[tuple[int, int]]:
-    """Literals that must hold: sole members of a live clause, plus emerged
-    conjuncts still awaiting their discard. Only variables with both
-    polarities eligible are reported; each literal once, first source wins."""
-    out: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for k in sorted(state.live):
-        ls = state.live[k]
-        if len(ls) == 1:
-            lit = ls[0]
-            if len(state.live_literals[var_of(lit)]) == 2 and lit not in seen:
-                out.append((lit, k))
-                seen.add(lit)
-    for lit, k in state.pending.items():
-        if len(state.live_literals[var_of(lit)]) == 2 and lit not in seen:
-            out.append((lit, k))
-            seen.add(lit)
-    return out
-
+    """Literals that must hold: the pending conjuncts, each with the clause it
+    came from, in the order they entered. These are the input unit clauses
+    (entered first, in clause order) and the units that emerged from clauses
+    during discards; a live clause of one literal is always an input unit,
+    since reduction empties any clause it shrinks to one literal. Only
+    variables with both polarities eligible are reported."""
+    return [
+        (lit, k) for lit, k in state.pending.items()
+        if len(state.live_literals[var_of(lit)]) == 2
+    ]

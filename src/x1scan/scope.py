@@ -201,7 +201,7 @@ def build_scope(state: SolverState, z_v: int) -> Built | EarlyConflict:
     live = state.live
     occurrence = state.occurrence
     touched: dict[int, list[int]] = {}
-    three = state.three_live
+    three = len(index.threes)
     e_order: list[int] = [z_v]
     e_set: set[int] = {z_v}
 

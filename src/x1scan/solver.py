@@ -1,18 +1,19 @@
 """The scan loop: repeated necessary-literal discards and incompatibility
 checks until a verdict falls out.
 
-One round: first drain necessary literals (sole members of a live clause, or
-conjuncts that emerged during an earlier discard and still await their own),
-discarding the opposite polarity one at a time with a full restart after each;
-then probe every still-open literal (ascending variable, positive polarity
-first) with the scope check. An incompatible literal is discarded and the
-round restarts; a covering satisfiable scope ends the run with its model. A
-full pass with neither means the procedure claims satisfiability. At that
-point any variable still open in a live clause is settled by a documented
-completion rule: pick its positive polarity (the pass just found both
-polarities inconclusive) and discard the negative one. Every completion pick
-taints the run: from then on a contradiction no longer proves unsatisfiability
-and is reported as claimed_sat_unverified instead.
+Each pass picks one literal to discard and the loop discards it in one place.
+First come necessary literals: input unit clauses, and units that emerged from
+a clause during an earlier discard, still awaiting their own discard; the
+opposite polarity is discarded, one at a time with a full restart after each.
+With none left, the pass probes every still-open literal (ascending variable,
+positive polarity first) with the scope check. An incompatible literal is
+discarded and the round restarts; a covering satisfiable scope ends the run
+with its model. A full pass with neither means the procedure claims
+satisfiability. At that point any variable still open in a live clause is
+settled by a documented completion rule: pick its positive polarity (the pass
+just found both polarities inconclusive) and discard the negative one. Every
+completion pick taints the run: from then on a contradiction no longer proves
+unsatisfiability and is reported as claimed_sat_unverified instead.
 
 Verdict statuses:
 
@@ -172,14 +173,6 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         assert state.scan_round <= f.n_vars + 1, "more discards than variables"
         return Verdict(status, assignment, state.scan_round, trace, verification)
 
-    def run_discard(z: int, via: str, source: int | None) -> int | None:
-        r = state.scan_round
-        conflict = discard(state, z)
-        trace["discards"].append(
-            {"round": r, "literal": z, "via": via, "source_clause": source}
-        )
-        return conflict
-
     def finish_sat(assignment: dict[int, bool]) -> Verdict:
         check = _verify(f, assignment)
         status = "sat" if check["passed"] else "claimed_sat_unverified"
@@ -194,66 +187,55 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
 
         nec = necessary_literals(state)
         if nec:
-            lit, cid = nec[0]
-            conflict = run_discard(negate(lit), "necessary", cid)
-            if conflict is not None:
-                if tainted:
-                    return verdict("claimed_sat_unverified", None, None)
-                return verdict("unsat", None, None)
-            continue
+            lit, source = nec[0]
+            z, via = negate(lit), "necessary"
+        else:
+            zs = [
+                z
+                for v in sorted(state.live_literals)
+                if len(state.live_literals[v]) == 2
+                for z in state.live_literals[v]
+            ]
+            if opts.order == "random":
+                rng.shuffle(zs)
+            if audit is not None:
+                audit.at_pass(state, zs)
 
-        zs = [
-            z
-            for v in sorted(state.live_literals)
-            if len(state.live_literals[v]) == 2
-            for z in state.live_literals[v]
-        ]
-        if opts.order == "random":
-            rng.shuffle(zs)
-        if audit is not None:
-            audit.at_pass(state, zs)
+            res = None
+            for z in zs:
+                res = incompatible(state, z)
+                if opts.trace_checks:
+                    trace["scopes"].append(scope_as_dict(res.built, z, _check_name(res)))
+                if not isinstance(res, NotYet):
+                    break
 
-        hit: tuple[int, object] | None = None
-        for z in zs:
-            res = incompatible(state, z)
-            if opts.trace_checks:
-                trace["scopes"].append(scope_as_dict(res.built, z, _check_name(res)))
-            if not isinstance(res, NotYet):
-                hit = (z, res)
-                break
+            if isinstance(res, CoversSatisfiable):
+                return finish_sat(extract_assignment(state, base=res.model))
+            if isinstance(res, Incompatible):  # the probe loop stopped at z
+                via, source = "incompatible", None
+            else:
+                v = min(
+                    (
+                        var_of(l)
+                        for ls in state.live.values()
+                        for l in ls
+                        if len(state.live_literals[var_of(l)]) == 2
+                    ),
+                    default=None,
+                )
+                if v is None:
+                    assert state.n_conflict is None, "unreported conjunct contradiction"
+                    return finish_sat(extract_assignment(state))
+                picked = state.live_literals[v][0]  # positive polarity
+                tainted = True
+                trace["completion"].append({"var": v, "picked": picked})
+                z, via, source = negate(picked), "completion", None
 
-        if hit is not None:
-            z, res = hit
-            if isinstance(res, Incompatible):
-                conflict = run_discard(z, "incompatible", None)
-                if conflict is not None:
-                    if tainted:
-                        return verdict("claimed_sat_unverified", None, None)
-                    return verdict("unsat", None, None)
-                continue
-            assert isinstance(res, CoversSatisfiable)
-            return finish_sat(extract_assignment(state, base=res.model))
-
-        open_in_live = sorted(
-            {
-                var_of(l)
-                for ls in state.live.values()
-                for l in ls
-                if len(state.live_literals[var_of(l)]) == 2
-            }
+        trace["discards"].append(
+            {"round": state.scan_round, "literal": z, "via": via, "source_clause": source}
         )
-        if open_in_live:
-            v = open_in_live[0]
-            picked = state.live_literals[v][0]  # positive polarity
-            tainted = True
-            trace["completion"].append({"var": v, "picked": picked})
-            conflict = run_discard(negate(picked), "completion", None)
-            if conflict is not None:
-                return verdict("claimed_sat_unverified", None, None)
-            continue
-
-        assert state.n_conflict is None, "unreported conjunct contradiction"
-        return finish_sat(extract_assignment(state))
+        if discard(state, z) is not None:
+            return verdict("claimed_sat_unverified" if tainted else "unsat", None, None)
 
 
 def _check_name(res) -> str:

@@ -35,16 +35,14 @@ def rebuild_occurrence(state: SolverState) -> dict[int, list[int]]:
 
 def index_consistent(state: SolverState) -> bool:
     stored = {lit: ids for lit, ids in state.occurrence.items() if ids}
-    if rebuild_occurrence(state) != stored:
-        return False
-    return state.three_live == sum(1 for ls in state.live.values() if len(ls) == 3)
+    return rebuild_occurrence(state) == stored
 
 
 def as_formula(state: SolverState) -> Formula:
     """Residues plus conjuncts as a plain formula (ids renumbered); the model
     set matches the state's remaining constraints."""
     rows = [list(ls) for _, ls in sorted(state.live.items()) if ls]
-    rows += [[lit] for lit in state.conjunct_order]
+    rows += [[lit] for lit in sorted(state.conjuncts)]
     return formula(state.base.n_vars, rows)
 
 
@@ -76,13 +74,11 @@ def event_lines(state: SolverState) -> str:
 
 
 def full_fingerprint(state: SolverState) -> tuple:
-    """``fingerprint`` plus the occurrence index, the event log and the
-    3-literal residue count."""
+    """``fingerprint`` plus the occurrence index and the event log."""
     return (
         fingerprint(state),
         tuple(sorted((lit, tuple(ids)) for lit, ids in state.occurrence.items())),
         event_lines(state),
-        state.three_live,
     )
 
 
@@ -97,11 +93,9 @@ def clone(state: SolverState) -> SolverState:
         occurrence={lit: list(ids) for lit, ids in state.occurrence.items()},
         live_literals=dict(state.live_literals),
         conjuncts=set(state.conjuncts),
-        conjunct_order=list(state.conjunct_order),
         pending=dict(state.pending),
         scan_round=state.scan_round,
         n_conflict=state.n_conflict,
-        three_live=state.three_live,
         events=list(state.events),
     )
 
@@ -131,7 +125,7 @@ def reference_build_scope(state: SolverState, z_v: int) -> ReferenceBuilt | Earl
         return True
 
     pos = 0
-    while scratch.three_live > 0 and pos < len(e_order):
+    while any(len(ls) == 3 for ls in scratch.live.values()) and pos < len(e_order):
         z_j = e_order[pos]
         for lit, _k in reduce_on_true(scratch, z_j):
             if not add(lit):

@@ -119,6 +119,34 @@ def test_solve_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_path_through_a_file(golden_path, capsys):
+    rc = main(["solve", golden_path + "/x"])
+    assert rc == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_diff_out_onto_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = main(["diff", "--count", "1", "--permutations", "0", "--no-timing",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "FILE", "--order", "random"],
+    ["diff", "--json"],
+    ["bench", "--no-timing"],
+    ["net", "FILE", "--seed", "1"],
+])
+def test_subcommand_rejects_a_common_flag_it_never_reads(golden_path, capsys, argv):
+    argv = [golden_path if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -220,7 +248,7 @@ CONTRADICTORY_SPECIAL = "p x1cnf 2 2\n2 1 -1 0\n-2 1 -1 0\n"
 def test_conversion_contradiction_is_unsat(tmp_path, capsys, command):
     # both clauses carry x1 and -x1, so they force -x2 and x2 in turn
     path = write_cnf(tmp_path, "contra.cnf", CONTRADICTORY_SPECIAL)
-    rc = main([command, path, "--no-timing"])
+    rc = main([command, path] + (["--no-timing"] if command == "solve" else []))
     captured = capsys.readouterr()
     assert rc == EXIT_UNSAT
     assert "s UNSATISFIABLE" in captured.out.splitlines()

@@ -154,6 +154,16 @@ class TestDifferential:
         assert all(2 <= f.n_vars <= 8 for f in fs)
         assert all(1 <= f.n_clauses <= 2 * f.n_vars for f in fs)
 
+    def test_net_problems_do_not_cancel_the_scan_count(self, monkeypatch):
+        monkeypatch.setattr(
+            "x1scan.oracle._net_check_if_general",
+            lambda f, oracle_sat: ["forward net: planted", "inverse net: planted"],
+        )
+        r = differential_corpus([formula(2, [[1, 2]])], permutations=0)
+        assert len(r.errors) == 2
+        assert r.agreements == 1
+        assert r.order_invariance["instances"] == 1
+
     def test_timing_present_by_default(self):
         r = differential_corpus([GOLDEN], permutations=0)
         assert set(r.timing_ms) == {"p50", "p90", "p99", "max"}

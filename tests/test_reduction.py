@@ -3,7 +3,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import as_formula, event_lines, fingerprint, index_consistent, open_literals
+from helpers import (
+    as_formula,
+    clause_by_id,
+    event_lines,
+    fingerprint,
+    index_consistent,
+    open_literals,
+)
 
 from x1scan.formula import evaluate_exactly1, formula, negate, var_of
 from x1scan.reduction import (
@@ -79,11 +86,15 @@ def test_reduce_on_false_mixed_sizes():
     assert index_consistent(st_)
 
 
+def conjunct_order(state):
+    return [e["literals"][0] for e in state.events if e["kind"] == "conjunct_added"]
+
+
 def test_discard_trace_on_golden():
     st_ = golden_state()
 
     assert discard(st_, 1) is None
-    assert st_.conjunct_order == [-1, -3]
+    assert conjunct_order(st_) == [-1, -3]
     assert st_.live == {1: [], 2: [-2, 3], 3: [2, -3]}
     assert st_.pending == {-3: 1}
     assert st_.live_literals[1] == (-1,)
@@ -91,7 +102,7 @@ def test_discard_trace_on_golden():
     assert necessary_literals(st_) == [(-3, 1)]
 
     assert discard(st_, 3) is None
-    assert st_.conjunct_order == [-1, -3, -2]
+    assert conjunct_order(st_) == [-1, -3, -2]
     assert all(ls == [] for ls in st_.live.values())
     assert st_.scan_round == 3
     assert necessary_literals(st_) == [(-2, 3)]
@@ -176,6 +187,12 @@ def test_random_discard_walks_keep_invariants(f, rng):
             assert len(ls) <= sizes[k]
             sizes[k] = len(ls)
         assert n_before <= state.conjuncts
+        # necessary_literals reads pending alone: a live clause of one literal
+        # is an input unit, already in pending under its own id or an earlier one
+        for k, ls in state.live.items():
+            if len(ls) == 1:
+                assert clause_by_id(f, k).lits == tuple(ls)
+                assert state.pending[ls[0]] <= k
         if res is not None:
             assert res in state.conjuncts and -res in state.conjuncts
             break
