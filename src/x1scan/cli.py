@@ -13,7 +13,7 @@ import os
 import statistics
 import sys
 import time
-from math import log
+from math import inf, log
 from pathlib import Path
 
 from .formula import (
@@ -28,6 +28,7 @@ from .formula import (
 )
 from .oracle import (
     BRUTE_VAR_LIMIT,
+    PROFILES,
     DiffParams,
     OracleBudgetError,
     brute_force_sat,
@@ -69,6 +70,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low: int, kind: type = int):
+    """argparse type: a finite ``kind`` value no smaller than ``low``."""
+
+    def parse(raw: str):
+        value = kind(raw)
+        if not low <= value < inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {raw}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its own errors
+    return parse
+
+
 def _env_int(name: str) -> int | None:
     raw = os.environ.get(name)
     if raw is None or raw == "":
@@ -90,7 +104,11 @@ def _resolve_budget(args) -> int:
     if args.budget_states is not None:
         return args.budget_states
     env = _env_int("X1SCAN_BUDGET")
-    return env if env is not None else DEFAULT_STATE_BUDGET
+    if env is None:
+        return DEFAULT_STATE_BUDGET
+    if env < 1:
+        raise ValueError(f"environment variable X1SCAN_BUDGET must be >= 1, got {env}")
+    return env
 
 
 def _scan_options(args) -> ScanOptions:
@@ -108,7 +126,7 @@ def _load_formula(path: str) -> Formula:
 
 def _value_line(assignment: dict[int, bool]) -> str:
     lits = [v if val else -v for v, val in sorted(assignment.items())]
-    return "v " + " ".join(str(l) for l in lits) + " 0"
+    return " ".join(["v", *map(str, lits), "0"])
 
 
 _FLAGS = {
@@ -117,8 +135,10 @@ _FLAGS = {
     "--seed": dict(type=int, default=None, help="RNG seed (default: $X1SCAN_SEED or 0)"),
     "--order": dict(choices=("fixed", "random"), default="fixed",
                     help="literal check order"),
-    "--budget-states": dict(type=int, default=None, metavar="N",
-                            help="reachability state budget (default: $X1SCAN_BUDGET or "
+    "--budget-states": dict(type=_at_least(1), default=None, metavar="N",
+                            help="reachability budget in search steps: one per choice "
+                                 "tried, one per marking met between two levels and one "
+                                 "per token in it (default: $X1SCAN_BUDGET or "
                                  f"{DEFAULT_STATE_BUDGET})"),
     "--no-timing": dict(action="store_true", help="omit timing fields"),
 }
@@ -156,14 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff = sub.add_parser("diff", help="differential campaign vs oracle")
     _add_common(diff, "--seed", "--order", "--no-timing")
-    diff.add_argument("--count", type=int, default=1000)
+    diff.add_argument("--count", type=_at_least(0), default=1000)
     diff.add_argument("--n-min", type=int, default=2)
     diff.add_argument("--n-max", type=int, default=8)
     diff.add_argument("--m-min", type=int, default=None)
     diff.add_argument("--m-max", type=int, default=None)
     diff.add_argument("--profiles", default="mixed",
-                      help="comma-separated: uniform3,mixed,adversarial")
-    diff.add_argument("--permutations", type=int, default=10,
+                      help=f"comma-separated: {','.join(PROFILES)}")
+    diff.add_argument("--permutations", type=_at_least(0), default=10,
                       help="random check orders per instance")
     diff.add_argument("--out", default=None, metavar="DIR",
                       help="write the discrepancy corpus here")
@@ -172,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(bench, "--seed", "--order")
     bench.add_argument("--sizes", default="25,50,100,200,400",
                        help="comma-separated n ladder")
-    bench.add_argument("--m-factor", type=float, default=4,
+    bench.add_argument("--m-factor", type=_at_least(0, float), default=4,
                        help="clauses per variable: m = round(factor * n)")
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--profile", default="uniform3", choices=("uniform3", "mixed", "adversarial"))
+    bench.add_argument("--repeats", type=_at_least(1), default=3)
+    bench.add_argument("--profile", default="uniform3", choices=PROFILES)
     return p
 
 
@@ -255,8 +275,7 @@ def cmd_net(args) -> int:
     net = build_forward_net(f) if args.forward else build_inverse_net(f)
     reached = None
     if args.check_reach:
-        reached = target_reachable(net, engine="search",
-                                   state_budget=_resolve_budget(args))
+        reached = target_reachable(net, budget=_resolve_budget(args))
 
     if args.dot:
         print(export_dot(net))
@@ -310,7 +329,7 @@ def cmd_bench(args) -> int:
         m = round(args.m_factor * n)
         f = generate_random(n, m, seed=seed, profile=args.profile)
         times = []
-        for _ in range(max(1, args.repeats)):
+        for _ in range(args.repeats):
             t0 = time.perf_counter()
             scan(f, opts)
             times.append((time.perf_counter() - t0) * 1000.0)

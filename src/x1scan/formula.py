@@ -52,7 +52,7 @@ class VarLimitError(RuntimeError):
 
 
 class IncompleteAssignmentError(FormulaError):
-    """evaluate_exactly1 needs a value for every mentioned variable."""
+    """failed_clauses needs a value for every mentioned variable."""
 
 
 def negate(lit: int) -> int:
@@ -195,16 +195,14 @@ def emit_x1cnf(f: Formula) -> str:
 Assignment = Mapping[int, bool]
 
 
-def lit_true(lit: int, a: Assignment) -> bool:
-    return a[var_of(lit)] == (lit > 0)
-
-
-def evaluate_exactly1(f: Formula, a: Assignment) -> bool:
-    """True iff every clause has exactly one true literal under ``a``.
+def failed_clauses(f: Formula, a: Assignment) -> list[int]:
+    """Ids of the clauses without exactly one true literal under ``a``, in
+    clause order; an empty list means ``a`` is a model.
 
     ``a`` must cover every variable mentioned in ``f`` (a partial map over
     unmentioned variables is fine). Missing mentioned vars raise.
     """
+    failed = []
     for c in f.clauses:
         count = 0
         for lit in c.lits:
@@ -216,8 +214,8 @@ def evaluate_exactly1(f: Formula, a: Assignment) -> bool:
             if a[v] == (lit > 0):
                 count += 1
         if count != 1:
-            return False
-    return True
+            failed.append(c.id)
+    return failed
 
 
 # --- classification and special-clause rewriting ------------------------------

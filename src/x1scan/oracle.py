@@ -109,60 +109,12 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
     return conv.formula
 
 
-# ---------------------------------------------------------------------------
-# exhaustive corpora
-
-def general_clause_types(n: int) -> list[tuple[int, ...]]:
-    """Every 1-3 literal clause over n variables without a complementary pair,
-    literals sorted by variable; lexicographic over (size, literals)."""
-    lits = [l for v in range(1, n + 1) for l in (v, -v)]
-    out = []
-    for size in (1, 2, 3):
-        for combo in itertools.combinations(lits, size):
-            if any(-l in combo for l in combo):
-                continue
-            out.append(tuple(sorted(combo, key=abs)))
-    return sorted(out, key=lambda c: (len(c), c))
-
-
-def special_clause_types(n: int) -> list[tuple[int, ...]]:
-    """2-3 literal clauses containing some {v, -v} pair."""
-    lits = [l for v in range(1, n + 1) for l in (v, -v)]
-    out = []
-    for size in (2, 3):
-        for combo in itertools.combinations(lits, size):
-            if not any(-l in combo for l in combo):
-                continue
-            out.append(tuple(sorted(combo, key=lambda l: (abs(l), l < 0))))
-    return sorted(out, key=lambda c: (len(c), c))
-
-
-def exhaustive_general(n: int, max_m: int) -> Iterator[Formula]:
-    """All clause multisets of size 1..max_m over the general alphabet."""
-    types = general_clause_types(n)
-    for m in range(1, max_m + 1):
-        for rows in itertools.combinations_with_replacement(types, m):
-            yield formula(n, rows)
-
-
-def exhaustive_special(n: int, max_m: int) -> Iterator[Formula]:
-    """All clause multisets of size 1..max_m over the full alphabet that
-    contain at least one both-polarity clause."""
-    general = set(general_clause_types(n))
-    types = sorted(general | set(special_clause_types(n)), key=lambda c: (len(c), c))
-    for m in range(1, max_m + 1):
-        for rows in itertools.combinations_with_replacement(types, m):
-            if all(r in general for r in rows):
-                continue
-            yield formula(n, rows)
-
-
 def net_cross_check(f: Formula, oracle_sat: bool) -> list[str]:
     """Compare both net constructions against the oracle verdict. Any
     mismatch is a bug in the constructions here, never a solver finding."""
     problems = []
     for name, build in (("forward", build_forward_net), ("inverse", build_inverse_net)):
-        reached = target_reachable(build(f), engine="levels")
+        reached = target_reachable(build(f))
         if reached != oracle_sat:
             problems.append(f"{name} net reachability {reached} vs oracle {oracle_sat}")
     return problems

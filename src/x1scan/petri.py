@@ -1,12 +1,12 @@
-"""Safe leveled-acyclic Petri nets, token games, and the two SAT net constructions.
+"""Safe leveled-acyclic Petri nets, the two SAT net constructions, and the
+reachability check of their target marking.
 
 Nets here are 1-safe and leveled: every node (place or transition) sits on an
 integer level except *sink* places, which sit beyond all levels. A transition
 consumes only from places of its own level and produces only into strictly
 higher levels or sinks, so the flow relation is acyclic by construction.
 Markings are plain frozensets of place names (set semantics: firing into an
-already-marked place would merge tokens; the constructions below never do, and
-:func:`fire` treats it as an error).
+already-marked place would merge tokens; the constructions below never do).
 
 Net construction for a general exactly-1 formula (n vars, m clauses):
 
@@ -28,8 +28,8 @@ checks that equivalence exhaustively against brute force.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from .formula import Formula, classify
 
@@ -38,14 +38,6 @@ Marking = frozenset
 
 class NetError(ValueError):
     """Structurally invalid net."""
-
-
-class TokenGameError(RuntimeError):
-    """A firing in a prescribed sequence was not possible."""
-
-
-class SafetyViolationError(RuntimeError):
-    """A firing would re-mark an already marked place."""
 
 
 class ReachabilityBudgetError(RuntimeError):
@@ -102,50 +94,6 @@ def sourceless_places(net: Net) -> Marking:
     for t in net.transitions:
         produced |= net.post[t]
     return frozenset(p for p in net.places if p not in produced)
-
-
-def enabled(net: Net, marking: Marking) -> tuple[str, ...]:
-    """Enabled transitions in declaration order (deterministic)."""
-    return tuple(t for t in net.transitions if net.pre[t] <= marking)
-
-
-def fire(net: Net, marking: Marking, t: str) -> Marking:
-    missing = net.pre[t] - marking
-    if missing:
-        raise TokenGameError(
-            f"transition {t} not enabled: missing {sorted(missing)}"
-        )
-    rest = marking - net.pre[t]
-    clash = net.post[t] & rest
-    if clash:
-        raise SafetyViolationError(f"firing {t} would re-mark {sorted(clash)}")
-    return frozenset(rest | net.post[t])
-
-
-@dataclass(frozen=True)
-class TokenGame:
-    """Trace of a prescribed firing sequence. markings[0] is the initial one."""
-
-    sequence: tuple[str, ...]
-    markings: tuple[Marking, ...]
-    ended_final: bool  # nothing enabled after the last firing
-
-    @property
-    def final(self) -> Marking:
-        return self.markings[-1]
-
-
-def play_token_game(net: Net, sequence: Iterable[str]) -> TokenGame:
-    seq = tuple(sequence)
-    markings = [net.initial]
-    for step, t in enumerate(seq, start=1):
-        if t not in net.pre:
-            raise TokenGameError(f"step {step}: unknown transition {t}")
-        try:
-            markings.append(fire(net, markings[-1], t))
-        except TokenGameError as e:
-            raise TokenGameError(f"step {step}: {e}") from None
-    return TokenGame(seq, tuple(markings), ended_final=not enabled(net, markings[-1]))
 
 
 def conflicts(net: Net) -> dict[str, tuple[str, ...]]:
@@ -297,121 +245,119 @@ def build_inverse_net(f: Formula) -> Net:
 
 # --- reachability ------------------------------------------------------------
 
-DEFAULT_TRANSITION_GUARD = 64
 DEFAULT_STATE_BUDGET = 500_000
 
 
-def target_reachable(
-    net: Net,
-    target: Marking | None = None,
-    *,
-    engine: str = "search",
-    max_transitions: int = DEFAULT_TRANSITION_GUARD,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> bool:
-    """True iff some firing sequence reaches ``target`` with all non-sinks empty.
+def target_reachable(net: Net, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+    """True iff some firing sequence ends in a marking that is exactly the sinks.
 
-    ``target`` defaults to the net's sinks. Engine "search" is a memoized DFS
-    over marking sets and honors both resource guards (raising
-    ReachabilityBudgetError, which is *not* an unreachability verdict).
-    Engine "levels" decomposes by level (transitions consume only from their own
-    level, so any firing sequence can be stably reordered level by level) and
-    enumerates per-level exact covers of the tokens present; it needs
-    ``target <= net.sinks`` and has no practical budget needs.
+    Transitions consume only from their own level, so any firing sequence can
+    be reordered level by level. At each level the tokens present must then be
+    covered exactly by the presets of the transitions fired there; a token
+    left over could never move again. The search walks these exact covers
+    depth first, on an explicit stack of choices over a single marking that
+    it changes and restores in place: its depth does not grow with the clause
+    count, and its memory is the net's size plus the markings it remembers.
+    It remembers each marking met between two levels, and never searches on
+    from one twice.
+
+    ``budget`` bounds the work in search steps: one per choice tried (a
+    transition added to a partial cover, or firing or not an empty-preset
+    transition), and one per marking met between two levels plus one per
+    token in it. Running out raises ReachabilityBudgetError, which is *not*
+    an unreachability verdict.
     """
-    if target is None:
-        target = frozenset(net.sinks)
-    if engine == "levels":
-        return _reachable_by_levels(net, target)
-    if engine != "search":
-        raise ValueError(f"unknown engine {engine!r}")
-    if len(net.transitions) > max_transitions:
-        raise ReachabilityBudgetError(
-            f"{len(net.transitions)} transitions exceed guard {max_transitions}"
-        )
-    nonsinks = frozenset(net.places) - net.sinks
+    # places are numbered so that one with fewer consumers comes first and is
+    # covered first: a token no transition can take ends its branch at once
+    takes = Counter(p for t in net.transitions for p in net.pre[t])
+    order = sorted(net.places, key=lambda p: takes[p])
+    rank = {p: r for r, p in enumerate(order)}
+    level = [net.level.get(p) for p in order]  # None for a sink
 
-    def hits(m: Marking) -> bool:
-        return target <= m and not (m & nonsinks)
+    def ranks(places: frozenset[str]) -> frozenset[int]:
+        return frozenset(rank[p] for p in places)
 
-    seen: set[Marking] = {net.initial}
-    stack: list[Marking] = [net.initial]
-    while stack:
-        m = stack.pop()
-        if hits(m):
-            return True
-        for t in net.transitions:
-            if net.pre[t] <= m:
-                nxt = frozenset((m - net.pre[t]) | net.post[t])
-                if nxt not in seen:
-                    if len(seen) >= state_budget:
-                        raise ReachabilityBudgetError(
-                            f"visited {len(seen)} markings (budget {state_budget})"
-                        )
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return False
-
-
-def _reachable_by_levels(net: Net, target: Marking) -> bool:
-    if not target <= net.sinks:
-        raise ValueError("levels engine needs target <= sinks")
-    tlevels = sorted({net.level[t] for t in net.transitions})
-    by_level: dict[int, list[str]] = {lv: [] for lv in tlevels}
+    # a move is (consumed, produced); the moves that can take each place, and
+    # per level, for each empty-preset transition, firing it or not
+    levels = sorted({net.level[t] for t in net.transitions})
+    takers: list[list[tuple[frozenset[int], frozenset[int]]]] = [[] for _ in order]
+    free: dict[int, list[tuple]] = {lv: [] for lv in levels}
     for t in net.transitions:
-        by_level[net.level[t]].append(t)
+        move = (ranks(net.pre[t]), ranks(net.post[t]))
+        if not move[0]:
+            free[net.level[t]].append((move, (frozenset(), frozenset())))
+        for p in net.pre[t]:
+            takers[rank[p]].append(move)
 
-    memo: dict[tuple[int, Marking], bool] = {}
+    goal = ranks(net.sinks)
+    marked = set(ranks(net.initial))
+    seen: list[set[tuple[int, ...]]] = [set() for _ in levels]
+    # one choice per entry: [level index, the level's tokens in cover order,
+    # position of the choice (tokens first, then empty-preset transitions),
+    # its moves, next move to try, (consumed, added) of the one applied]
+    choices: list[list] = []
+    spent = 0
 
-    def covers(tokens_here: frozenset[str], cands: list[str]) -> Iterable[tuple[str, ...]]:
-        # exact covers of tokens_here by presets of cands (all presets nonempty)
-        if not tokens_here:
-            yield ()
-            return
-        p = min(tokens_here)
-        for t in cands:
-            pt = net.pre[t]
-            if p in pt and pt <= tokens_here:
-                for rest in covers(tokens_here - pt, cands):
-                    yield (t, *rest)
+    def spend(steps: int) -> None:
+        nonlocal spent
+        spent += steps
+        if spent > budget:
+            raise ReachabilityBudgetError(f"reachability search spent its budget of {budget} steps")
 
-    def go(idx: int, tokens: frozenset[str]) -> bool:
-        if idx == len(tlevels):
-            return tokens <= net.sinks and target <= tokens
-        key = (idx, tokens)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        lv = tlevels[idx]
-        here = frozenset(
-            p for p in tokens if p not in net.sinks and net.level[p] == lv
-        )
-        rest = tokens - here
-        consumers = [t for t in by_level[lv] if net.pre[t]]
-        free = [t for t in by_level[lv] if not net.pre[t]]
-        ok = False
-        for fired in covers(here, consumers):
-            produced: set[str] = set()
-            for t in fired:
-                produced |= net.post[t]
-            # empty-preset transitions may fire at will; only firing all or none
-            # of each subset matters for a superset target, so branch per subset
-            for k in range(1 << len(free)):
-                extra: set[str] = set()
-                for j, t in enumerate(free):
-                    if k >> j & 1:
-                        extra |= net.post[t]
-                if go(idx + 1, frozenset(rest | produced | extra)):
-                    ok = True
-                    break
-            if ok:
+    def arrive(i: int) -> list[int] | None:
+        # the marking reaches level i: the level's tokens in cover order, or
+        # None if the search went on from this marking before
+        key = tuple(sorted(marked))
+        spend(1 + len(key))
+        if key in seen[i]:
+            return None
+        seen[i].add(key)
+        return [r for r in key if level[r] == levels[i]]
+
+    def settle(i: int, todo: list[int], pos: int) -> bool:
+        # push the next choice to make, crossing the levels that need none;
+        # True iff the marking is then the goal
+        while True:
+            while pos < len(todo) and todo[pos] not in marked:
+                pos += 1  # consumed along with an earlier token
+            if pos < len(todo):
+                choices.append([i, todo, pos, takers[todo[pos]], 0, None])
+                return False
+            if pos - len(todo) < len(free[levels[i]]):
+                choices.append([i, todo, pos, free[levels[i]][pos - len(todo)], 0, None])
+                return False
+            i, pos = i + 1, 0
+            if i == len(levels):
+                return marked == goal
+            todo = arrive(i)
+            if todo is None:
+                return False
+
+    if not levels:
+        return marked == goal
+    if settle(0, arrive(0), 0):
+        return True
+    while choices:
+        top = choices[-1]
+        i, todo, pos, moves, k, applied = top
+        if applied is not None:  # restore the marking before the next try
+            marked -= applied[1]
+            marked |= applied[0]
+            top[5] = None
+        for k in range(k, len(moves)):
+            consumed, produced = moves[k]
+            if consumed <= marked:
+                added = produced - marked
+                marked -= consumed
+                marked |= added
+                top[4], top[5] = k + 1, (consumed, added)
+                spend(1)
+                if settle(i, todo, pos + 1):
+                    return True
                 break
-        memo[key] = ok
-        return ok
-
-    # tokens sitting on levels with no transitions can never be consumed; they
-    # simply survive to the final sink check
-    return go(0, frozenset(net.initial))
+        else:
+            choices.pop()
+    return False
 
 
 # --- export ------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .formula import (
     Formula,
     conjoin_forced,
     convert_special,
-    lit_true,
+    failed_clauses,
     negate,
     var_of,
 )
@@ -123,14 +123,6 @@ class _MonotoneAudit:
                 self.remembered.append(z)
 
 
-def _verify(f: Formula, a: dict[int, bool]) -> dict:
-    failed = []
-    for c in f.clauses:
-        if sum(1 for lit in c.lits if lit_true(lit, a)) != 1:
-            failed.append(c.id)
-    return {"passed": not failed, "failed": failed}
-
-
 def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
     opts = opts or ScanOptions()
     trace: dict = {
@@ -174,9 +166,9 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         return Verdict(status, assignment, state.scan_round, trace, verification)
 
     def finish_sat(assignment: dict[int, bool]) -> Verdict:
-        check = _verify(f, assignment)
-        status = "sat" if check["passed"] else "claimed_sat_unverified"
-        return verdict(status, assignment, check)
+        failed = failed_clauses(f, assignment)
+        status = "claimed_sat_unverified" if failed else "sat"
+        return verdict(status, assignment, {"passed": not failed, "failed": failed})
 
     cap = max(2 * f.n_vars * f.n_vars, 8)
     passes = 0

@@ -1,11 +1,17 @@
-"""Introspection helpers for tests: state digests, index rebuilds and
-rendering that the package itself never needs, plus the reference probe that
-the package's incompatibility check is compared against."""
+"""Helpers that only the tests need: state digests, index rebuilds and
+rendering; the reference probe that the package's incompatibility check is
+compared against; the token game and the reference reachability search that
+the package's net engine is compared against; the exhaustive formula corpora;
+and a structural checker for the shipped JSON schemas."""
 
+import itertools
 import json
 from dataclasses import dataclass
+from importlib import resources
+from typing import Iterable, Iterator
 
 from x1scan.formula import Clause, Formula, formula, negate, var_of
+from x1scan.petri import Marking, Net
 from x1scan.reduction import SolverState, reduce_on_false, reduce_on_true
 from x1scan.scope import (
     CoversSatisfiable,
@@ -171,3 +177,184 @@ def reference_incompatible(state: SolverState, z_v: int):
         elif -v in state.conjuncts:
             model[v] = False
     return CoversSatisfiable(z_v, model, res)
+
+
+# --- token game: prescribed firing sequences ------------------------------------
+
+
+class TokenGameError(RuntimeError):
+    """A firing in a prescribed sequence was not possible."""
+
+
+class SafetyViolationError(RuntimeError):
+    """A firing would re-mark an already marked place."""
+
+
+def enabled(net: Net, marking: Marking) -> tuple[str, ...]:
+    """Enabled transitions in declaration order (deterministic)."""
+    return tuple(t for t in net.transitions if net.pre[t] <= marking)
+
+
+def fire(net: Net, marking: Marking, t: str) -> Marking:
+    missing = net.pre[t] - marking
+    if missing:
+        raise TokenGameError(
+            f"transition {t} not enabled: missing {sorted(missing)}"
+        )
+    rest = marking - net.pre[t]
+    clash = net.post[t] & rest
+    if clash:
+        raise SafetyViolationError(f"firing {t} would re-mark {sorted(clash)}")
+    return frozenset(rest | net.post[t])
+
+
+@dataclass(frozen=True)
+class TokenGame:
+    """Trace of a prescribed firing sequence. markings[0] is the initial one."""
+
+    sequence: tuple[str, ...]
+    markings: tuple[Marking, ...]
+    ended_final: bool  # nothing enabled after the last firing
+
+    @property
+    def final(self) -> Marking:
+        return self.markings[-1]
+
+
+def play_token_game(net: Net, sequence: Iterable[str]) -> TokenGame:
+    seq = tuple(sequence)
+    markings = [net.initial]
+    for step, t in enumerate(seq, start=1):
+        if t not in net.pre:
+            raise TokenGameError(f"step {step}: unknown transition {t}")
+        try:
+            markings.append(fire(net, markings[-1], t))
+        except TokenGameError as e:
+            raise TokenGameError(f"step {step}: {e}") from None
+    return TokenGame(seq, tuple(markings), ended_final=not enabled(net, markings[-1]))
+
+
+def search_reachable(net: Net) -> bool:
+    """Reference for ``target_reachable``: a memoized DFS over every marking
+    the token game can reach, with no use of the net's levels and no budget
+    (tiny nets only). True iff one of them is exactly the sinks."""
+    seen: set[Marking] = {net.initial}
+    stack: list[Marking] = [net.initial]
+    while stack:
+        m = stack.pop()
+        if m == net.sinks:
+            return True
+        for t in enabled(net, m):
+            nxt = (m - net.pre[t]) | net.post[t]
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+# --- exhaustive corpora -------------------------------------------------------
+
+
+def general_clause_types(n: int) -> list[tuple[int, ...]]:
+    """Every 1-3 literal clause over n variables without a complementary pair,
+    literals sorted by variable; lexicographic over (size, literals)."""
+    lits = [l for v in range(1, n + 1) for l in (v, -v)]
+    out = []
+    for size in (1, 2, 3):
+        for combo in itertools.combinations(lits, size):
+            if any(-l in combo for l in combo):
+                continue
+            out.append(tuple(sorted(combo, key=abs)))
+    return sorted(out, key=lambda c: (len(c), c))
+
+
+def special_clause_types(n: int) -> list[tuple[int, ...]]:
+    """2-3 literal clauses containing some {v, -v} pair."""
+    lits = [l for v in range(1, n + 1) for l in (v, -v)]
+    out = []
+    for size in (2, 3):
+        for combo in itertools.combinations(lits, size):
+            if not any(-l in combo for l in combo):
+                continue
+            out.append(tuple(sorted(combo, key=lambda l: (abs(l), l < 0))))
+    return sorted(out, key=lambda c: (len(c), c))
+
+
+def exhaustive_general(n: int, max_m: int) -> Iterator[Formula]:
+    """All clause multisets of size 1..max_m over the general alphabet."""
+    types = general_clause_types(n)
+    for m in range(1, max_m + 1):
+        for rows in itertools.combinations_with_replacement(types, m):
+            yield formula(n, rows)
+
+
+def exhaustive_special(n: int, max_m: int) -> Iterator[Formula]:
+    """All clause multisets of size 1..max_m over the full alphabet that
+    contain at least one both-polarity clause."""
+    general = set(general_clause_types(n))
+    types = sorted(general | set(special_clause_types(n)), key=lambda c: (len(c), c))
+    for m in range(1, max_m + 1):
+        for rows in itertools.combinations_with_replacement(types, m):
+            if all(r in general for r in rows):
+                continue
+            yield formula(n, rows)
+
+
+# --- JSON schema check ----------------------------------------------------------
+# Covers exactly the subset the shipped schemas use: type (single name or
+# list), enum, properties/required/additionalProperties, and items.
+
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+    "boolean": bool,
+    "null": type(None),
+}
+
+
+def _type_ok(value, name: str) -> bool:
+    # bool is an int subclass; keep the numeric types strict
+    if name in ("integer", "number") and isinstance(value, bool):
+        return False
+    return isinstance(value, _TYPES[name])
+
+
+def validate(instance, schema: dict, path: str = "$") -> list[str]:
+    """"$.path: problem" strings; an empty list means the instance validates."""
+    if "type" in schema:
+        names = schema["type"]
+        if isinstance(names, str):
+            names = [names]
+        if not any(_type_ok(instance, n) for n in names):
+            got = type(instance).__name__
+            return [f"{path}: expected {'|'.join(names)}, got {got}"]
+    if instance is None:
+        return []
+
+    errors: list[str] = []
+    if "enum" in schema and instance not in schema["enum"]:
+        errors.append(f"{path}: {instance!r} not in enum")
+    if isinstance(instance, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in instance:
+                errors.append(f"{path}: missing required key {key!r}")
+        if schema.get("additionalProperties") is False:
+            for key in sorted(set(instance) - set(props)):
+                errors.append(f"{path}: unexpected key {key!r}")
+        for key, sub in props.items():
+            if key in instance:
+                errors.extend(validate(instance[key], sub, f"{path}.{key}"))
+    if isinstance(instance, list) and "items" in schema:
+        for i, item in enumerate(instance):
+            errors.extend(validate(item, schema["items"], f"{path}[{i}]"))
+    return errors
+
+
+def load_schema(name: str) -> dict:
+    """One of the JSON schemas shipped as package data."""
+    root = resources.files("x1scan").joinpath("schemas")
+    return json.loads(root.joinpath(f"{name}.json").read_text())

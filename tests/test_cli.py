@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
+from helpers import load_schema, validate
+
 from x1scan.cli import EXIT_INTERNAL, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
-from x1scan.schema import load_schema, validate
 
 GOLDEN = "p x1cnf 3 3\n1 -3 0\n1 -2 3 0\n2 -3 0\n"
 
@@ -184,6 +185,13 @@ def test_oracle_json_validates(golden_path, capsys):
     assert doc == {"status": "sat", "assignment": [-1, -2, -3]}
 
 
+def test_empty_model_value_line(tmp_path, capsys):
+    path = write_cnf(tmp_path, "empty.cnf", "p x1cnf 0 0\n")
+    for command in ("solve", "oracle"):
+        assert main([command, path]) == EXIT_SAT
+        assert capsys.readouterr().out.splitlines()[-1] == "v 0"
+
+
 # --- net ---------------------------------------------------------------------
 
 
@@ -269,6 +277,61 @@ def test_net_reach_budget_exhaustion(golden_path, capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("X1SCAN_BUDGET", "1")
     assert main(["net", golden_path, "--check-reach"]) == EXIT_INTERNAL
+
+
+PAIRS_1200 = "p x1cnf 2400 1200\n" + "".join(f"{2 * i + 1} {2 * i + 2} 0\n" for i in range(1200))
+
+
+def test_net_check_reach_on_a_wide_net(tmp_path, capsys):
+    # 7,201 transitions: no size guard, and no recursion per token
+    path = write_cnf(tmp_path, "pairs.cnf", PAIRS_1200)
+    assert main(["net", path, "--check-reach"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "s REACHABLE"
+
+
+def test_net_reach_budget_exhaustion_is_an_error_line(tmp_path):
+    path = write_cnf(tmp_path, "pairs.cnf", PAIRS_1200)
+    proc = subprocess.run(
+        [sys.executable, "-m", "x1scan.cli", "net", path, "--check-reach",
+         "--budget-states", "1000"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stderr == "error: reachability search spent its budget of 1000 steps\n"
+    assert proc.stdout == ""
+
+
+def exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse rejects the flag itself
+        return e.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["net", "FILE", "--check-reach", "--budget-states", "0"],
+    ["net", "FILE", "--check-reach", "--budget-states", "-5"],
+    ["diff", "--permutations", "0", "--count", "-1"],
+    ["diff", "--count", "1", "--permutations", "-1"],
+    ["bench", "--sizes", "4", "--repeats", "0"],
+    ["bench", "--sizes", "4", "--repeats", "-2"],
+    ["bench", "--sizes", "4", "--m-factor", "-1"],
+    ["bench", "--sizes", "4", "--m-factor", "inf"],
+])
+def test_numeric_flag_out_of_range_is_a_usage_error(golden_path, capsys, argv):
+    argv = [golden_path if a == "FILE" else a for a in argv]
+    assert exit_code(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument " + argv[-2] in captured.err
+
+
+def test_budget_env_below_one_is_a_usage_error(golden_path, capsys, monkeypatch):
+    monkeypatch.setenv("X1SCAN_BUDGET", "0")
+    assert main(["net", golden_path, "--check-reach"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: environment variable X1SCAN_BUDGET must be >= 1, got 0\n"
 
 
 # --- env precedence -----------------------------------------------------------

@@ -13,7 +13,7 @@ from x1scan.formula import (
     classify,
     convert_special,
     emit_x1cnf,
-    evaluate_exactly1,
+    failed_clauses,
     formula,
     negate,
     parse_x1cnf,
@@ -118,17 +118,17 @@ def test_emit_is_deterministic(f):
 
 
 def test_evaluate_golden_all_false_is_model():
-    assert evaluate_exactly1(GOLDEN, {1: False, 2: False, 3: False})
+    assert failed_clauses(GOLDEN, {1: False, 2: False, 3: False}) == []
 
 
 def test_evaluate_rejects_two_true_literals():
-    # clause 2 gets both x1 and -x2 true
-    assert not evaluate_exactly1(GOLDEN, {1: True, 2: False, 3: False})
+    # clause 1 gets both x1 and -x3 true, clause 2 both x1 and -x2
+    assert failed_clauses(GOLDEN, {1: True, 2: False, 3: False}) == [1, 2]
 
 
 def test_evaluate_incomplete_assignment():
     with pytest.raises(IncompleteAssignmentError) as exc:
-        evaluate_exactly1(GOLDEN, {1: False, 2: False})
+        failed_clauses(GOLDEN, {1: False, 2: False})
     assert "variable 3" in str(exc.value)
     assert "clause 1" in str(exc.value)
 
@@ -193,7 +193,7 @@ def brute_sat(f: Formula) -> bool:
     n = f.n_vars
     for bits in range(1 << n):
         a = {v: bool(bits >> (v - 1) & 1) for v in range(1, n + 1)}
-        if evaluate_exactly1(f, a):
+        if not failed_clauses(f, a):
             return True
     return False
 

@@ -5,6 +5,13 @@ import math
 
 import pytest
 
+from helpers import (
+    exhaustive_general,
+    exhaustive_special,
+    general_clause_types,
+    special_clause_types,
+)
+
 from x1scan.formula import classify, formula, parse_x1cnf
 from x1scan.oracle import (
     DiffParams,
@@ -12,15 +19,11 @@ from x1scan.oracle import (
     brute_force_sat,
     differential_corpus,
     differential_run,
-    exhaustive_general,
-    exhaustive_special,
-    general_clause_types,
     generate_campaign,
     generate_random,
     minimize_counterexample,
     net_cross_check,
     report_as_dict,
-    special_clause_types,
     write_discrepancies,
 )
 

@@ -1,21 +1,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    SafetyViolationError,
+    TokenGameError,
+    enabled,
+    fire,
+    play_token_game,
+    search_reachable,
+)
+
 from x1scan.formula import formula
 from x1scan.petri import (
+    DEFAULT_STATE_BUDGET,
     Net,
     NetError,
     ReachabilityBudgetError,
-    SafetyViolationError,
-    TokenGameError,
     build_forward_net,
     build_inverse_net,
     conflicts,
-    enabled,
     export_dot,
-    fire,
     net_as_dict,
-    play_token_game,
     root_conflicts,
     sourceless_places,
     target_reachable,
@@ -254,27 +259,66 @@ def test_builders_reject_special_formulas():
 # --- reachability ---------------------------------------------------------------
 
 
+# the package engine is checked against search_reachable, a plain DFS over
+# every reachable marking that knows nothing of levels
+
+
 def test_golden_formula_reaches_top_both_nets_both_engines():
     for build in (build_forward_net, build_inverse_net):
         net = build(GOLDEN)
-        assert target_reachable(net, engine="search")
-        assert target_reachable(net, engine="levels")
+        assert target_reachable(net)
+        assert search_reachable(net)
 
 
 def test_contradictory_conjuncts_unreachable():
     f = formula(1, [[1], [-1]])
     for build in (build_forward_net, build_inverse_net):
         net = build(f)
-        assert not target_reachable(net, engine="search")
-        assert not target_reachable(net, engine="levels")
+        assert not target_reachable(net)
+        assert not search_reachable(net)
+
+
+def test_empty_presets_fire_at_will():
+    # with no clauses, or no variables, the collector's preset is empty
+    for f in (formula(0, []), formula(2, [])):
+        for build in (build_forward_net, build_inverse_net):
+            net = build(f)
+            assert target_reachable(net)
+            assert search_reachable(net)
+
+
+def test_token_stranded_on_a_level_without_transitions_is_unreachable():
+    # t feeds the sink but also a place that nothing consumes
+    net = Net(
+        name="stranded",
+        places=("a", "q", "s"),
+        transitions=("t",),
+        pre={"t": frozenset({"a"})},
+        post={"t": frozenset({"q", "s"})},
+        level={"a": 0, "q": 1, "t": 0},
+        sinks=frozenset({"s"}),
+        initial=frozenset({"a"}),
+    )
+    assert not target_reachable(net)
+    assert not search_reachable(net)
 
 
 def test_reachability_guards():
-    net = build_forward_net(GOLDEN)
-    with pytest.raises(ReachabilityBudgetError, match="transitions exceed"):
-        target_reachable(net, max_transitions=3)
-    with pytest.raises(ReachabilityBudgetError, match="budget"):
-        target_reachable(net, state_budget=2)
+    # the budget counts search steps: the golden nets need 100 (forward) and
+    # 113 (inverse), and one step fewer is refused, never answered
+    for build, steps in ((build_forward_net, 100), (build_inverse_net, 113)):
+        net = build(GOLDEN)
+        assert target_reachable(net, budget=steps)
+        with pytest.raises(ReachabilityBudgetError, match="budget of"):
+            target_reachable(net, budget=steps - 1)
+    # net size is no guard of its own: 1,200 disjoint clauses make 7,201
+    # transitions and 1,200 tokens on one level; the default budget decides
+    # the net, and a budget too small for it ends in the budget error
+    wide = build_inverse_net(formula(2400, [[2 * i + 1, 2 * i + 2] for i in range(1200)]))
+    assert len(wide.transitions) == 7201
+    assert target_reachable(wide, budget=DEFAULT_STATE_BUDGET)
+    with pytest.raises(ReachabilityBudgetError, match="budget of"):
+        target_reachable(wide, budget=1000)
 
 
 def literals(n):
@@ -299,9 +343,9 @@ small_general = st.integers(1, 3).flatmap(
 @given(small_general)
 def test_engines_and_nets_agree(f):
     results = {
-        (b.__name__, eng): target_reachable(b(f), engine=eng)
+        (b.__name__, engine.__name__): engine(b(f))
         for b in (build_forward_net, build_inverse_net)
-        for eng in ("search", "levels")
+        for engine in (target_reachable, search_reachable)
     }
     assert len(set(results.values())) == 1, results
 

@@ -12,7 +12,7 @@ from helpers import (
     open_literals,
 )
 
-from x1scan.formula import evaluate_exactly1, formula, negate, var_of
+from x1scan.formula import failed_clauses, formula, negate, var_of
 from x1scan.reduction import (
     ReductionError,
     conflict_index,
@@ -202,7 +202,7 @@ def models(f, n):
     out = set()
     for bits in range(1 << n):
         a = {v: bool(bits >> (v - 1) & 1) for v in range(1, n + 1)}
-        if evaluate_exactly1(f, a):
+        if not failed_clauses(f, a):
             out.add(bits)
     return out
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from x1scan import scope, solver
-from x1scan.formula import evaluate_exactly1, formula
+from x1scan.formula import failed_clauses, formula
 from x1scan.oracle import generate_random
 from x1scan.solver import (
     ScanOptions,
@@ -171,7 +171,7 @@ class TestCompletion:
         assert v.status == "sat"
         assert v.trace["completion"] == [{"var": 1, "picked": 1}]
         assert v.assignment == {1: True, 2: False, 3: False, 4: True, 5: False, 6: False}
-        evaluate_exactly1(f, v.assignment)
+        assert failed_clauses(f, v.assignment) == []
 
     def test_tainted_dead_end_reports_unverified(self, ignore_incompatible):
         # fault injection: with scope discards ignored, the unsat pair from
@@ -226,7 +226,7 @@ class TestProperties:
         assert v.status in {"sat", "unsat", "claimed_sat_unverified"}
         if v.status == "sat":
             assert v.verification["passed"]
-            evaluate_exactly1(f, v.assignment)  # raises on a bad model
+            assert failed_clauses(f, v.assignment) == []
         if v.status == "unsat":
             assert v.assignment is None
             assert v.trace["completion"] == []
