@@ -326,7 +326,11 @@ def cmd_bench(args) -> int:
     opts = ScanOptions(order=args.order, seed=seed)
     rows = []
     for n in sizes:
-        m = round(args.m_factor * n)
+        try:
+            m = round(args.m_factor * n)
+        except OverflowError:
+            raise ValueError(f"--m-factor {args.m_factor} times n={n} clauses "
+                             "is out of range") from None
         f = generate_random(n, m, seed=seed, profile=args.profile)
         times = []
         for _ in range(args.repeats):

@@ -255,51 +255,47 @@ def convert_special(f: Formula) -> Conversion:
     A clause {z, x, -x} admits exactly one true literal among {x, -x} already,
     so z must be false: -z is forced, z is deleted from every clause, and the
     clause itself drops as a tautology. A bare {x, -x} clause likewise drops.
-    Repeats to fixpoint (deleting literals can shrink clauses but never creates
-    a new both-polarity pair). Forcing both polarities raises ConversionUnsat.
+    Forcing both polarities raises ConversionUnsat.
+
+    Deleting a literal never creates a both-polarity pair, so a clause found
+    general stays general: one pass in ascending clause id, over an index of
+    the clauses holding each literal, reaches the fixpoint. Each literal is
+    deleted at most once, since no clause holds it afterwards.
 
     Clause ids of surviving clauses are preserved.
     """
     rows: dict[int, list[int]] = {c.id: list(c.lits) for c in f.clauses}
+    holding: dict[int, list[int]] = {}  # literal -> ascending ids of clauses with it
+    for cid in sorted(rows):
+        for lit in rows[cid]:
+            holding.setdefault(lit, []).append(cid)
     forced: list[int] = []
     forced_set: set[int] = set()
     removed: list[int] = []
 
-    def force(lit: int) -> None:
-        if -lit in forced_set:
-            raise ConversionUnsat(var_of(lit))
-        if lit not in forced_set:
-            forced_set.add(lit)
-            forced.append(lit)
-
-    changed = True
-    while changed:
-        changed = False
-        for cid in sorted(rows):
-            lits = rows[cid]
-            pair_var = None
-            for l in lits:
-                if -l in lits:
-                    pair_var = var_of(l)
-                    break
-            if pair_var is None:
-                continue
-            rest = [l for l in lits if var_of(l) != pair_var]
-            for z in rest:
-                force(-z)
-            del rows[cid]
-            removed.append(cid)
-            changed = True
-            # a forced -z deletes z everywhere; may cascade into new forcings
-            for z in rest:
-                for ocid in sorted(rows):
-                    olits = rows[ocid]
-                    if z in olits:
-                        olits.remove(z)
-                        if not olits:
-                            # clause demanded z true while z is forced false
-                            raise ConversionUnsat(var_of(z))
-            break
+    for cid in sorted(rows):
+        lits = rows[cid]
+        pair_var = next((var_of(l) for l in lits if -l in lits), None)
+        if pair_var is None:
+            continue
+        rest = [l for l in lits if var_of(l) != pair_var]
+        for z in rest:
+            if z in forced_set:
+                raise ConversionUnsat(var_of(z))
+            if -z not in forced_set:
+                forced_set.add(-z)
+                forced.append(-z)
+        del rows[cid]
+        removed.append(cid)
+        # a forced -z deletes z everywhere
+        for z in rest:
+            for ocid in holding.get(z, ()):
+                olits = rows.get(ocid)
+                if olits is not None and z in olits:
+                    olits.remove(z)
+                    if not olits:
+                        # clause demanded z true while z is forced false
+                        raise ConversionUnsat(var_of(z))
 
     # clauses containing -z survive untouched: consumers get the forced list
     # and must conjoin it themselves

@@ -14,6 +14,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field, replace
+from math import comb
 from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator
@@ -89,6 +90,15 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
         raise ValueError("n must be >= 1")
     if profile in ("uniform3", "adversarial") and n < 3:
         raise ValueError(f"profile {profile} needs n >= 3")
+    # distinct clauses the profile can draw: 2^k sign choices per k variables
+    distinct = 8 * comb(n, 3)
+    if profile == "mixed":
+        distinct += 2 * n + 4 * comb(n, 2)
+    if m > distinct:
+        raise ValueError(
+            f"cannot draw {m} distinct {profile} clauses over {n} variables "
+            f"(at most {distinct})"
+        )
     rng = Random(f"{profile}:{n}:{m}:{seed}")
     rows: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()

@@ -13,7 +13,8 @@ conjuncts), plus:
 * a pending map, conjunct -> clause id it emerged from, in insertion order.
   Input unit clauses enter first, in clause order; a clause that shrinks to
   one literal is emptied, so the pending map is the only record of the
-  "sole member of clause k" fact that the necessary-literal rule reads.
+  "sole member of clause k" fact that the necessary-literal rule reads. That
+  rule drops the leading entries whose variable is already settled.
 
 Reduction queries see only clauses with at least two live literals. Reduction
 empties any clause it shrinks to one literal, so the only live clauses of one
@@ -27,8 +28,8 @@ within a clause), so event logs and traces are reproducible byte for byte.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
 
 from .formula import Formula, classify, negate, var_of
 
@@ -44,12 +45,10 @@ class SolverState:
     occurrence: dict[int, list[int]]  # literal -> sorted ids of clauses holding it
     live_literals: dict[int, tuple[int, ...]]  # var -> eligible polarities
     conjuncts: set[int]  # N
-    pending: dict[int, int]  # emerged conjunct -> source clause id
+    pending: OrderedDict[int, int]  # emerged conjunct -> source clause id
     scan_round: int = 1
     n_conflict: int | None = None  # var with both polarities in N, once seen
     events: list[dict] = field(default_factory=list)
-    # scope.PairIndex of the current state, cached by the probes
-    pair_index: Any = field(default=None, compare=False, repr=False)
 
     def log(self, kind: str, clause: int | None, literals: list[int]) -> None:
         self.events.append(
@@ -74,7 +73,7 @@ def init_state(f: Formula) -> SolverState:
         occurrence={lit: sorted(ids) for lit, ids in occurrence.items()},
         live_literals={v: (v, -v) for v in range(1, f.n_vars + 1)},
         conjuncts=set(),
-        pending={},
+        pending=OrderedDict(),
     )
     for c in f.clauses:
         if c.is_conjunct:
@@ -167,13 +166,21 @@ def discard(state: SolverState, z_v: int) -> int | None:
 
 
 def necessary_literals(state: SolverState) -> list[tuple[int, int]]:
-    """Literals that must hold: the pending conjuncts, each with the clause it
-    came from, in the order they entered. These are the input unit clauses
-    (entered first, in clause order) and the units that emerged from clauses
-    during discards; a live clause of one literal is always an input unit,
-    since reduction empties any clause it shrinks to one literal. Only
-    variables with both polarities eligible are reported."""
-    return [
-        (lit, k) for lit, k in state.pending.items()
-        if len(state.live_literals[var_of(lit)]) == 2
-    ]
+    """The next literal that must hold: the first pending conjunct, in the
+    order they entered, whose variable still has both polarities eligible,
+    with the clause it came from; [] when there is none. Pending conjuncts are
+    the input unit clauses (entered first, in clause order) and the units that
+    emerged from clauses during discards; a live clause of one literal is
+    always an input unit, since reduction empties any clause it shrinks to one
+    literal.
+
+    A settled variable never reopens, so the settled entries ahead of the
+    first open one are dropped from ``pending`` for good: over a whole scan the
+    rule's work is linear in the number of pending entries."""
+    pending = state.pending
+    while pending:
+        lit, k = next(iter(pending.items()))
+        if len(state.live_literals[var_of(lit)]) == 2:
+            return [(lit, k)]
+        pending.popitem(last=False)
+    return []

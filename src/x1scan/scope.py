@@ -21,8 +21,8 @@ A probe costs what its scope costs. It never copies or mutates the solver
 state: the expansion reads the live clauses and keeps the clauses it changes
 in an overlay of its own, with a local count of 3-literal residues, and logs
 no events. The parity union-find over the state's 2-literal residues
-(``PairIndex``) is built once per state version, by the first probe after a
-mutation, and shared by the probes that follow. A probe decides its scope on a
+(``PairIndex``) is passed in by the caller; the scan loop builds it once per
+pass and shares it among that pass's probes. A probe decides its scope on a
 small union-find over that index's roots, adding only E and the pairs it made
 from 3-literal residues. This is exact: every base pair the probe absorbed or
 shrank is implied by two units of E, so E, all base pairs and the new pairs
@@ -110,8 +110,6 @@ class PairIndex:
     are kept for assembling full scopes."""
 
     def __init__(self, state: SolverState) -> None:
-        # the event log grows with every mutation, so its length versions the state
-        self.version = len(state.events)
         uf = _ParityUnionFind()
         pairs: list[tuple[int, int, int]] = []
         threes: list[int] = []
@@ -128,14 +126,6 @@ class PairIndex:
         self.root_parity = [uf.find(v) for v in range(state.base.n_vars + 1)]
         self.pairs = tuple(pairs)
         self.threes = tuple(threes)
-
-
-def pair_index(state: SolverState) -> PairIndex:
-    """The state's PairIndex, rebuilt only when the state has changed."""
-    index = state.pair_index
-    if index is None or index.version != len(state.events):
-        index = state.pair_index = PairIndex(state)
-    return index
 
 
 class Built:
@@ -187,17 +177,17 @@ class Built:
         return True
 
 
-def build_scope(state: SolverState, z_v: int) -> Built | EarlyConflict:
+def build_scope(state: SolverState, z_v: int, index: PairIndex) -> Built | EarlyConflict:
     """Expand the consequences of holding ``z_v`` true, FIFO over E.
 
-    Expansion of the next conjunct only happens while some 3-literal residue
-    is live; a scope can therefore carry units that were never expanded (they
-    still constrain the XOR fragment). The state is only read: a clause the
-    probe changes is copied into its overlay. A literal is expanded at most
-    once and its negation never joins E without a conflict, so a clause still
-    holds every literal the probe reads it for.
+    ``index`` must be the PairIndex of ``state`` as it is now. Expansion of
+    the next conjunct only happens while some 3-literal residue is live; a
+    scope can therefore carry units that were never expanded (they still
+    constrain the XOR fragment). The state is only read: a clause the probe
+    changes is copied into its overlay. A literal is expanded at most once and
+    its negation never joins E without a conflict, so a clause still holds
+    every literal the probe reads it for.
     """
-    index = pair_index(state)
     live = state.live
     occurrence = state.occurrence
     touched: dict[int, list[int]] = {}
@@ -318,9 +308,10 @@ class CoversSatisfiable:
 
 
 def incompatible(
-    state: SolverState, z_v: int
+    state: SolverState, z_v: int, index: PairIndex
 ) -> Incompatible | NotYet | CoversSatisfiable:
     """Full incompatibility check for ``z_v`` against the current state.
+    ``index`` must be the PairIndex of ``state`` as it is now.
 
     A satisfiable scope with no 3-literal residue covers the formula, so its
     model is a satisfiability witness; it is extended here with the state's
@@ -330,7 +321,7 @@ def incompatible(
     they cannot make z_v incompatible. A satisfiable scope with residue left
     needs neither witness nor model, so only the shared index decides it.
     """
-    res = build_scope(state, z_v)
+    res = build_scope(state, z_v, index)
     if isinstance(res, EarlyConflict):
         return Incompatible(z_v, "early_conflict", (res.var,), res)
     if res.three_left and res.satisfiable():

@@ -6,13 +6,14 @@ First come necessary literals: input unit clauses, and units that emerged from
 a clause during an earlier discard, still awaiting their own discard; the
 opposite polarity is discarded, one at a time with a full restart after each.
 With none left, the pass probes every still-open literal (ascending variable,
-positive polarity first) with the scope check. An incompatible literal is
-discarded and the round restarts; a covering satisfiable scope ends the run
-with its model. A full pass with neither means the procedure claims
-satisfiability. At that point any variable still open in a live clause is
-settled by a documented completion rule: pick its positive polarity (the pass
-just found both polarities inconclusive) and discard the negative one. Every
-completion pick taints the run: from then on a contradiction no longer proves
+positive polarity first) with the scope check, all against the one pair
+index the pass builds. An incompatible literal is discarded and the round
+restarts; a covering satisfiable scope ends the run with its model. A full
+pass with neither means the procedure claims satisfiability. At that point
+any variable still open in a live clause is settled by a documented
+completion rule: pick its positive polarity (the pass just found both
+polarities inconclusive) and discard the negative one. Every completion pick
+taints the run: from then on a contradiction no longer proves
 unsatisfiability and is reported as claimed_sat_unverified instead.
 
 Verdict statuses:
@@ -52,6 +53,7 @@ from .scope import (
     CoversSatisfiable,
     Incompatible,
     NotYet,
+    PairIndex,
     incompatible,
     scope_as_dict,
 )
@@ -66,7 +68,6 @@ class ScanOptions:
     order: str = "fixed"  # "fixed" | "random" (seeded shuffle of the check list)
     seed: int | None = None
     trace_checks: bool = False  # keep a scope dump per incompatibility check
-    audit_monotonicity: bool = False  # re-check past incompatibles after mutations
 
 
 @dataclass
@@ -90,39 +91,6 @@ def extract_assignment(state: SolverState, base: dict[int, bool] | None = None) 
     return a
 
 
-class _MonotoneAudit:
-    """Re-judges every literal found incompatible at the start of each later
-    check pass: while still open it must stay incompatible.
-
-    The scan discards only the first incompatible literal of a pass, so the
-    audit probes the whole pass itself and remembers every incompatible
-    literal; the ones left open are re-judged at later passes.
-
-    Re-checks only run where the procedure itself runs checks (necessary
-    literals drained); a scope built mid-drain cannot see queued facts and
-    its verdict means nothing."""
-
-    def __init__(self) -> None:
-        self.remembered: list[int] = []
-        self.checked = 0
-        self.violations: list[dict] = []
-
-    def at_pass(self, state: SolverState, zs: list[int]) -> None:
-        for z in self.remembered:
-            if len(state.live_literals[var_of(z)]) != 2:
-                continue
-            self.checked += 1
-            res = incompatible(state, z)
-            if not isinstance(res, Incompatible):
-                self.violations.append(
-                    {"literal": z, "round": state.scan_round,
-                     "became": type(res).__name__}
-                )
-        for z in zs:
-            if z not in self.remembered and isinstance(incompatible(state, z), Incompatible):
-                self.remembered.append(z)
-
-
 def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
     opts = opts or ScanOptions()
     trace: dict = {
@@ -131,7 +99,6 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         "discards": [],
         "scopes": [],
         "completion": [],
-        "monotonicity": None,
     }
 
     try:
@@ -140,8 +107,6 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         trace["conversion"] = {
             "forced": [], "removed_clauses": [], "contradiction_var": e.var
         }
-        if opts.audit_monotonicity:
-            trace["monotonicity"] = {"checked": 0, "violations": []}
         return Verdict("unsat", None, 0, trace, None)
     if conv.forced or conv.removed_clauses:
         trace["conversion"] = {
@@ -152,16 +117,11 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
 
     state = init_state(conjoin_forced(conv, f))
     rng = random.Random(opts.seed)
-    audit = _MonotoneAudit() if opts.audit_monotonicity else None
     tainted = False
 
     def verdict(status: str, assignment: dict[int, bool] | None,
                 verification: dict | None) -> Verdict:
         trace["events"] = list(state.events)
-        if audit is not None:
-            trace["monotonicity"] = {
-                "checked": audit.checked, "violations": audit.violations
-            }
         assert state.scan_round <= f.n_vars + 1, "more discards than variables"
         return Verdict(status, assignment, state.scan_round, trace, verification)
 
@@ -190,12 +150,13 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
             ]
             if opts.order == "random":
                 rng.shuffle(zs)
-            if audit is not None:
-                audit.at_pass(state, zs)
 
             res = None
+            # one pair index per pass, shared by its probes; a pass with no
+            # open literal probes nothing and builds none
+            index = PairIndex(state) if zs else None
             for z in zs:
-                res = incompatible(state, z)
+                res = incompatible(state, z, index)
                 if opts.trace_checks:
                     trace["scopes"].append(scope_as_dict(res.built, z, _check_name(res)))
                 if not isinstance(res, NotYet):

@@ -23,8 +23,8 @@ def ignore_incompatible(monkeypatch):
     not-yet, so no literal is ever discarded by the scope check."""
     real = solver.incompatible
 
-    def probe(state, z):
-        res = real(state, z)
+    def probe(state, z, index):
+        res = real(state, z, index)
         return NotYet(z, res.built) if isinstance(res, Incompatible) else res
 
     monkeypatch.setattr(solver, "incompatible", probe)

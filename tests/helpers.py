@@ -1,8 +1,10 @@
 """Helpers that only the tests need: state digests, index rebuilds and
 rendering; the reference probe that the package's incompatibility check is
-compared against; the token game and the reference reachability search that
-the package's net engine is compared against; the exhaustive formula corpora;
-and a structural checker for the shipped JSON schemas."""
+compared against; the monotonicity audit, replayed from a scan's discards; the
+reference special-clause rewrite; the token game and the reference
+reachability search that the package's net engine is compared against; the
+exhaustive formula corpora; and a structural checker for the shipped JSON
+schemas."""
 
 import itertools
 import json
@@ -10,16 +12,35 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator
 
-from x1scan.formula import Clause, Formula, formula, negate, var_of
+from x1scan.formula import (
+    Clause,
+    Conversion,
+    ConversionUnsat,
+    Formula,
+    conjoin_forced,
+    convert_special,
+    formula,
+    negate,
+    var_of,
+)
 from x1scan.petri import Marking, Net
-from x1scan.reduction import SolverState, reduce_on_false, reduce_on_true
+from x1scan.reduction import (
+    SolverState,
+    discard,
+    init_state,
+    necessary_literals,
+    reduce_on_false,
+    reduce_on_true,
+)
 from x1scan.scope import (
     CoversSatisfiable,
     EarlyConflict,
     Incompatible,
     NotYet,
+    PairIndex,
     ScopeFormula,
     XorUnsat,
+    incompatible,
     xor2sat_satisfiable,
 )
 
@@ -177,6 +198,101 @@ def reference_incompatible(state: SolverState, z_v: int):
         elif -v in state.conjuncts:
             model[v] = False
     return CoversSatisfiable(z_v, model, res)
+
+
+# --- monotonicity audit: a scan's discards replayed through the public API ------
+
+
+def replay_monotonicity(f: Formula, discards: list[dict]) -> tuple[int, list[dict]]:
+    """Replay a scan's discards (``trace["discards"]``) on a fresh state and
+    check that incompatibility is monotone: a literal once found incompatible
+    stays incompatible while it is open.
+
+    At every pass with no necessary literal pending, where the scan itself
+    probes, the replay re-judges each remembered literal still open, then
+    probes every open literal and remembers the incompatible ones. The scan
+    discards only the first incompatible literal of a pass, so the rest stay
+    open for later passes. A scope built while necessary literals are pending
+    cannot see them, so no verdict is judged there.
+
+    Returns the number of re-judgments and one {"literal", "round", "became"}
+    entry per re-judgment that was not incompatible."""
+    try:
+        state = init_state(conjoin_forced(convert_special(f), f))
+    except ConversionUnsat:
+        return 0, []
+    remembered: list[int] = []
+    checked = 0
+    violations: list[dict] = []
+    # after the last discard the scan ran one more pass, unless it conflicted
+    for d in [*discards, None]:
+        if not necessary_literals(state):
+            index = PairIndex(state)
+            for z in remembered:
+                if len(state.live_literals[var_of(z)]) != 2:
+                    continue
+                checked += 1
+                res = incompatible(state, z, index)
+                if not isinstance(res, Incompatible):
+                    violations.append({"literal": z, "round": state.scan_round,
+                                       "became": type(res).__name__})
+            for z in open_literals(state):
+                if z not in remembered and isinstance(incompatible(state, z, index),
+                                                      Incompatible):
+                    remembered.append(z)
+        if d is None or discard(state, d["literal"]) is not None:
+            break
+    return checked, violations
+
+
+# --- reference special-clause rewrite: restart after every rewrite --------------
+
+
+def reference_convert_special(f: Formula) -> Conversion:
+    """``convert_special`` as a fixpoint loop: after each rewrite it restarts
+    from the lowest clause id, and it deletes a forced-false literal by
+    scanning every clause."""
+    rows: dict[int, list[int]] = {c.id: list(c.lits) for c in f.clauses}
+    forced: list[int] = []
+    forced_set: set[int] = set()
+    removed: list[int] = []
+
+    def force(lit: int) -> None:
+        if -lit in forced_set:
+            raise ConversionUnsat(var_of(lit))
+        if lit not in forced_set:
+            forced_set.add(lit)
+            forced.append(lit)
+
+    changed = True
+    while changed:
+        changed = False
+        for cid in sorted(rows):
+            lits = rows[cid]
+            pair_var = None
+            for l in lits:
+                if -l in lits:
+                    pair_var = var_of(l)
+                    break
+            if pair_var is None:
+                continue
+            rest = [l for l in lits if var_of(l) != pair_var]
+            for z in rest:
+                force(-z)
+            del rows[cid]
+            removed.append(cid)
+            changed = True
+            for z in rest:
+                for ocid in sorted(rows):
+                    olits = rows[ocid]
+                    if z in olits:
+                        olits.remove(z)
+                        if not olits:
+                            raise ConversionUnsat(var_of(z))
+            break
+
+    kept = tuple(Clause(cid, tuple(rows[cid])) for cid in sorted(rows))
+    return Conversion(Formula(f.n_vars, kept), tuple(forced), tuple(removed))
 
 
 # --- token game: prescribed firing sequences ------------------------------------

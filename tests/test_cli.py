@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -413,6 +414,47 @@ def test_bench_takes_a_fractional_m_factor(capsys):
 
 def test_bench_rejects_empty_ladder(capsys):
     assert main(["bench", "--sizes", ","]) == EXIT_USAGE
+
+
+# --- hostile input ----------------------------------------------------------------
+
+
+def run_cli(argv, timeout):
+    """``python -m x1scan.cli`` in a child process, with its wall time."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "x1scan.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout)
+    return proc, time.perf_counter() - t0
+
+
+UNITS_20000 = "p x1cnf 20000 20000\n" + "".join(f"{i} 0\n" for i in range(1, 20001))
+# (16000+i, i, -i): each clause forces -(16000+i) and drops as a tautology
+SPECIAL_16000 = "p x1cnf 32000 16000\n" + "".join(
+    f"{16000 + i} {i} -{i} 0\n" for i in range(1, 16001)
+)
+
+
+@pytest.mark.parametrize("text", [UNITS_20000, SPECIAL_16000], ids=["units", "special"])
+def test_unit_and_special_heavy_input_solves_in_linear_time(tmp_path, text):
+    path = write_cnf(tmp_path, "hostile.cnf", text)
+    proc, elapsed = run_cli(["solve", path], timeout=60)
+    assert proc.returncode == EXIT_SAT
+    assert "s SATISFIABLE" in proc.stdout.splitlines()
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sizes", "25", "--m-factor", "1e4"],
+    ["diff", "--count", "1", "--n-min", "8", "--n-max", "8", "--m-min", "100000",
+     "--m-max", "100000", "--permutations", "0"],
+    ["bench", "--sizes", "25", "--m-factor", "1e308"],
+])
+def test_impossible_generator_request_exits_at_once(argv):
+    proc, elapsed = run_cli(argv, timeout=30)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert elapsed < 2.0
 
 
 # --- entry point ------------------------------------------------------------------

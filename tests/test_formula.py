@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import clause_by_id
+from helpers import clause_by_id, exhaustive_special, reference_convert_special
 
 from x1scan.formula import (
     Clause,
@@ -229,3 +229,49 @@ def test_conversion_unsat_cases_really_unsat(rows):
     with pytest.raises(ConversionUnsat):
         convert_special(formula(n, rows))
     assert not brute_sat(formula(n, rows))
+
+
+# --- the one-pass rewrite against the restarting reference --------------------
+
+
+def conversion_outcome(convert, f: Formula):
+    try:
+        conv = convert(f)
+    except ConversionUnsat as e:
+        return ("unsat", e.var)
+    return conv.forced, conv.removed_clauses, conv.formula
+
+
+def test_convert_matches_reference_on_exhaustive_special_corpus():
+    checked = 0
+    for f in exhaustive_special(4, 2):
+        assert conversion_outcome(convert_special, f) == conversion_outcome(
+            reference_convert_special, f
+        )
+        checked += 1
+    assert checked == 2226
+
+
+def special_formulas(max_n=10, max_m=12):
+    def build(n):
+        lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+        clause = st.lists(lit, min_size=1, max_size=3, unique=True)
+        # {x, -x} or {z, x, -x}, in any literal order
+        special = st.tuples(st.integers(1, n), lit).map(
+            lambda t: [t[0], -t[0]] + ([t[1]] if abs(t[1]) != t[0] else [])
+        ).flatmap(st.permutations)
+        rows = st.lists(st.one_of(clause, special), min_size=1, max_size=max_m)
+        return rows.filter(lambda rs: any(-l in r for r in rs for l in r)).map(
+            lambda rs: formula(n, rs)
+        )
+
+    return st.integers(1, max_n).flatmap(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(special_formulas())
+def test_convert_matches_reference_on_special_formulas(f):
+    assert classify(f).kind == "special"
+    assert conversion_outcome(convert_special, f) == conversion_outcome(
+        reference_convert_special, f
+    )

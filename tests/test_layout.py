@@ -1,8 +1,10 @@
-"""Layout rule: `src/` holds only code that `src/` itself uses.
+"""Layout rules: `src/` holds only code that `src/` itself uses.
 
 Every top-level function, class and constant of the package must be named
 somewhere in `src/` outside its own definition. Code that only the tests
-need lives in `tests/`.
+need lives in `tests/`. Likewise every field of an options dataclass (a name
+ending in `Options` or `Params`) must be set by `src/` itself: an option that
+only tests set is a test hook.
 """
 
 import ast
@@ -51,3 +53,49 @@ def unreferenced() -> list[str]:
 
 def test_every_top_level_name_in_src_is_used_in_src():
     assert unreferenced() == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for d in cls.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unset_options() -> list[str]:
+    """Fields of the options dataclasses in `src/` that no call in `src/`
+    outside the class passes by keyword, to the class or to `replace`."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    classes = {
+        stmt.name: (module, stmt)
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+        and stmt.name.endswith(("Options", "Params"))
+        and _is_dataclass(stmt)
+    }
+    own = {id(cls) for _, cls in classes.values()}
+    passed: dict[str, set[str]] = {name: set() for name in classes}
+    stack = [node for tree in trees.values() for node in tree.body]
+    while stack:
+        node = stack.pop()
+        if id(node) in own:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            targets = list(classes) if node.func.id == "replace" else [node.func.id]
+            for name in targets:
+                if name in passed:
+                    passed[name].update(kw.arg for kw in node.keywords if kw.arg)
+        stack.extend(ast.iter_child_nodes(node))
+    unset = []
+    for name, (module, cls) in sorted(classes.items()):
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                if item.target.id not in passed[name]:
+                    unset.append(f"{module}.{name}.{item.target.id}")
+    return unset
+
+
+def test_every_option_field_is_set_in_src():
+    assert unset_options() == []

@@ -87,6 +87,16 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_random(n, m, seed=0, profile=profile)
 
+    @pytest.mark.parametrize("profile,distinct", [
+        ("uniform3", 8), ("adversarial", 8), ("mixed", 26),
+    ])
+    def test_draws_up_to_every_distinct_clause(self, profile, distinct):
+        # over 3 variables: 8 ternaries, plus 6 units and 12 binaries for mixed
+        f = generate_random(3, distinct, seed=0, profile=profile)
+        assert len({c.lits for c in f.clauses}) == distinct
+        with pytest.raises(ValueError, match=f"at most {distinct}"):
+            generate_random(3, distinct + 1, seed=0, profile=profile)
+
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
             generate_random(3, 1, seed=0, profile="bogus")

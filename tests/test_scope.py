@@ -14,6 +14,7 @@ from x1scan.scope import (
     EarlyConflict,
     Incompatible,
     NotYet,
+    PairIndex,
     ScopeFormula,
     XorSat,
     XorUnsat,
@@ -27,14 +28,16 @@ GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
 
 def test_build_scope_detects_polarity_pair_in_workset():
-    res = build_scope(init_state(GOLDEN), 1)
+    state = init_state(GOLDEN)
+    res = build_scope(state, 1, PairIndex(state))
     assert isinstance(res, EarlyConflict)
     assert res.var == 3
     assert res.units == (1, 3, 2, -3)  # both offending polarities present
 
 
 def test_build_scope_covering_case():
-    res = build_scope(init_state(GOLDEN), -2)
+    state = init_state(GOLDEN)
+    res = build_scope(state, -2, PairIndex(state))
     assert isinstance(res, Built)
     assert res.scope.units == (-2, -1, -3)
     assert res.scope.xor_pairs == ((1, -3),)
@@ -44,7 +47,8 @@ def test_build_scope_covering_case():
 
 def test_build_scope_stalls_on_untouched_residue():
     f = formula(6, [[1, 2, 3], [4, 5, 6]])
-    res = build_scope(init_state(f), 1)
+    state = init_state(f)
+    res = build_scope(state, 1, PairIndex(state))
     assert isinstance(res, Built)
     assert res.scope.units == (1, -2, -3)
     assert res.scope.xor_pairs == ()
@@ -53,7 +57,8 @@ def test_build_scope_stalls_on_untouched_residue():
 
 def test_build_scope_nothing_to_reduce():
     f = formula(4, [[2, 3, 4]])
-    res = build_scope(init_state(f), 1)
+    state = init_state(f)
+    res = build_scope(state, 1, PairIndex(state))
     assert isinstance(res, Built)
     assert res.scope.units == (1,)
     assert res.residual3 == (1,)
@@ -67,9 +72,10 @@ def test_build_scope_leaves_base_state_untouched():
     sizes = [len(ls) for ls in state.live.values()]
     assert 3 in sizes and 2 in sizes
     before = full_fingerprint(state)
+    index = PairIndex(state)
     for z in open_literals(state):
-        build_scope(state, z)
-        incompatible(state, z)
+        build_scope(state, z, index)
+        incompatible(state, z, index)
     assert full_fingerprint(state) == before
 
 
@@ -162,27 +168,31 @@ def test_xor_agrees_with_enumeration(s):
 
 
 def test_incompatible_golden_positive_literal():
-    res = incompatible(init_state(GOLDEN), 1)
+    state = init_state(GOLDEN)
+    res = incompatible(state, 1, PairIndex(state))
     assert isinstance(res, Incompatible)
     assert res.reason == "early_conflict"
     assert res.detail == (3,)
 
 
 def test_incompatible_golden_covering_literal():
-    res = incompatible(init_state(GOLDEN), -2)
+    state = init_state(GOLDEN)
+    res = incompatible(state, -2, PairIndex(state))
     assert isinstance(res, CoversSatisfiable)
     assert res.model == {1: False, 2: False, 3: False}
 
 
 def test_incompatible_not_yet():
     f = formula(6, [[1, 2, 3], [4, 5, 6]])
-    assert isinstance(incompatible(init_state(f), 1), NotYet)
+    state = init_state(f)
+    assert isinstance(incompatible(state, 1, PairIndex(state)), NotYet)
 
 
 def test_incompatible_scope_unsat():
     # holding -x1 forces x2..x4 false, clashing with the pair left of clause 4
     f = formula(4, [[-1, 2, 3], [-1, 3, 4], [-1, 2, 4], [1, 2, 3]])
-    res = incompatible(init_state(f), -1)
+    state = init_state(f)
+    res = incompatible(state, -1, PairIndex(state))
     assert isinstance(res, Incompatible)
     assert res.reason == "scope_unsat"
 
@@ -192,13 +202,14 @@ def test_base_pairs_in_an_odd_cycle_make_every_scope_unsat():
     # and stops with clause 5 unreduced, yet its scope is unsatisfiable
     f = formula(9, [[1, 2], [2, 3], [1, 3], [4, 5, 6], [7, 8, 9]])
     state = init_state(f)
-    res = incompatible(state, 4)
+    index = PairIndex(state)
+    res = incompatible(state, 4, index)
     assert isinstance(res, Incompatible)
     assert res.reason == "scope_unsat"
     assert res.detail == ("pair", 1, 3)
     assert res.built.residual3 == (5,)
     for z in open_literals(state):
-        assert_same_probe(incompatible(state, z), reference_incompatible(state, z))
+        assert_same_probe(incompatible(state, z, index), reference_incompatible(state, z))
 
 
 def test_covering_model_extends_with_settled_facts():
@@ -208,14 +219,15 @@ def test_covering_model_extends_with_settled_facts():
     from x1scan.reduction import discard
 
     discard(state, -4)  # settle the input unit: only x4 remains eligible
-    res = incompatible(state, 3)
+    res = incompatible(state, 3, PairIndex(state))
     assert isinstance(res, CoversSatisfiable)
     assert res.model == {1: False, 3: True, 4: True}
 
 
 def test_scope_as_dict_shapes():
     state = init_state(GOLDEN)
-    built = build_scope(state, -2)
+    index = PairIndex(state)
+    built = build_scope(state, -2, index)
     d = scope_as_dict(built, -2, "covers_satisfiable")
     assert d == {
         "literal": -2,
@@ -224,7 +236,7 @@ def test_scope_as_dict_shapes():
         "residual3": [],
         "verdict": "covers_satisfiable",
     }
-    conflict = build_scope(state, 1)
+    conflict = build_scope(state, 1, index)
     d2 = scope_as_dict(conflict, 1, "incompatible")
     assert d2["E"] == [1, 3, 2, -3]
     assert d2["verdict"] == "incompatible"
@@ -268,8 +280,9 @@ def test_probe_matches_reference_in_mid_scan_states(f, rng):
             break
         rng.shuffle(zs)
         before = full_fingerprint(state)
+        index = PairIndex(state)
         for z in zs:
-            assert_same_probe(incompatible(state, z), reference_incompatible(state, z))
+            assert_same_probe(incompatible(state, z, index), reference_incompatible(state, z))
         assert full_fingerprint(state) == before
         if discard(state, rng.choice(zs)) is not None:
             break

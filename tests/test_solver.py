@@ -5,6 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
+from helpers import replay_monotonicity
+
 from x1scan import scope, solver
 from x1scan.formula import failed_clauses, formula
 from x1scan.oracle import generate_random
@@ -15,6 +18,7 @@ from x1scan.solver import (
     verdict_as_dict,
 )
 from x1scan.reduction import discard, init_state
+from x1scan.scope import Incompatible, NotYet
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -79,9 +83,9 @@ class TestGoldenRun:
         calls = []
         real = scope.build_scope
 
-        def counted(state, z):
+        def counted(state, z, index):
             calls.append(z)
-            return real(state, z)
+            return real(state, z, index)
 
         # patch every binding, so a direct call from the solver counts too
         for module in (scope, solver):
@@ -119,6 +123,7 @@ class TestProbeCost:
             for module in (scope, solver):
                 monkeypatch.setattr(module, name, wrapped, raising=False)
         monkeypatch.setattr(solver, "incompatible", counted(solver.incompatible, "probe"))
+        monkeypatch.setattr(solver, "PairIndex", counted(solver.PairIndex, "index"))
         # the scan loop reads the necessary literals once per pass
         monkeypatch.setattr(solver, "necessary_literals",
                             counted(solver.necessary_literals, "pass"))
@@ -128,6 +133,8 @@ class TestProbeCost:
         assert calls.count("build") == len(probes)
         per_pass = " ".join(calls).split("pass")
         assert max(p.split().count("xor") for p in per_pass) <= 1
+        assert max(p.split().count("index") for p in per_pass) <= 1
+        assert calls.count("index") >= 1
         assert calls.count("xor") < len(probes)
 
 
@@ -240,18 +247,9 @@ class TestProperties:
 
     @given(formulas())
     @settings(max_examples=60, deadline=None)
-    def test_audit_leaves_verdict_unchanged(self, f):
-        plain = verdict_as_dict(scan(f))
-        audited = verdict_as_dict(scan(f, ScanOptions(audit_monotonicity=True)))
-        assert plain["trace"].pop("monotonicity") is None
-        assert audited["trace"].pop("monotonicity") is not None
-        assert audited == plain
-
-    @given(formulas())
-    @settings(max_examples=60, deadline=None)
     def test_monotonicity_audit_clean(self, f):
-        v = scan(f, ScanOptions(audit_monotonicity=True))
-        assert v.trace["monotonicity"]["violations"] == []
+        _, violations = replay_monotonicity(f, scan(f).trace["discards"])
+        assert violations == []
 
     @given(formulas(max_n=3, max_m=4), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -259,6 +257,34 @@ class TestProperties:
         v = scan(f, ScanOptions(order="random", seed=seed))
         if v.status == "sat":
             assert v.verification["passed"]
+
+
+class TestMonotonicityReplay:
+    # six re-judgments: literals found incompatible at one pass and still open
+    # at a later one
+    F = formula(4, [[-2, 4], [-1, -2, -3], [-2, -3], [-2, 3, -4]])
+
+    def test_replay_can_report_a_violation(self, monkeypatch):
+        discards = scan(self.F).trace["discards"]
+        assert replay_monotonicity(self.F, discards) == (6, [])
+
+        # plant a non-monotone probe: a literal found incompatible at an
+        # earlier pass reads as not-yet from then on
+        real = helpers.incompatible
+        first_round: dict[int, int] = {}
+
+        def planted(state, z, index):
+            res = real(state, z, index)
+            if isinstance(res, Incompatible) and (
+                first_round.setdefault(z, state.scan_round) < state.scan_round
+            ):
+                return NotYet(z, res.built)
+            return res
+
+        monkeypatch.setattr(helpers, "incompatible", planted)
+        checked, violations = replay_monotonicity(self.F, discards)
+        assert checked == 6
+        assert violations and all(v["became"] == "NotYet" for v in violations)
 
 
 class TestJson:
@@ -269,7 +295,6 @@ class TestJson:
         assert d["rounds"] == 4
         assert set(d["trace"]) == {
             "conversion", "events", "discards", "scopes", "completion",
-            "monotonicity",
         }
 
     def test_trace_elision(self):
