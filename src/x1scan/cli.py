@@ -21,8 +21,6 @@ from .formula import (
     Formula,
     ParseError,
     VarLimitError,
-    classify,
-    conjoin_forced,
     convert_special,
     parse_x1cnf,
 )
@@ -47,7 +45,7 @@ from .petri import (
     root_conflicts,
     target_reachable,
 )
-from .solver import ScanOptions, ScanResourceError, scan, verdict_as_dict
+from .solver import ScanOptions, scan, verdict_as_dict
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -258,21 +256,21 @@ def cmd_net(args) -> int:
     if args.dot and args.json:
         raise ValueError("--dot and --json are mutually exclusive")
     f = _load_formula(args.path)
+    try:
+        conv = convert_special(f)
+    except ConversionUnsat as e:
+        # the input has no model, so there is no net to emit
+        print(f"c conversion contradiction on variable {e.var}", file=sys.stderr)
+        print(_STATUS_LINE["unsat"])
+        return EXIT_UNSAT
     notice = None
-    if classify(f).kind == "special":
-        try:
-            conv = convert_special(f)
-        except ConversionUnsat as e:
-            # the input has no model, so there is no net to emit
-            print(f"c conversion contradiction on variable {e.var}", file=sys.stderr)
-            print(_STATUS_LINE["unsat"])
-            return EXIT_UNSAT
+    if conv.removed_clauses:  # the input was special
         notice = {"forced": list(conv.forced), "removed_clauses": list(conv.removed_clauses)}
         print(f"c converted special formula: forced={notice['forced']} "
               f"removed={notice['removed_clauses']}", file=sys.stderr)
-        f = conjoin_forced(conv, f)
 
-    net = build_forward_net(f) if args.forward else build_inverse_net(f)
+    build = build_forward_net if args.forward else build_inverse_net
+    net = build(conv.formula)
     reached = None
     if args.check_reach:
         reached = target_reachable(net, budget=_resolve_budget(args))
@@ -367,8 +365,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OracleBudgetError, ReachabilityBudgetError, ScanResourceError,
-            VarLimitError) as e:
+    except (OracleBudgetError, ReachabilityBudgetError, VarLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

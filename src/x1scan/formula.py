@@ -6,9 +6,9 @@ one to three distinct literals and is satisfied when *exactly one* of them is tr
 under a total assignment. A one-literal clause is a conjunct: it pins its literal.
 
 Formulas are *general* when no clause contains both polarities of a variable, and
-*special* otherwise. Special formulas can be rewritten into general ones plus a
-list of forced literals (see :func:`convert_special`); the rewrite preserves
-exactly-1 satisfiability.
+*special* otherwise. :func:`convert_special` rewrites any formula into the
+general formula to scan: the surviving clauses followed by one unit clause per
+forced literal. The rewrite preserves exactly-1 satisfiability.
 
 The X-DIMACS file format::
 
@@ -244,13 +244,18 @@ class ConversionUnsat(Exception):
 
 @dataclass
 class Conversion:
+    """The rewrite of a formula. ``formula`` is the formula to scan: the
+    surviving clauses, then one unit clause per forced literal, numbered past
+    the original clause ids. The input was special iff ``removed_clauses`` is
+    non-empty."""
+
     formula: Formula
     forced: tuple[int, ...]  # literals pinned true, in derivation order
     removed_clauses: tuple[int, ...] = ()  # original ids dropped as tautologies
 
 
 def convert_special(f: Formula) -> Conversion:
-    """Rewrite a special formula into a general one plus forced literals.
+    """Rewrite a formula into the general formula to scan.
 
     A clause {z, x, -x} admits exactly one true literal among {x, -x} already,
     so z must be false: -z is forced, z is deleted from every clause, and the
@@ -262,7 +267,9 @@ def convert_special(f: Formula) -> Conversion:
     the clauses holding each literal, reaches the fixpoint. Each literal is
     deleted at most once, since no clause holds it afterwards.
 
-    Clause ids of surviving clauses are preserved.
+    Clause ids of surviving clauses are preserved; clauses containing a
+    forced literal survive untouched, and each forced literal is conjoined as
+    a unit clause. A general formula comes back with the same clauses.
     """
     rows: dict[int, list[int]] = {c.id: list(c.lits) for c in f.clauses}
     holding: dict[int, list[int]] = {}  # literal -> ascending ids of clauses with it
@@ -297,20 +304,6 @@ def convert_special(f: Formula) -> Conversion:
                         # clause demanded z true while z is forced false
                         raise ConversionUnsat(var_of(z))
 
-    # clauses containing -z survive untouched: consumers get the forced list
-    # and must conjoin it themselves
-    kept = tuple(
-        Clause(cid, tuple(rows[cid])) for cid in sorted(rows)
-    )
-    return Conversion(Formula(f.n_vars, kept), tuple(forced), tuple(removed))
-
-
-def conjoin_forced(conv: Conversion, original: Formula) -> Formula:
-    """The converted formula with each forced literal appended as a fresh
-    unit clause, numbered past the original clause ids."""
-    clauses = list(conv.formula.clauses)
-    next_id = original.n_clauses + 1
-    for lit in conv.forced:
-        clauses.append(Clause(next_id, (lit,)))
-        next_id += 1
-    return Formula(original.n_vars, tuple(clauses))
+    kept = [Clause(cid, tuple(rows[cid])) for cid in sorted(rows)]
+    kept += [Clause(f.n_clauses + 1 + i, (lit,)) for i, lit in enumerate(forced)]
+    return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed))

@@ -115,7 +115,7 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
         seen.add(clause)
         rows.append(clause)
     conv = convert_special(formula(n, rows))
-    assert not conv.forced and not conv.removed_clauses
+    assert not conv.removed_clauses
     return conv.formula
 
 
@@ -281,18 +281,21 @@ def differential_run(params: DiffParams, opts: ScanOptions | None = None) -> Dif
 # ---------------------------------------------------------------------------
 # minimization
 
-def _disagrees(rows: list[tuple[int, ...]], n_vars: int, opts: ScanOptions | None) -> bool:
+def _outcome(rows: list[tuple[int, ...]], n_vars: int,
+             opts: ScanOptions | None) -> tuple[str, bool]:
+    """(scan status, oracle satisfiable): the class of a disagreement."""
     f = formula(n_vars, rows)
-    v = scan(f, opts)
-    return not _agrees(v.status, brute_force_sat(f) is not None)
+    return scan(f, opts).status, brute_force_sat(f) is not None
 
 
 def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Formula:
     """Greedy delta debugging: drop whole clauses, then drop literals from
-    3-literal clauses, keeping every step that still disagrees; repeats to a
+    3-literal clauses, keeping every step whose scan status and oracle verdict
+    both match the input's, so the disagreement keeps its class; repeats to a
     fixpoint. The result is clause-minimal under single drops."""
     rows = [tuple(c.lits) for c in f.clauses]
-    if not _disagrees(rows, f.n_vars, opts):
+    target = _outcome(rows, f.n_vars, opts)
+    if _agrees(*target):
         raise ValueError("input is not a scan/oracle disagreement")
 
     changed = True
@@ -301,7 +304,7 @@ def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Form
         i = 0
         while i < len(rows):
             candidate = rows[:i] + rows[i + 1:]
-            if candidate and _disagrees(candidate, f.n_vars, opts):
+            if candidate and _outcome(candidate, f.n_vars, opts) == target:
                 rows = candidate
                 changed = True
             else:
@@ -312,7 +315,7 @@ def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Form
             for j in range(3):
                 shrunk = clause[:j] + clause[j + 1:]
                 candidate = rows[:i] + [shrunk] + rows[i + 1:]
-                if _disagrees(candidate, f.n_vars, opts):
+                if _outcome(candidate, f.n_vars, opts) == target:
                     rows = candidate
                     changed = True
                     break

@@ -363,18 +363,16 @@ def target_reachable(net: Net, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
 # --- export ------------------------------------------------------------------
 
 
-def export_dot(net: Net, marking: Marking | None = None) -> str:
-    """Deterministic Graphviz rendering: circles/boxes, filled when marked,
-    one rank per level, sinks last."""
-    if marking is None:
-        marking = net.initial
+def export_dot(net: Net) -> str:
+    """Deterministic Graphviz rendering: circles/boxes, filled when initially
+    marked, one rank per level, sinks last."""
     lines = [f'digraph "{net.name}" {{', "  rankdir=LR;"]
     levels = sorted({lv for lv in net.level.values()})
     rank: dict[object, list[str]] = {lv: [] for lv in levels}
     rank["sink"] = []
     for p in net.places:
         key = "sink" if p in net.sinks else net.level[p]
-        fill = ', style=filled, fillcolor=gray80' if p in marking else ""
+        fill = ', style=filled, fillcolor=gray80' if p in net.initial else ""
         rank[key].append(f'"{p}" [shape=circle{fill}];')
     for t in net.transitions:
         rank[net.level[t]].append(f'"{t}" [shape=box];')
@@ -395,10 +393,8 @@ def export_dot(net: Net, marking: Marking | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def net_as_dict(net: Net, marking: Marking | None = None) -> dict:
+def net_as_dict(net: Net) -> dict:
     """JSON-ready structural dump, deterministic ordering."""
-    if marking is None:
-        marking = net.initial
     return {
         "name": net.name,
         "places": [
@@ -406,7 +402,7 @@ def net_as_dict(net: Net, marking: Marking | None = None) -> dict:
                 "name": p,
                 "level": None if p in net.sinks else net.level[p],
                 "sink": p in net.sinks,
-                "marked": p in marking,
+                "marked": p in net.initial,
             }
             for p in net.places
         ],

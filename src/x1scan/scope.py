@@ -47,7 +47,6 @@ from .reduction import SolverState
 class ScopeFormula:
     units: tuple[int, ...]  # E, insertion order; first is the probed literal
     xor_pairs: tuple[tuple[int, int], ...]  # surviving 2-literal residues
-    processed: tuple[int, ...]  # members of E that were expanded
 
     def mentioned_vars(self) -> tuple[int, ...]:
         vs = {var_of(l) for l in self.units}
@@ -103,9 +102,11 @@ class _ParityUnionFind:
 
 class PairIndex:
     """The state's 2-literal residues as a parity union-find over variables,
-    resolved per variable v to (root, parity): v's value is the root's value
-    xor the parity. A literal l holds when v's value xor (l < 0) is 1, so a pair
-    {a, b} (exactly one true) relates its variables by 1 ^ (a < 0) ^ (b < 0).
+    resolved per variable v of a pair to (root, parity): v's value is the
+    root's value xor the parity. Any other variable is its own root, with
+    parity 0, so the index is sized by the pairs, not by n. A literal l holds
+    when v's value xor (l < 0) is 1, so a pair {a, b} (exactly one true)
+    relates its variables by 1 ^ (a < 0) ^ (b < 0).
     The pairs and the ids of the 3-literal residues, ascending by clause id,
     are kept for assembling full scopes."""
 
@@ -123,7 +124,7 @@ class PairIndex:
                 pairs.append((k, a, b))
                 if not uf.union(var_of(a), var_of(b), 1 ^ (a < 0) ^ (b < 0)):
                     self.consistent = False
-        self.root_parity = [uf.find(v) for v in range(state.base.n_vars + 1)]
+        self.root_parity = {v: uf.find(v) for v in uf.parent}
         self.pairs = tuple(pairs)
         self.threes = tuple(threes)
 
@@ -135,11 +136,10 @@ class Built:
     probe ([] once absorbed); ``three_left`` counts the 3-literal residues left.
     ``scope`` and ``residual3`` are assembled from these on first read."""
 
-    def __init__(self, index: PairIndex, units: tuple[int, ...], processed: int,
+    def __init__(self, index: PairIndex, units: tuple[int, ...],
                  touched: dict[int, list[int]], three_left: int) -> None:
         self.index = index
         self.units = units
-        self.processed = processed
         self.touched = touched
         self.three_left = three_left
 
@@ -149,9 +149,7 @@ class Built:
         pairs = [p for p in self.index.pairs if p[0] not in touched]
         pairs += [(k, ls[0], ls[1]) for k, ls in touched.items() if len(ls) == 2]
         pairs.sort()
-        return ScopeFormula(
-            self.units, tuple((a, b) for _, a, b in pairs), self.units[: self.processed]
-        )
+        return ScopeFormula(self.units, tuple((a, b) for _, a, b in pairs))
 
     @cached_property
     def residual3(self) -> tuple[int, ...]:
@@ -165,13 +163,15 @@ class Built:
         rp = self.index.root_parity
         uf = _ParityUnionFind()
         for u in self.units:
-            r, p = rp[var_of(u)]
+            v = var_of(u)
+            r, p = rp.get(v, (v, 0))
             if not uf.union(r, 0, p ^ (u > 0)):
                 return False
         for ls in self.touched.values():
             if len(ls) == 2:
                 a, b = ls
-                (ra, pa), (rb, pb) = rp[var_of(a)], rp[var_of(b)]
+                va, vb = var_of(a), var_of(b)
+                (ra, pa), (rb, pb) = rp.get(va, (va, 0)), rp.get(vb, (vb, 0))
                 if not uf.union(ra, rb, 1 ^ (a < 0) ^ (b < 0) ^ pa ^ pb):
                     return False
         return True
@@ -231,7 +231,7 @@ def build_scope(state: SolverState, z_v: int, index: PairIndex) -> Built | Early
                 return EarlyConflict(var_of(lit), tuple(e_order))
         pos += 1
 
-    return Built(index, tuple(e_order), pos, touched, three)
+    return Built(index, tuple(e_order), touched, three)
 
 
 # --- XOR-SAT over units and exactly-one pairs ----------------------------------
@@ -303,7 +303,7 @@ class NotYet:
 @dataclass(frozen=True)
 class CoversSatisfiable:
     literal: int
-    model: dict[int, bool]
+    model: dict[int, bool]  # the scope's XOR model, over its variables only
     built: Built | None = field(default=None, compare=False, repr=False)
 
 
@@ -314,11 +314,10 @@ def incompatible(
     ``index`` must be the PairIndex of ``state`` as it is now.
 
     A satisfiable scope with no 3-literal residue covers the formula, so its
-    model is a satisfiability witness; it is extended here with the state's
-    own settled facts (single live polarity, fixed conjuncts) for variables
-    the scope never mentioned. Variables free even after that are left to the
-    caller. Residual 3-literal clauses are never tested for satisfiability:
-    they cannot make z_v incompatible. A satisfiable scope with residue left
+    XOR model is a satisfiability witness. The model covers the scope's
+    variables only; ``solver.extract_assignment(state, base=res.model)``
+    completes it from the state's settled facts. Residual 3-literal clauses
+    are never tested for satisfiability: they cannot make z_v incompatible. A satisfiable scope with residue left
     needs neither witness nor model, so only the shared index decides it.
     """
     res = build_scope(state, z_v, index)
@@ -331,18 +330,7 @@ def incompatible(
         return Incompatible(z_v, "scope_unsat", verdict.witness, res)
     if res.three_left:
         return NotYet(z_v, res)
-    model = dict(verdict.model)
-    for v in range(1, state.base.n_vars + 1):
-        if v in model:
-            continue
-        pols = state.live_literals[v]
-        if len(pols) == 1:
-            model[v] = pols[0] > 0
-        elif v in state.conjuncts:
-            model[v] = True
-        elif -v in state.conjuncts:
-            model[v] = False
-    return CoversSatisfiable(z_v, model, res)
+    return CoversSatisfiable(z_v, verdict.model, res)
 
 
 def scope_as_dict(result: Built | EarlyConflict, literal: int, verdict: str) -> dict:

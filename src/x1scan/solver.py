@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from .formula import (
     ConversionUnsat,
     Formula,
-    conjoin_forced,
     convert_special,
     failed_clauses,
     negate,
@@ -59,10 +58,6 @@ from .scope import (
 )
 
 
-class ScanResourceError(RuntimeError):
-    """Round cap exceeded; monotone shrinkage should make this impossible."""
-
-
 @dataclass
 class ScanOptions:
     order: str = "fixed"  # "fixed" | "random" (seeded shuffle of the check list)
@@ -80,8 +75,10 @@ class Verdict:
 
 
 def extract_assignment(state: SolverState, base: dict[int, bool] | None = None) -> dict[int, bool]:
-    """Read the assignment off the state: settled variables take their single
-    eligible polarity, everything else (not covered by ``base``) reads false."""
+    """Read the assignment off the state: variables in ``base`` (a covering
+    scope's model) keep its value, settled variables take their single
+    eligible polarity, and everything else reads false. This is the only
+    place that completes a model."""
     a = dict(base) if base else {}
     for v in range(1, state.base.n_vars + 1):
         if v in a:
@@ -108,14 +105,14 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
             "forced": [], "removed_clauses": [], "contradiction_var": e.var
         }
         return Verdict("unsat", None, 0, trace, None)
-    if conv.forced or conv.removed_clauses:
+    if conv.removed_clauses:  # the input was special
         trace["conversion"] = {
             "forced": list(conv.forced),
             "removed_clauses": list(conv.removed_clauses),
             "contradiction_var": None,
         }
 
-    state = init_state(conjoin_forced(conv, f))
+    state = init_state(conv.formula)
     rng = random.Random(opts.seed)
     tainted = False
 
@@ -130,13 +127,9 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         status = "claimed_sat_unverified" if failed else "sat"
         return verdict(status, assignment, {"passed": not failed, "failed": failed})
 
-    cap = max(2 * f.n_vars * f.n_vars, 8)
-    passes = 0
+    # every pass returns or discards a literal of an open variable, and the
+    # discard settles it: at most n discards (verdict() asserts it), n + 1 passes
     while True:
-        passes += 1
-        if passes > cap:
-            raise ScanResourceError(f"exceeded {cap} scan passes on n={f.n_vars}")
-
         nec = necessary_literals(state)
         if nec:
             lit, source = nec[0]

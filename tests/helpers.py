@@ -17,7 +17,6 @@ from x1scan.formula import (
     Conversion,
     ConversionUnsat,
     Formula,
-    conjoin_forced,
     convert_special,
     formula,
     negate,
@@ -171,7 +170,7 @@ def reference_build_scope(state: SolverState, z_v: int) -> ReferenceBuilt | Earl
         elif len(ls) == 3:
             residual3.append(k)
     return ReferenceBuilt(
-        ScopeFormula(tuple(e_order), tuple(pairs), tuple(e_order[:pos])),
+        ScopeFormula(tuple(e_order), tuple(pairs)),
         tuple(residual3),
     )
 
@@ -186,18 +185,7 @@ def reference_incompatible(state: SolverState, z_v: int):
         return Incompatible(z_v, "scope_unsat", verdict.witness, res)
     if res.residual3:
         return NotYet(z_v, res)
-    model = dict(verdict.model)
-    for v in range(1, state.base.n_vars + 1):
-        if v in model:
-            continue
-        pols = state.live_literals[v]
-        if len(pols) == 1:
-            model[v] = pols[0] > 0
-        elif v in state.conjuncts:
-            model[v] = True
-        elif -v in state.conjuncts:
-            model[v] = False
-    return CoversSatisfiable(z_v, model, res)
+    return CoversSatisfiable(z_v, verdict.model, res)
 
 
 # --- monotonicity audit: a scan's discards replayed through the public API ------
@@ -218,7 +206,7 @@ def replay_monotonicity(f: Formula, discards: list[dict]) -> tuple[int, list[dic
     Returns the number of re-judgments and one {"literal", "round", "became"}
     entry per re-judgment that was not incompatible."""
     try:
-        state = init_state(conjoin_forced(convert_special(f), f))
+        state = init_state(convert_special(f).formula)
     except ConversionUnsat:
         return 0, []
     remembered: list[int] = []
@@ -291,8 +279,9 @@ def reference_convert_special(f: Formula) -> Conversion:
                             raise ConversionUnsat(var_of(z))
             break
 
-    kept = tuple(Clause(cid, tuple(rows[cid])) for cid in sorted(rows))
-    return Conversion(Formula(f.n_vars, kept), tuple(forced), tuple(removed))
+    kept = [Clause(cid, tuple(rows[cid])) for cid in sorted(rows)]
+    kept += [Clause(f.n_clauses + 1 + i, (lit,)) for i, lit in enumerate(forced)]
+    return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed))
 
 
 # --- token game: prescribed firing sequences ------------------------------------

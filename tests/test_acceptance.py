@@ -26,7 +26,6 @@ from test_petri import reference_net
 from x1scan.cli import main
 from x1scan.formula import (
     ConversionUnsat,
-    conjoin_forced,
     convert_special,
     failed_clauses,
     formula,
@@ -161,7 +160,7 @@ def test_5_conversion(criterion):
     golden_ok = (
         conv.forced == (-1,)
         and conv.removed_clauses == (2,)
-        and [list(c.lits) for c in conv.formula.clauses] == [[-3, 4], [2, -3]]
+        and [list(c.lits) for c in conv.formula.clauses] == [[-3, 4], [2, -3], [-1]]
     )
 
     checked = preserved = 0
@@ -169,7 +168,7 @@ def test_5_conversion(criterion):
         checked += 1
         orig_sat = brute_force_sat(f) is not None
         try:
-            rewritten = conjoin_forced(convert_special(f), f)
+            rewritten = convert_special(f).formula
         except ConversionUnsat:
             preserved += not orig_sat
             continue
@@ -205,7 +204,6 @@ def test_6_xor_checker_vs_enumeration(criterion):
         s = ScopeFormula(
             tuple(lit() for _ in range(rng.randint(0, 5))),
             tuple((lit(), lit()) for _ in range(rng.randint(0, 6))),
-            (),
         )
         if isinstance(xor2sat_satisfiable(s), XorSat) != _enumeration_sat(s):
             mismatches += 1

@@ -154,7 +154,9 @@ def test_convert_three_literal_special_clause():
     conv = convert_special(f)
     assert conv.forced == (-1,)
     assert conv.removed_clauses == (2,)
-    assert [(c.id, c.lits) for c in conv.formula.clauses] == [(1, (-3, 4)), (3, (2, -3))]
+    assert [(c.id, c.lits) for c in conv.formula.clauses] == [
+        (1, (-3, 4)), (3, (2, -3)), (4, (-1,))
+    ]
     assert classify(conv.formula).kind == "general"
 
 
@@ -186,7 +188,7 @@ def test_convert_cascade_pair_drop():
     conv = convert_special(f)
     assert conv.forced == (-1,)
     assert conv.removed_clauses == (1, 3)
-    assert [(c.id, c.lits) for c in conv.formula.clauses] == [(2, (3,))]
+    assert [(c.id, c.lits) for c in conv.formula.clauses] == [(2, (3,)), (4, (-1,))]
 
 
 def brute_sat(f: Formula) -> bool:
@@ -211,10 +213,7 @@ def brute_sat(f: Formula) -> bool:
 def test_conversion_preserves_satisfiability(rows):
     n = max(abs(l) for row in rows for l in row)
     f = formula(n, rows)
-    conv = convert_special(f)
-    rebuilt = list(map(list, (c.lits for c in conv.formula.clauses)))
-    rebuilt += [[lit] for lit in conv.forced]
-    assert brute_sat(f) == brute_sat(formula(n, rebuilt))
+    assert brute_sat(f) == brute_sat(convert_special(f).formula)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ Every top-level function, class and constant of the package must be named
 somewhere in `src/` outside its own definition. Code that only the tests
 need lives in `tests/`. Likewise every field of an options dataclass (a name
 ending in `Options` or `Params`) must be set by `src/` itself: an option that
-only tests set is a test hook.
+only tests set is a test hook. And every parameter with a default, of a
+top-level function, must be passed by some call in `src/`: a parameter that no
+caller passes is a branch nothing takes.
 """
 
 import ast
@@ -99,3 +101,65 @@ def unset_options() -> list[str]:
 
 def test_every_option_field_is_set_in_src():
     assert unset_options() == []
+
+
+# the program's entry point: the tests and the benchmark's traced run call it
+# with argv from outside, the way module dunders are read from outside
+ENTRY_POINTS = {"cli.main"}
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position or None if keyword-only) of each parameter with a default."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [
+        (a.arg, None)
+        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if d is not None
+    ]
+    return out
+
+
+def unpassed_defaults() -> list[str]:
+    """Parameters with a default, of the top-level functions in `src/`, that no
+    call in `src/` outside the function itself passes, by keyword or by
+    position."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    functions = [
+        (module, stmt)
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and f"{module}.{stmt.name}" not in ENTRY_POINTS
+    ]
+    # function name -> (call, the top-level statement it sits in); a
+    # function's calls to itself pass nothing in from outside
+    calls: dict[str, list[tuple[ast.Call, ast.stmt]]] = {}
+    for tree in trees.values():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append((node, stmt))
+    unpassed = []
+    for module, fn in functions:
+        own_calls = [call for call, stmt in calls.get(fn.name, ()) if stmt is not fn]
+        for name, pos in _defaulted(fn):
+            if not any(_passes(call, name, pos) for call in own_calls):
+                unpassed.append(f"{module}.{fn.name}.{name}")
+    return unpassed
+
+
+def _passes(call: ast.Call, name: str, pos: int | None) -> bool:
+    """Whether ``call`` may pass the parameter ``name`` at position ``pos``;
+    ``*args`` and ``**kwargs`` count as passing."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return pos is not None and (
+        len(call.args) > pos or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def test_every_default_parameter_is_passed_in_src():
+    assert unpassed_defaults() == []

@@ -26,6 +26,7 @@ from x1scan.oracle import (
     report_as_dict,
     write_discrepancies,
 )
+from x1scan.solver import Verdict
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -203,6 +204,19 @@ class TestMinimizer:
     def test_already_minimal(self, ignore_incompatible):
         f = formula(2, [[1, 2], [1, -2]])
         small = minimize_counterexample(f)
+        assert [c.lits for c in small.clauses] == [(1, 2), (1, -2)]
+
+    def test_keeps_the_class_of_the_disagreement(self, monkeypatch):
+        # a scan that always claims satisfiability disagrees on every formula;
+        # the input is unsat, so every kept shrink must be unsat too
+        monkeypatch.setattr(
+            "x1scan.oracle.scan",
+            lambda f, opts=None: Verdict("claimed_sat_unverified", None, 0, {}, None),
+        )
+        f = formula(3, [[1, 2], [1, -2], [3]])
+        assert brute_force_sat(f) is None
+        small = minimize_counterexample(f)
+        assert brute_force_sat(small) is None
         assert [c.lits for c in small.clauses] == [(1, 2), (1, -2)]
 
     def test_planted_defect_caught_by_campaign(self, ignore_incompatible):

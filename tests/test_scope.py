@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from x1scan.scope import (
     scope_as_dict,
     xor2sat_satisfiable,
 )
+from x1scan.solver import extract_assignment
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -42,7 +44,6 @@ def test_build_scope_covering_case():
     assert res.scope.units == (-2, -1, -3)
     assert res.scope.xor_pairs == ((1, -3),)
     assert res.residual3 == ()
-    assert res.scope.processed == (-2,)
 
 
 def test_build_scope_stalls_on_untouched_residue():
@@ -79,11 +80,24 @@ def test_build_scope_leaves_base_state_untouched():
     assert full_fingerprint(state) == before
 
 
+def test_pair_index_is_sized_by_its_pairs():
+    # a header-only state has no pairs: nothing to index, however large n is
+    state = init_state(formula(200_000, []))
+    tracemalloc.start()
+    try:
+        index = PairIndex(state)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.pairs == () and index.consistent
+    assert allocated < 1_000_000
+
+
 # --- xor2sat ---------------------------------------------------------------------
 
 
 def sf(units=(), pairs=()):
-    return ScopeFormula(tuple(units), tuple(pairs), ())
+    return ScopeFormula(tuple(units), tuple(pairs))
 
 
 def test_xor_unit_propagation():
@@ -221,7 +235,8 @@ def test_covering_model_extends_with_settled_facts():
     discard(state, -4)  # settle the input unit: only x4 remains eligible
     res = incompatible(state, 3, PairIndex(state))
     assert isinstance(res, CoversSatisfiable)
-    assert res.model == {1: False, 3: True, 4: True}
+    assert res.model == {1: False, 3: True}  # the scope's variables only
+    assert extract_assignment(state, base=res.model) == {1: False, 2: False, 3: True, 4: True}
 
 
 def test_scope_as_dict_shapes():
