@@ -281,11 +281,15 @@ def differential_run(params: DiffParams, opts: ScanOptions | None = None) -> Dif
 # ---------------------------------------------------------------------------
 # minimization
 
-def _outcome(rows: list[tuple[int, ...]], n_vars: int,
-             opts: ScanOptions | None) -> tuple[str, bool]:
-    """(scan status, oracle satisfiable): the class of a disagreement."""
+def _same_class(rows: list[tuple[int, ...]], n_vars: int, opts: ScanOptions | None,
+                target: tuple[str, bool]) -> bool:
+    """Whether the formula on ``rows`` has the class ``target``, a pair (scan
+    status, oracle satisfiable). The brute force runs only when the scan
+    status matches."""
     f = formula(n_vars, rows)
-    return scan(f, opts).status, brute_force_sat(f) is not None
+    status, oracle_sat = target
+    return (scan(f, opts).status == status
+            and (brute_force_sat(f) is not None) == oracle_sat)
 
 
 def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Formula:
@@ -294,7 +298,8 @@ def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Form
     both match the input's, so the disagreement keeps its class; repeats to a
     fixpoint. The result is clause-minimal under single drops."""
     rows = [tuple(c.lits) for c in f.clauses]
-    target = _outcome(rows, f.n_vars, opts)
+    start = formula(f.n_vars, rows)
+    target = (scan(start, opts).status, brute_force_sat(start) is not None)
     if _agrees(*target):
         raise ValueError("input is not a scan/oracle disagreement")
 
@@ -304,7 +309,7 @@ def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Form
         i = 0
         while i < len(rows):
             candidate = rows[:i] + rows[i + 1:]
-            if candidate and _outcome(candidate, f.n_vars, opts) == target:
+            if candidate and _same_class(candidate, f.n_vars, opts, target):
                 rows = candidate
                 changed = True
             else:
@@ -315,7 +320,7 @@ def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Form
             for j in range(3):
                 shrunk = clause[:j] + clause[j + 1:]
                 candidate = rows[:i] + [shrunk] + rows[i + 1:]
-                if _outcome(candidate, f.n_vars, opts) == target:
+                if _same_class(candidate, f.n_vars, opts, target):
                     rows = candidate
                     changed = True
                     break

@@ -161,12 +161,16 @@ class Built:
         if not self.index.consistent:
             return False
         rp = self.index.root_parity
-        uf = _ParityUnionFind()
+        # a unit only pins its root to node 0, so the units alone need no finds
+        pin = {0: 0}
         for u in self.units:
             v = var_of(u)
             r, p = rp.get(v, (v, 0))
-            if not uf.union(r, 0, p ^ (u > 0)):
+            if pin.setdefault(r, p ^ (u > 0)) != p ^ (u > 0):
                 return False
+        uf = _ParityUnionFind()
+        uf.parent = dict.fromkeys(pin, 0)
+        uf.offset = pin
         for ls in self.touched.values():
             if len(ls) == 2:
                 a, b = ls

@@ -5,11 +5,13 @@ Each pass picks one literal to discard and the loop discards it in one place.
 First come necessary literals: input unit clauses, and units that emerged from
 a clause during an earlier discard, still awaiting their own discard; the
 opposite polarity is discarded, one at a time with a full restart after each.
-With none left, the pass probes every still-open literal (ascending variable,
+With none left, the pass probes the still-open literals (ascending variable,
 positive polarity first) with the scope check, all against the one pair
-index the pass builds. An incompatible literal is discarded and the round
-restarts; a covering satisfiable scope ends the run with its model. A full
-pass with neither means the procedure claims satisfiability. At that point
+index the pass builds. A literal whose ``not_yet`` verdict from an earlier
+pass provably still holds is skipped (``CarriedVerdicts``); that changes no
+verdict, only which probes run. An incompatible literal is discarded and the
+round restarts; a covering satisfiable scope ends the run with its model. A
+full pass with neither means the procedure claims satisfiability. At that point
 any variable still open in a live clause is settled by a documented
 completion rule: pick its positive polarity (the pass just found both
 polarities inconclusive) and discard the negative one. Every completion pick
@@ -32,6 +34,8 @@ both-polarity clauses.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from collections.abc import KeysView
 from dataclasses import dataclass
 
 from .formula import (
@@ -49,6 +53,7 @@ from .reduction import (
     necessary_literals,
 )
 from .scope import (
+    Built,
     CoversSatisfiable,
     Incompatible,
     NotYet,
@@ -62,7 +67,7 @@ from .scope import (
 class ScanOptions:
     order: str = "fixed"  # "fixed" | "random" (seeded shuffle of the check list)
     seed: int | None = None
-    trace_checks: bool = False  # keep a scope dump per incompatibility check
+    trace_checks: bool = False  # keep a scope dump per probe that runs
 
 
 @dataclass
@@ -86,6 +91,111 @@ def extract_assignment(state: SolverState, base: dict[int, bool] | None = None) 
         pols = state.live_literals[v]
         a[v] = pols[0] > 0 if len(pols) == 1 else False
     return a
+
+
+class CarriedVerdicts:
+    """The ``not_yet`` verdicts a scan carries from pass to pass, each kept
+    while it provably still holds.
+
+    A ``not_yet`` for z, made at state S against its pair index I, holds at a
+    later state S' (z open, pair index I') if all three of these hold:
+
+    (a) no clause in ``built.touched`` changed since S. Occurrence lists only
+        shrink and a clause with fewer than two live literals never changes,
+        so the expansion at S' is the one made at S;
+    (b) ``len(I'.threes)`` exceeds the 3-literal residues the expansion
+        consumed, so it ends as it did, with residue left;
+    (c) I' is consistent and no variable of E or of the probe's new pairs
+        shares an I' component with a pair added since S (a clause that went
+        from 3 to 2 literals and is still a pair). Dropping a base pair only
+        removes constraints, and a component with an added pair but no probe
+        variable is disjoint from the probe's constraints.
+
+    ``discarding`` applies (a) before each discard; ``begin_pass`` applies
+    (c) and (b) at the start of each probing pass. (c) needs only the pairs
+    added since the previous probing pass: on a path of pairs from a probe
+    variable to an older added pair, the first added pair q is joined to the
+    variable by pairs that were already there, so the first pass after q was
+    added found them in one component. For the variables of E, (c) follows
+    from (a): every literal of a ``not_yet`` expansion was expanded, so each
+    pair on a variable of E joins it to another variable of E, and a clause
+    that turns into a pair on one was read by the expansion. So (c) files
+    only the literals of the new pairs. Each verdict is filed under every
+    clause it read, those literals and the residues it consumed, so applying
+    a rule costs what changed, not what is carried. A verdict without a
+    ``Built`` expansion has no read set and is not carried."""
+
+    def __init__(self) -> None:
+        # literal -> serial number of its verdict, while the verdict holds; the
+        # indexes below file (literal, serial), so a verdict that was dropped
+        # or replaced keeps no scope alive
+        self.kept: dict[int, int] = {}
+        self.serial = 0
+        self.by_clause: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        self.by_literal: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        self.by_consumed: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        self.shrunk: list[int] = []  # clauses that lost a literal since the last pass
+
+    def _drop(self, entries: list[tuple[int, int]]) -> None:
+        kept = self.kept
+        for z, serial in entries:
+            if kept.get(z) == serial:  # not since replaced by a newer verdict
+                del kept[z]
+
+    def note(self, res: NotYet, index: PairIndex) -> None:
+        built = res.built
+        if not isinstance(built, Built):
+            return
+        self.serial += 1
+        entry = (res.literal, self.serial)
+        self.kept[res.literal] = self.serial
+        self.by_consumed[len(index.threes) - built.three_left].append(entry)
+        by_clause, by_literal = self.by_clause, self.by_literal
+        for k, ls in built.touched.items():
+            by_clause[k].append(entry)
+            if len(ls) == 2:
+                for l in ls:
+                    by_literal[l].append(entry)
+
+    def discarding(self, state: SolverState, z: int) -> None:
+        """Call just before ``discard(state, z)``, which changes exactly the
+        clauses holding z or -z with at least two live literals (an input
+        unit clause holds one and is in no verdict's read set). With nothing
+        carried it has nothing to do: a later verdict reads the state as it
+        is then."""
+        if not self.kept:
+            return
+        by_clause = self.by_clause
+        shrinking = state.occurrence.get(z, [])
+        for k in shrinking + state.occurrence.get(negate(z), []):
+            if k in by_clause:
+                self._drop(by_clause.pop(k))
+        self.shrunk += shrinking
+
+    def begin_pass(self, state: SolverState, index: PairIndex) -> KeysView[int]:
+        """Start a probing pass on ``index``; returns the literals whose
+        carried verdicts hold in it."""
+        shrunk, self.shrunk = self.shrunk, []
+        if not index.consistent:  # no probe of this pass can be not_yet
+            self.kept.clear()
+        if not self.kept:
+            return self.kept.keys()
+        rp = index.root_parity
+        roots = {
+            rp[var_of(l)][0]
+            for k in shrunk
+            if len(state.live[k]) == 2  # was 3 before it shrank
+            for l in state.live[k]
+        }
+        if roots:
+            for v, (r, _) in rp.items():
+                if r in roots:
+                    self._drop(self.by_literal.pop(v, []))
+                    self._drop(self.by_literal.pop(-v, []))
+        threes = len(index.threes)
+        for consumed in [c for c in self.by_consumed if c >= threes]:
+            self._drop(self.by_consumed.pop(consumed))
+        return self.kept.keys()
 
 
 def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
@@ -115,6 +225,7 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
     state = init_state(conv.formula)
     rng = random.Random(opts.seed)
     tainted = False
+    carried = CarriedVerdicts()
 
     def verdict(status: str, assignment: dict[int, bool] | None,
                 verification: dict | None) -> Verdict:
@@ -137,9 +248,9 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         else:
             zs = [
                 z
-                for v in sorted(state.live_literals)
-                if len(state.live_literals[v]) == 2
-                for z in state.live_literals[v]
+                for _, pols in sorted(state.live_literals.items())
+                if len(pols) == 2
+                for z in pols
             ]
             if opts.order == "random":
                 rng.shuffle(zs)
@@ -148,12 +259,16 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
             # one pair index per pass, shared by its probes; a pass with no
             # open literal probes nothing and builds none
             index = PairIndex(state) if zs else None
+            held = carried.begin_pass(state, index) if index else ()
             for z in zs:
+                if z in held:
+                    continue
                 res = incompatible(state, z, index)
                 if opts.trace_checks:
                     trace["scopes"].append(scope_as_dict(res.built, z, _check_name(res)))
                 if not isinstance(res, NotYet):
                     break
+                carried.note(res, index)
 
             if isinstance(res, CoversSatisfiable):
                 return finish_sat(extract_assignment(state, base=res.model))
@@ -180,6 +295,7 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         trace["discards"].append(
             {"round": state.scan_round, "literal": z, "via": via, "source_clause": source}
         )
+        carried.discarding(state, z)
         if discard(state, z) is not None:
             return verdict("claimed_sat_unverified" if tainted else "unsat", None, None)
 

@@ -1,6 +1,7 @@
 """Helpers that only the tests need: state digests, index rebuilds and
 rendering; the reference probe that the package's incompatibility check is
 compared against; the monotonicity audit, replayed from a scan's discards; the
+reference scan loop that probes every open literal on every pass; the
 reference special-clause rewrite; the token game and the reference
 reachability search that the package's net engine is compared against; the
 exhaustive formula corpora; and a structural checker for the shipped JSON
@@ -8,6 +9,7 @@ schemas."""
 
 import itertools
 import json
+import random
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator
@@ -18,6 +20,7 @@ from x1scan.formula import (
     ConversionUnsat,
     Formula,
     convert_special,
+    failed_clauses,
     formula,
     negate,
     var_of,
@@ -42,6 +45,7 @@ from x1scan.scope import (
     incompatible,
     xor2sat_satisfiable,
 )
+from x1scan.solver import ScanOptions, Verdict, extract_assignment
 
 
 def clause_by_id(f: Formula, cid: int) -> Clause:
@@ -231,6 +235,73 @@ def replay_monotonicity(f: Formula, discards: list[dict]) -> tuple[int, list[dic
         if d is None or discard(state, d["literal"]) is not None:
             break
     return checked, violations
+
+
+# --- reference scan loop: every pass probes every open literal ------------------
+
+
+def reprobe_scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
+    """``solver.scan`` with nothing carried between passes: every probing pass
+    probes every open literal again. It keeps no scope dumps, so compare it
+    with ``scan`` on everything but ``trace["scopes"]``."""
+    opts = opts or ScanOptions()
+    trace: dict = {"conversion": None, "events": [], "discards": [], "scopes": [],
+                   "completion": []}
+    try:
+        conv = convert_special(f)
+    except ConversionUnsat as e:
+        trace["conversion"] = {"forced": [], "removed_clauses": [],
+                               "contradiction_var": e.var}
+        return Verdict("unsat", None, 0, trace, None)
+    if conv.removed_clauses:
+        trace["conversion"] = {"forced": list(conv.forced),
+                               "removed_clauses": list(conv.removed_clauses),
+                               "contradiction_var": None}
+    state = init_state(conv.formula)
+    rng = random.Random(opts.seed)
+    tainted = False
+
+    def finish(status: str, assignment: dict[int, bool] | None) -> Verdict:
+        verification = None
+        if assignment is not None:
+            failed = failed_clauses(f, assignment)
+            status = "claimed_sat_unverified" if failed else "sat"
+            verification = {"passed": not failed, "failed": failed}
+        trace["events"] = list(state.events)
+        return Verdict(status, assignment, state.scan_round, trace, verification)
+
+    while True:
+        nec = necessary_literals(state)
+        if nec:
+            lit, source = nec[0]
+            z, via = negate(lit), "necessary"
+        else:
+            zs = open_literals(state)
+            if opts.order == "random":
+                rng.shuffle(zs)
+            res = None
+            index = PairIndex(state) if zs else None
+            for z in zs:
+                res = incompatible(state, z, index)
+                if not isinstance(res, NotYet):
+                    break
+            if isinstance(res, CoversSatisfiable):
+                return finish("sat", extract_assignment(state, base=res.model))
+            if isinstance(res, Incompatible):
+                via, source = "incompatible", None
+            else:
+                open_vars = [var_of(l) for ls in state.live.values() for l in ls
+                             if len(state.live_literals[var_of(l)]) == 2]
+                if not open_vars:
+                    return finish("sat", extract_assignment(state))
+                v = min(open_vars)
+                tainted = True
+                trace["completion"].append({"var": v, "picked": v})
+                z, via, source = -v, "completion", None
+        trace["discards"].append({"round": state.scan_round, "literal": z, "via": via,
+                                  "source_clause": source})
+        if discard(state, z) is not None:
+            return finish("claimed_sat_unverified" if tainted else "unsat", None)
 
 
 # --- reference special-clause rewrite: restart after every rewrite --------------

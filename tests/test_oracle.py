@@ -12,6 +12,7 @@ from helpers import (
     special_clause_types,
 )
 
+from x1scan import oracle
 from x1scan.formula import classify, formula, parse_x1cnf
 from x1scan.oracle import (
     DiffParams,
@@ -205,6 +206,29 @@ class TestMinimizer:
         f = formula(2, [[1, 2], [1, -2]])
         small = minimize_counterexample(f)
         assert [c.lits for c in small.clauses] == [(1, 2), (1, -2)]
+
+    def test_brute_force_only_when_the_scan_status_matches(
+        self, monkeypatch, ignore_incompatible
+    ):
+        statuses, brute_calls = [], []
+        real_scan, real_brute = oracle.scan, oracle.brute_force_sat
+
+        def scan(f, opts=None):
+            v = real_scan(f, opts)
+            statuses.append(v.status)
+            return v
+
+        def brute(f):
+            brute_calls.append(f)
+            return real_brute(f)
+
+        monkeypatch.setattr(oracle, "scan", scan)
+        monkeypatch.setattr(oracle, "brute_force_sat", brute)
+        small = minimize_counterexample(formula(5, [[3, 4, 5], [1, 2], [1, -2]]))
+        assert [c.lits for c in small.clauses] == [(1, 2), (1, -2)]
+        # the input's status comes first; a shrink with another is rejected unsolved
+        assert len(brute_calls) == statuses.count(statuses[0])
+        assert len(brute_calls) < len(statuses)
 
     def test_keeps_the_class_of_the_disagreement(self, monkeypatch):
         # a scan that always claims satisfiability disagrees on every formula;

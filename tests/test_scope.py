@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -24,7 +25,7 @@ from x1scan.scope import (
     scope_as_dict,
     xor2sat_satisfiable,
 )
-from x1scan.solver import extract_assignment
+from x1scan.solver import CarriedVerdicts, extract_assignment
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -283,12 +284,16 @@ def general_formulas(max_n=9, max_m=12):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(general_formulas(), st.randoms(use_true_random=False))
-def test_probe_matches_reference_in_mid_scan_states(f, rng):
+def probe_along_random_discards(f, rng):
     """Probe every open literal in random order, discard a random one, repeat;
-    each probe must equal the reference and leave the state as it was."""
+    each probe must equal the reference and leave the state as it was. The
+    not_yet verdicts are carried as the scan carries them: each one the carry
+    rule keeps must equal the reference, and its expansion the fresh probe's.
+    Some discards follow each other with no probing pass of the carry between
+    them, as necessary discards do."""
     state = init_state(f)
+    carried = CarriedVerdicts()
+    noted = {}
     while True:
         zs = open_literals(state)
         if not zs:
@@ -296,8 +301,43 @@ def test_probe_matches_reference_in_mid_scan_states(f, rng):
         rng.shuffle(zs)
         before = full_fingerprint(state)
         index = PairIndex(state)
+        # other states stand for passes spent on a necessary discard, which
+        # the carry never sees
+        probing = rng.random() < 0.7
+        held = carried.begin_pass(state, index) if probing else ()
         for z in zs:
-            assert_same_probe(incompatible(state, z, index), reference_incompatible(state, z))
+            ref = reference_incompatible(state, z)
+            res = incompatible(state, z, index)
+            assert_same_probe(res, ref)
+            if z in held:
+                assert noted[z] == ref
+                assert noted[z].built.units == res.built.units
+                assert noted[z].built.touched == res.built.touched
+            elif probing and isinstance(res, NotYet):
+                carried.note(res, index)
+                noted[z] = res
         assert full_fingerprint(state) == before
-        if discard(state, rng.choice(zs)) is not None:
+        d = rng.choice(zs)
+        carried.discarding(state, d)
+        if discard(state, d) is not None:
             break
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_formulas(), st.randoms(use_true_random=False))
+def test_probe_matches_reference_in_mid_scan_states(f, rng):
+    probe_along_random_discards(f, rng)
+
+
+def test_carried_verdicts_match_reference_on_seeded_formulas():
+    """Mostly 3-literal clauses, where a dropped carry rule shows within a
+    few hundred seeds; each rule is needed on this corpus."""
+    for seed in range(1500):
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        rows = [
+            [v if rng.random() < 0.5 else -v
+             for v in rng.sample(range(1, n + 1), rng.choice((2, 3, 3, 3)))]
+            for _ in range(rng.randint(2, 12))
+        ]
+        probe_along_random_discards(formula(n, rows), rng)

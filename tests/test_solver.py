@@ -1,6 +1,7 @@
 """End-to-end scan loop tests: frozen golden traces plus safety properties."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from helpers import replay_monotonicity
 
 from x1scan import scope, solver
 from x1scan.formula import failed_clauses, formula
-from x1scan.oracle import generate_random
+from x1scan.oracle import PROFILES, generate_random
 from x1scan.solver import (
     ScanOptions,
     extract_assignment,
@@ -257,6 +258,76 @@ class TestProperties:
         v = scan(f, ScanOptions(order="random", seed=seed))
         if v.status == "sat":
             assert v.verification["passed"]
+
+
+# the smallest known counterexample (unsat by exact search): a pass finds
+# nothing and the completion rule dead-ends
+COUNTEREXAMPLE_13 = formula(21, [
+    [1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12], [1, 4, 14], [-14, 7, 15],
+    [-15, 10], [2, 5, 17], [-17, 8, 18], [-18, 11], [3, 6, 20], [-20, 9, 21],
+    [-21, 12],
+])
+
+CARRY_CORPUS = [
+    generate_random(n, max(1, round(n * ratio)), seed=seed, profile=profile)
+    for profile in PROFILES
+    for n in (10, 40, 120)
+    for ratio in (0.3, 0.6, 1.5)
+    for seed in range(3)
+] + [
+    # base pairs in an odd cycle: the pass's pair index is inconsistent
+    formula(9, [[1, 2], [2, 3], [1, 3], [4, 5, 6], [7, 8, 9]]),
+    COUNTEREXAMPLE_13,
+]
+
+
+def without_scopes(v) -> str:
+    d = verdict_as_dict(v)
+    del d["trace"]["scopes"]
+    return json.dumps(d, sort_keys=True)
+
+
+class TestCarriedVerdicts:
+    """A carried not_yet verdict stands in for a probe, so a whole run must be
+    the run that probes every open literal on every pass."""
+
+    @pytest.mark.parametrize("order", ["fixed", "random"])
+    def test_runs_match_reprobing_everything(self, order):
+        for i, f in enumerate(CARRY_CORPUS):
+            opts = ScanOptions(order=order, seed=i)
+            assert without_scopes(scan(f, opts)) == without_scopes(
+                helpers.reprobe_scan(f, opts)
+            ), f
+
+    def test_counterexample_dead_ends_after_completion_picks(self):
+        v = scan(COUNTEREXAMPLE_13)
+        assert v.status == "claimed_sat_unverified"
+        assert v.trace["completion"]
+
+    @given(formulas(max_n=6, max_m=8), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_small_runs_match_reprobing_everything(self, f, seed):
+        for opts in (ScanOptions(), ScanOptions(order="random", seed=seed)):
+            assert without_scopes(scan(f, opts)) == without_scopes(
+                helpers.reprobe_scan(f, opts)
+            )
+
+    def test_trace_lists_only_the_probes_that_ran(self, monkeypatch):
+        f = generate_random(40, 12, seed=0, profile="uniform3")
+        probed, reprobed = [], []
+
+        def counted(real, calls):
+            def probe(state, z, index):
+                calls.append(z)
+                return real(state, z, index)
+            return probe
+
+        monkeypatch.setattr(solver, "incompatible", counted(solver.incompatible, probed))
+        monkeypatch.setattr(helpers, "incompatible", counted(helpers.incompatible, reprobed))
+        v = scan(f, ScanOptions(trace_checks=True))
+        helpers.reprobe_scan(f)
+        assert probed == [s["literal"] for s in v.trace["scopes"]]
+        assert len(probed) < len(reprobed)
 
 
 class TestMonotonicityReplay:
