@@ -175,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser("diff", help="differential campaign vs oracle")
     _add_common(diff, "--seed", "--order", "--no-timing")
     diff.add_argument("--count", type=_at_least(0), default=1000)
-    diff.add_argument("--n-min", type=int, default=2)
-    diff.add_argument("--n-max", type=int, default=8)
-    diff.add_argument("--m-min", type=int, default=None)
-    diff.add_argument("--m-max", type=int, default=None)
+    diff.add_argument("--n-min", type=_at_least(1), default=2)
+    diff.add_argument("--n-max", type=_at_least(1), default=8)
+    diff.add_argument("--m-min", type=_at_least(0), default=None)
+    diff.add_argument("--m-max", type=_at_least(0), default=None)
     diff.add_argument("--profiles", default="mixed",
                       help=f"comma-separated: {','.join(PROFILES)}")
     diff.add_argument("--permutations", type=_at_least(0), default=10,
@@ -298,6 +298,10 @@ def cmd_net(args) -> int:
 def cmd_diff(args) -> int:
     if (args.m_min is None) != (args.m_max is None):
         raise ValueError("--m-min and --m-max must be given together")
+    if args.n_min > args.n_max:
+        raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if args.m_min is not None and args.m_min > args.m_max:
+        raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     params = DiffParams(
         count=args.count,
         n_range=(args.n_min, args.n_max),

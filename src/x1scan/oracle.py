@@ -88,6 +88,8 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if m < 0:
+        raise ValueError("m must be >= 0")
     if profile in ("uniform3", "adversarial") and n < 3:
         raise ValueError(f"profile {profile} needs n >= 3")
     # distinct clauses the profile can draw: 2^k sign choices per k variables

@@ -24,6 +24,8 @@ keeps rebuild-and-compare checks trivial.
 
 All iteration orders are deterministic (ascending clause ids, literal order
 within a clause), so event logs and traces are reproducible byte for byte.
+Every change to a clause is logged with its id, as ``clause_to_conjunction``,
+``two_to_unit`` or ``three_to_two``; the scan's carried verdicts read them.
 """
 
 from __future__ import annotations

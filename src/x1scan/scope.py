@@ -32,6 +32,10 @@ The full scope is assembled only when read: by a trace dump, or when the
 verdict needs the XOR witness or model (an unsatisfiable scope, or one that
 covers the formula). Then ``xor2sat_satisfiable`` decides the assembled scope,
 so witness and model are those of the full fragment.
+
+The index, a probe's scope and an assembled scope are all decided by one
+parity union-find over variables (``_parity``), with node 0 as the constant
+false; a model reads the root variable of a component no unit reaches as true.
 """
 
 from __future__ import annotations
@@ -62,13 +66,14 @@ class EarlyConflict:
 
 class _ParityUnionFind:
     """Union-find over int nodes, each kept with its parity relative to its
-    parent; a node joins on first sight. A union links root to root without
-    ranks, so which node ends up a root (and with it the model that
-    ``xor2sat_satisfiable`` reads off) follows the order of the constraints."""
+    parent; a node joins on first sight. ``pinned`` seeds node 0 as a root and
+    each pinned node as its child at the given parity. A union links root to
+    root without ranks, so the roots (and with them the model that
+    ``xor2sat_satisfiable`` reads off) follow the order of the constraints."""
 
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-        self.offset: dict[int, int] = {}
+    def __init__(self, pinned: dict[int, int]) -> None:
+        self.parent: dict[int, int] = dict.fromkeys(pinned, 0)
+        self.offset: dict[int, int] = pinned
 
     def find(self, x: int) -> tuple[int, int]:
         """Root of x and x's parity relative to it, compressing the path."""
@@ -100,31 +105,48 @@ class _ParityUnionFind:
         return True
 
 
+def _parity(units, pairs, rp: dict[int, tuple[int, int]]) -> _ParityUnionFind | tuple:
+    """Apply ``units``, then the exactly-one ``pairs``, as parity constraints
+    over variables, each read as its (root, parity) in ``rp`` or else as
+    itself; node 0 is the constant false, and a literal l holds when its
+    variable's value xor (l < 0) is 1. Returns the first constraint to clash,
+    ``("unit", u)`` or ``("pair", a, b)``, or else the union-find."""
+    pin = {0: 0}  # units only pin roots to node 0, so they need no finds
+    for u in units:
+        v = var_of(u)
+        r, p = rp.get(v, (v, 0))
+        if pin.setdefault(r, p ^ (u > 0)) != p ^ (u > 0):
+            return ("unit", u)
+    uf = _ParityUnionFind(pin)
+    for a, b in pairs:
+        va, vb = var_of(a), var_of(b)
+        (ra, pa), (rb, pb) = rp.get(va, (va, 0)), rp.get(vb, (vb, 0))
+        if not uf.union(ra, rb, 1 ^ (a < 0) ^ (b < 0) ^ pa ^ pb):
+            return ("pair", a, b)
+    return uf
+
+
 class PairIndex:
     """The state's 2-literal residues as a parity union-find over variables,
     resolved per variable v of a pair to (root, parity): v's value is the
     root's value xor the parity. Any other variable is its own root, with
-    parity 0, so the index is sized by the pairs, not by n. A literal l holds
-    when v's value xor (l < 0) is 1, so a pair {a, b} (exactly one true)
-    relates its variables by 1 ^ (a < 0) ^ (b < 0).
-    The pairs and the ids of the 3-literal residues, ascending by clause id,
-    are kept for assembling full scopes."""
+    parity 0, so the index is sized by the pairs, not by n. The pairs and the
+    ids of the 3-literal residues, ascending by clause id, are kept for
+    assembling full scopes."""
 
     def __init__(self, state: SolverState) -> None:
-        uf = _ParityUnionFind()
         pairs: list[tuple[int, int, int]] = []
         threes: list[int] = []
-        self.consistent = True  # False: the pairs alone have no model
         for k in sorted(state.live):
             ls = state.live[k]
             if len(ls) == 3:
                 threes.append(k)
             elif len(ls) == 2:
-                a, b = ls
-                pairs.append((k, a, b))
-                if not uf.union(var_of(a), var_of(b), 1 ^ (a < 0) ^ (b < 0)):
-                    self.consistent = False
-        self.root_parity = {v: uf.find(v) for v in uf.parent}
+                pairs.append((k, *ls))
+        uf = _parity((), [p[1:] for p in pairs], {})
+        self.consistent = not isinstance(uf, tuple)  # False: the pairs have no model
+        # an inconsistent index decides every scope unsat, so nothing reads it
+        self.root_parity = {v: uf.find(v) for v in uf.parent if v} if self.consistent else {}
         self.pairs = tuple(pairs)
         self.threes = tuple(threes)
 
@@ -157,28 +179,11 @@ class Built:
 
     def satisfiable(self) -> bool:
         """Whether the scope has a model: E and the probe's new pairs added over
-        the index's roots, with node 0 as the constant false."""
+        the index's roots."""
         if not self.index.consistent:
             return False
-        rp = self.index.root_parity
-        # a unit only pins its root to node 0, so the units alone need no finds
-        pin = {0: 0}
-        for u in self.units:
-            v = var_of(u)
-            r, p = rp.get(v, (v, 0))
-            if pin.setdefault(r, p ^ (u > 0)) != p ^ (u > 0):
-                return False
-        uf = _ParityUnionFind()
-        uf.parent = dict.fromkeys(pin, 0)
-        uf.offset = pin
-        for ls in self.touched.values():
-            if len(ls) == 2:
-                a, b = ls
-                va, vb = var_of(a), var_of(b)
-                (ra, pa), (rb, pb) = rp.get(va, (va, 0)), rp.get(vb, (vb, 0))
-                if not uf.union(ra, rb, 1 ^ (a < 0) ^ (b < 0) ^ pa ^ pb):
-                    return False
-        return True
+        new_pairs = (ls for ls in self.touched.values() if len(ls) == 2)
+        return not isinstance(_parity(self.units, new_pairs, self.index.root_parity), tuple)
 
 
 def build_scope(state: SolverState, z_v: int, index: PairIndex) -> Built | EarlyConflict:
@@ -251,36 +256,18 @@ class XorUnsat:
     witness: tuple  # ("unit", lit) or ("pair", a, b): first constraint to clash
 
 
-_TRUE = 0  # union-find anchor node; literal nodes are the literals themselves
-
-
 def xor2sat_satisfiable(sf: ScopeFormula) -> XorSat | XorUnsat:
-    """Decide units + exactly-one pairs by parity union-find.
-
-    Nodes are literals plus a true-anchor. Opposite polarities of a variable
-    are linked with odd parity, each pair {a, b} links a and b with odd parity
-    (exactly one true), each unit links to the anchor with even parity. A
-    contradiction surfaces as a parity mismatch on an existing link; the first
-    offending constraint (in deterministic application order) is the witness.
-    """
-    uf = _ParityUnionFind()
-    for v in sf.mentioned_vars():
-        uf.union(v, -v, 1)
-    for u in sf.units:
-        if not uf.union(u, _TRUE, 0):
-            return XorUnsat(("unit", u))
-    for a, b in sf.xor_pairs:
-        if not uf.union(a, b, 1):
-            return XorUnsat(("pair", a, b))
-
-    # anchor's component is pinned so the anchor reads true; components never
-    # touching a unit get their root pinned false
-    root0, p0 = uf.find(_TRUE)
+    """Decide units + exactly-one pairs. The witness is the first constraint
+    to clash (units first, then pairs, each in order); the model reads node
+    0's component with node 0 false and every other with its root true."""
+    uf = _parity(sf.units, sf.xor_pairs, {})
+    if isinstance(uf, tuple):
+        return XorUnsat(uf)
+    root0, p0 = uf.find(0)
     model: dict[int, bool] = {}
     for v in sf.mentioned_vars():
         root, pv = uf.find(v)
-        root_val = (not bool(p0)) if root == root0 else False
-        model[v] = bool(pv) ^ root_val
+        model[v] = bool(pv ^ (p0 if root == root0 else 1))
     return XorSat(model)
 
 

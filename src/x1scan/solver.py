@@ -111,19 +111,21 @@ class CarriedVerdicts:
         removes constraints, and a component with an added pair but no probe
         variable is disjoint from the probe's constraints.
 
-    ``discarding`` applies (a) before each discard; ``begin_pass`` applies
-    (c) and (b) at the start of each probing pass. (c) needs only the pairs
-    added since the previous probing pass: on a path of pairs from a probe
-    variable to an older added pair, the first added pair q is joined to the
-    variable by pairs that were already there, so the first pass after q was
-    added found them in one component. For the variables of E, (c) follows
-    from (a): every literal of a ``not_yet`` expansion was expanded, so each
-    pair on a variable of E joins it to another variable of E, and a clause
-    that turns into a pair on one was read by the expansion. So (c) files
-    only the literals of the new pairs. Each verdict is filed under every
-    clause it read, those literals and the residues it consumed, so applying
-    a rule costs what changed, not what is carried. A verdict without a
-    ``Built`` expansion has no read set and is not carried."""
+    ``begin_pass`` applies all three at the start of each probing pass. The
+    state's event log names every clause a discard changes, so (a) reads the
+    clauses logged since the previous probing pass, and (c) those of them
+    that are pairs now, which went from 3 to 2 literals. (c) needs no older
+    pairs: on a path of pairs from a probe variable to an older added pair,
+    the first added pair q is joined to the variable by pairs that were
+    already there, so the first pass after q was added found them in one
+    component. For the variables of E, (c) follows from (a): every literal of
+    a ``not_yet`` expansion was expanded, so each pair on a variable of E
+    joins it to another variable of E, and a clause that turns into a pair on
+    one was read by the expansion. So (c) files only the literals of the new
+    pairs. Each verdict is filed under every clause it read, those literals
+    and the residues it consumed, so applying a rule costs what changed, not
+    what is carried. A verdict without a ``Built`` expansion has no read set
+    and is not carried."""
 
     def __init__(self) -> None:
         # literal -> serial number of its verdict, while the verdict holds; the
@@ -134,7 +136,7 @@ class CarriedVerdicts:
         self.by_clause: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         self.by_literal: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         self.by_consumed: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        self.shrunk: list[int] = []  # clauses that lost a literal since the last pass
+        self.read = 0  # events of the state's log that begin_pass has read
 
     def _drop(self, entries: list[tuple[int, int]]) -> None:
         kept = self.kept
@@ -157,34 +159,25 @@ class CarriedVerdicts:
                 for l in ls:
                     by_literal[l].append(entry)
 
-    def discarding(self, state: SolverState, z: int) -> None:
-        """Call just before ``discard(state, z)``, which changes exactly the
-        clauses holding z or -z with at least two live literals (an input
-        unit clause holds one and is in no verdict's read set). With nothing
-        carried it has nothing to do: a later verdict reads the state as it
-        is then."""
-        if not self.kept:
-            return
-        by_clause = self.by_clause
-        shrinking = state.occurrence.get(z, [])
-        for k in shrinking + state.occurrence.get(negate(z), []):
-            if k in by_clause:
-                self._drop(by_clause.pop(k))
-        self.shrunk += shrinking
-
     def begin_pass(self, state: SolverState, index: PairIndex) -> KeysView[int]:
         """Start a probing pass on ``index``; returns the literals whose
         carried verdicts hold in it."""
-        shrunk, self.shrunk = self.shrunk, []
+        start, self.read = self.read, len(state.events)
         if not index.consistent:  # no probe of this pass can be not_yet
             self.kept.clear()
         if not self.kept:
             return self.kept.keys()
+        changed = {e["clause"] for e in state.events[start:]
+                   if e["kind"] in ("clause_to_conjunction", "two_to_unit", "three_to_two")}
+        by_clause = self.by_clause
+        for k in changed:
+            if k in by_clause:
+                self._drop(by_clause.pop(k))
         rp = index.root_parity
         roots = {
             rp[var_of(l)][0]
-            for k in shrunk
-            if len(state.live[k]) == 2  # was 3 before it shrank
+            for k in changed
+            if len(state.live[k]) == 2
             for l in state.live[k]
         }
         if roots:
@@ -295,7 +288,6 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         trace["discards"].append(
             {"round": state.scan_round, "literal": z, "via": via, "source_clause": source}
         )
-        carried.discarding(state, z)
         if discard(state, z) is not None:
             return verdict("claimed_sat_unverified" if tainted else "unsat", None, None)
 

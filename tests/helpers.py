@@ -1,11 +1,11 @@
 """Helpers that only the tests need: state digests, index rebuilds and
-rendering; the reference probe that the package's incompatibility check is
-compared against; the monotonicity audit, replayed from a scan's discards; the
-reference scan loop that probes every open literal on every pass; the
-reference special-clause rewrite; the token game and the reference
-reachability search that the package's net engine is compared against; the
-exhaustive formula corpora; and a structural checker for the shipped JSON
-schemas."""
+rendering; the reference probe and the literal-node XOR-SAT checker that the
+package's incompatibility check and XOR decision are compared against; the
+monotonicity audit, replayed from a scan's discards; the reference scan loop
+that probes every open literal on every pass; the reference special-clause
+rewrite; the token game and the reference reachability search that the
+package's net engine is compared against; the exhaustive formula corpora;
+and a structural checker for the shipped JSON schemas."""
 
 import itertools
 import json
@@ -41,9 +41,9 @@ from x1scan.scope import (
     NotYet,
     PairIndex,
     ScopeFormula,
+    XorSat,
     XorUnsat,
     incompatible,
-    xor2sat_satisfiable,
 )
 from x1scan.solver import ScanOptions, Verdict, extract_assignment
 
@@ -179,12 +179,54 @@ def reference_build_scope(state: SolverState, z_v: int) -> ReferenceBuilt | Earl
     )
 
 
+def reference_xor2sat(sf: ScopeFormula) -> XorSat | XorUnsat:
+    """Units + exactly-one pairs decided by parity union-find over literal
+    nodes and a true anchor, node 0: each variable's two literals are linked
+    with odd parity, each pair {a, b} links a and b with odd parity and each
+    unit links to the anchor with even parity. The first constraint to clash
+    is the witness. A union links root to root, so the roots, and with them
+    the model, follow the order of the constraints: the anchor's component
+    reads the anchor true, and every other component reads its root false."""
+    parent: dict[int, int] = {}
+    offset: dict[int, int] = {}
+
+    def find(x: int) -> tuple[int, int]:
+        parity = 0
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parity ^= offset[x]
+            x = parent[x]
+        return x, parity
+
+    def union(a: int, b: int, rel: int) -> bool:
+        (ra, pa), (rb, pb) = find(a), find(b)
+        if ra == rb:
+            return pa ^ pb == rel
+        parent[ra], offset[ra] = rb, pa ^ pb ^ rel
+        return True
+
+    for v in sf.mentioned_vars():
+        union(v, -v, 1)
+    for u in sf.units:
+        if not union(u, 0, 0):
+            return XorUnsat(("unit", u))
+    for a, b in sf.xor_pairs:
+        if not union(a, b, 1):
+            return XorUnsat(("pair", a, b))
+    root0, p0 = find(0)
+    model = {}
+    for v in sf.mentioned_vars():
+        root, pv = find(v)
+        model[v] = bool(pv) ^ (not p0 if root == root0 else False)
+    return XorSat(model)
+
+
 def reference_incompatible(state: SolverState, z_v: int):
     """The incompatibility check with every scope decided in full."""
     res = reference_build_scope(state, z_v)
     if isinstance(res, EarlyConflict):
         return Incompatible(z_v, "early_conflict", (res.var,), res)
-    verdict = xor2sat_satisfiable(res.scope)
+    verdict = reference_xor2sat(res.scope)
     if isinstance(verdict, XorUnsat):
         return Incompatible(z_v, "scope_unsat", verdict.witness, res)
     if res.residual3:

@@ -313,6 +313,22 @@ def test_9_scaling_smoke(criterion):
     )
 
 
+def test_9_transition_zone(criterion):
+    # recorded, not gated: test 9 covers m/n = 4 and 0.3; m/n = 0.45 sits in
+    # the transition zone of the uniform3 generator
+    f = generate_random(400, 180, seed=0, profile="uniform3")
+    t0 = time.perf_counter()
+    status = scan(f).status
+    ms = (time.perf_counter() - t0) * 1000.0
+    probes = len(scan(f, ScanOptions(trace_checks=True)).trace["scopes"])
+    criterion(
+        "9 transition-zone",
+        True,
+        f"uniform3 n=400 m=180 (seed 0) {status} with {probes} probes in "
+        f"{ms:.1f} ms (recorded, not gated)",
+    )
+
+
 def test_10_determinism(criterion, capsys, tmp_path):
     path = tmp_path / "golden.cnf"
     path.write_text("p x1cnf 3 3\n1 -3 0\n1 -2 3 0\n2 -3 0\n")

@@ -327,6 +327,28 @@ def test_numeric_flag_out_of_range_is_a_usage_error(golden_path, capsys, argv):
     assert "error: argument " + argv[-2] in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["diff", "--count", "3", "--permutations", "0", "--m-max", "-1"],
+    ["diff", "--count", "3", "--permutations", "0", "--m-min", "-5"],
+    ["diff", "--count", "3", "--permutations", "0", "--n-min", "0"],
+    ["diff", "--count", "3", "--permutations", "0", "--n-max", "-4"],
+])
+def test_diff_size_flag_out_of_range_is_a_usage_error(capsys, argv):
+    # a negative clause count used to run as clause-free formulas and exit 0
+    assert exit_code(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument " + argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("low,high", [("--n-min", "--n-max"), ("--m-min", "--m-max")])
+def test_diff_reversed_range_is_a_usage_error(capsys, low, high):
+    assert main(["diff", "--count", "3", low, "5", high, "4"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {low} 5 exceeds {high} 4\n"
+
+
 def test_budget_env_below_one_is_a_usage_error(golden_path, capsys, monkeypatch):
     monkeypatch.setenv("X1SCAN_BUDGET", "0")
     assert main(["net", golden_path, "--check-reach"]) == EXIT_USAGE

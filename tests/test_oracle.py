@@ -99,6 +99,11 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"at most {distinct}"):
             generate_random(3, distinct + 1, seed=0, profile=profile)
 
+    def test_rejects_negative_m(self):
+        # a negative count used to draw nothing and pass as an empty formula
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            generate_random(5, -3, seed=0, profile="mixed")
+
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
             generate_random(3, 1, seed=0, profile="bogus")

@@ -5,7 +5,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import full_fingerprint, open_literals, reference_incompatible
+from helpers import (
+    full_fingerprint,
+    open_literals,
+    reference_incompatible,
+    reference_xor2sat,
+)
 
 from x1scan.formula import formula, var_of
 from x1scan.oracle import generate_random
@@ -179,6 +184,19 @@ def test_xor_agrees_with_enumeration(s):
         assert not brute_sat
 
 
+def test_xor_matches_literal_node_reference():
+    # acceptance test 6's generator; equal witnesses and models, key order too
+    rng = random.Random("xor:reference")
+    for _ in range(20_000):
+        n = rng.randint(1, 10)
+        lit = lambda: rng.choice((-1, 1)) * rng.randint(1, n)
+        s = sf(
+            [lit() for _ in range(rng.randint(0, 5))],
+            [(lit(), lit()) for _ in range(rng.randint(0, 6))],
+        )
+        assert repr(xor2sat_satisfiable(s)) == repr(reference_xor2sat(s))
+
+
 # --- incompatible ---------------------------------------------------------------
 
 
@@ -290,7 +308,8 @@ def probe_along_random_discards(f, rng):
     not_yet verdicts are carried as the scan carries them: each one the carry
     rule keeps must equal the reference, and its expansion the fresh probe's.
     Some discards follow each other with no probing pass of the carry between
-    them, as necessary discards do."""
+    them, as necessary discards do; the carry learns of them from the state's
+    event log at its next pass."""
     state = init_state(f)
     carried = CarriedVerdicts()
     noted = {}
@@ -302,7 +321,7 @@ def probe_along_random_discards(f, rng):
         before = full_fingerprint(state)
         index = PairIndex(state)
         # other states stand for passes spent on a necessary discard, which
-        # the carry never sees
+        # the carry reads from the event log at its next probing pass
         probing = rng.random() < 0.7
         held = carried.begin_pass(state, index) if probing else ()
         for z in zs:
@@ -317,9 +336,7 @@ def probe_along_random_discards(f, rng):
                 carried.note(res, index)
                 noted[z] = res
         assert full_fingerprint(state) == before
-        d = rng.choice(zs)
-        carried.discarding(state, d)
-        if discard(state, d) is not None:
+        if discard(state, rng.choice(zs)) is not None:
             break
 
 
