@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 MAX_CLAUSE_LITERALS = 3
-# largest n a header may declare; solver state, assignments and nets are sized
-# by the declared n, so a larger one is refused before anything is allocated
+# largest n a header may declare; assignments (and the v line) and nets are
+# sized by the declared n, so a larger one is refused before anything is
+# allocated. The solver state is sized by the variables the clauses use.
 MAX_VARS = 10**6
 
 

@@ -6,8 +6,9 @@ out, emptying once the clause's content has been absorbed into fixed
 conjuncts), plus:
 
 * an occurrence index, literal -> sorted clause ids currently containing it;
-* per variable, which polarities are still eligible (both at the start, one
-  after the other was discarded);
+* per variable the clauses mention, which polarities are still eligible
+  (both at the start, one after the other was discarded); a variable of no
+  clause has no entry, so the state is sized by the clauses, not by n;
 * the conjunct set N of literals fixed true (the ``conjunct_added`` events
   record the order they joined in);
 * a pending map, conjunct -> clause id it emerged from, in insertion order.
@@ -45,7 +46,7 @@ class SolverState:
     base: Formula
     live: dict[int, list[int]]  # clause id -> live literals ([] once absorbed)
     occurrence: dict[int, list[int]]  # literal -> sorted ids of clauses holding it
-    live_literals: dict[int, tuple[int, ...]]  # var -> eligible polarities
+    live_literals: dict[int, tuple[int, ...]]  # var of a clause -> eligible polarities
     conjuncts: set[int]  # N
     pending: OrderedDict[int, int]  # emerged conjunct -> source clause id
     scan_round: int = 1
@@ -73,7 +74,7 @@ def init_state(f: Formula) -> SolverState:
         base=f,
         live={c.id: list(c.lits) for c in f.clauses},
         occurrence={lit: sorted(ids) for lit, ids in occurrence.items()},
-        live_literals={v: (v, -v) for v in range(1, f.n_vars + 1)},
+        live_literals={v: (v, -v) for v in sorted({var_of(l) for l in occurrence})},
         conjuncts=set(),
         pending=OrderedDict(),
     )

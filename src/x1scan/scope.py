@@ -316,11 +316,11 @@ def incompatible(
         return Incompatible(z_v, "early_conflict", (res.var,), res)
     if res.three_left and res.satisfiable():
         return NotYet(z_v, res)
+    # the assembled scope has the models of the one just decided, so past here
+    # a scope with residue left is unsat and a satisfiable one covers
     verdict = xor2sat_satisfiable(res.scope)
     if isinstance(verdict, XorUnsat):
         return Incompatible(z_v, "scope_unsat", verdict.witness, res)
-    if res.three_left:
-        return NotYet(z_v, res)
     return CoversSatisfiable(z_v, verdict.model, res)
 
 

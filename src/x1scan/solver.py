@@ -5,16 +5,19 @@ Each pass picks one literal to discard and the loop discards it in one place.
 First come necessary literals: input unit clauses, and units that emerged from
 a clause during an earlier discard, still awaiting their own discard; the
 opposite polarity is discarded, one at a time with a full restart after each.
-With none left, the pass probes the still-open literals (ascending variable,
-positive polarity first) with the scope check, all against the one pair
-index the pass builds. A literal whose ``not_yet`` verdict from an earlier
-pass provably still holds is skipped (``CarriedVerdicts``); that changes no
-verdict, only which probes run. An incompatible literal is discarded and the
-round restarts; a covering satisfiable scope ends the run with its model. A
-full pass with neither means the procedure claims satisfiability. At that point
-any variable still open in a live clause is settled by a documented
-completion rule: pick its positive polarity (the pass just found both
-polarities inconclusive) and discard the negative one. Every completion pick
+With none left, the pass probes both literals of each open variable, one that
+occurs in a live clause of two or more literals (ascending variable, positive
+polarity first), with the scope check, all against the one pair index the
+pass builds. A variable of no such clause is never probed, discarded or
+completed: unless already settled, it reads false in the model. A literal
+whose ``not_yet`` verdict from an earlier pass provably still holds is skipped
+(``CarriedVerdicts``); that changes no verdict, only which probes run. An
+incompatible literal is discarded and the round restarts; a covering
+satisfiable scope ends the run with its model. A full pass with neither means
+the procedure claims satisfiability. At that point the least open variable is
+settled by a documented completion rule: pick its positive polarity (the pass
+just found both polarities inconclusive) and discard the negative one. With
+no open variable left, the model is read off the state. Every completion pick
 taints the run: from then on a contradiction no longer proves
 unsatisfiability and is reported as claimed_sat_unverified instead.
 
@@ -86,10 +89,9 @@ def extract_assignment(state: SolverState, base: dict[int, bool] | None = None) 
     place that completes a model."""
     a = dict(base) if base else {}
     for v in range(1, state.base.n_vars + 1):
-        if v in a:
-            continue
-        pols = state.live_literals[v]
-        a[v] = pols[0] > 0 if len(pols) == 1 else False
+        if v not in a:
+            pols = state.live_literals.get(v, ())
+            a[v] = len(pols) == 1 and pols[0] > 0
     return a
 
 
@@ -239,20 +241,21 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
             lit, source = nec[0]
             z, via = negate(lit), "necessary"
         else:
-            zs = [
-                z
-                for _, pols in sorted(state.live_literals.items())
-                if len(pols) == 2
-                for z in pols
-            ]
+            # the open variables: those of the live clauses of two or more
+            # literals; discard strips its variable from every such clause,
+            # so each of them has both polarities eligible
+            open_vars = sorted({var_of(l) for ls in state.live.values()
+                                if len(ls) >= 2 for l in ls})
+            if not open_vars:
+                assert state.n_conflict is None, "unreported conjunct contradiction"
+                return finish_sat(extract_assignment(state))
+            zs = [z for v in open_vars for z in (v, -v)]
             if opts.order == "random":
                 rng.shuffle(zs)
 
             res = None
-            # one pair index per pass, shared by its probes; a pass with no
-            # open literal probes nothing and builds none
-            index = PairIndex(state) if zs else None
-            held = carried.begin_pass(state, index) if index else ()
+            index = PairIndex(state)  # one per pass, shared by its probes
+            held = carried.begin_pass(state, index)
             for z in zs:
                 if z in held:
                     continue
@@ -268,22 +271,10 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
             if isinstance(res, Incompatible):  # the probe loop stopped at z
                 via, source = "incompatible", None
             else:
-                v = min(
-                    (
-                        var_of(l)
-                        for ls in state.live.values()
-                        for l in ls
-                        if len(state.live_literals[var_of(l)]) == 2
-                    ),
-                    default=None,
-                )
-                if v is None:
-                    assert state.n_conflict is None, "unreported conjunct contradiction"
-                    return finish_sat(extract_assignment(state))
-                picked = state.live_literals[v][0]  # positive polarity
+                v = open_vars[0]
                 tainted = True
-                trace["completion"].append({"var": v, "picked": picked})
-                z, via, source = negate(picked), "completion", None
+                trace["completion"].append({"var": v, "picked": v})
+                z, via, source = -v, "completion", None
 
         trace["discards"].append(
             {"round": state.scan_round, "literal": z, "via": via, "source_clause": source}

@@ -77,13 +77,10 @@ def as_formula(state: SolverState) -> Formula:
 
 
 def open_literals(state: SolverState) -> list[int]:
-    """Literals of the variables with both polarities still eligible."""
-    return [
-        lit
-        for v in sorted(state.live_literals)
-        if len(state.live_literals[v]) == 2
-        for lit in state.live_literals[v]
-    ]
+    """``v, -v`` for each variable of a live clause of two or more literals,
+    ascending: the literals ``solver.scan`` probes."""
+    open_vars = {var_of(l) for ls in state.live.values() if len(ls) >= 2 for l in ls}
+    return [z for v in sorted(open_vars) for z in (v, -v)]
 
 
 def fingerprint(state: SolverState) -> tuple:

@@ -40,6 +40,7 @@ from x1scan.oracle import (
     net_cross_check,
     write_discrepancies,
 )
+from x1scan.petri import build_inverse_net, target_reachable
 from x1scan.reduction import init_state
 from x1scan.scope import (
     Built,
@@ -356,4 +357,40 @@ def test_10_determinism(criterion, capsys, tmp_path):
         ok,
         f"{stable}/{len(invocations)} repeated command outputs byte-identical "
         f"in-process, solve verdict byte-identical across processes",
+    )
+
+
+# shrunk from the pigeonhole formula PHP(4, 3) (four pigeons, three holes)
+COUNTEREXAMPLE = formula(21, [
+    [1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12],
+    [1, 4, 14], [-14, 7, 15], [-15, 10],
+    [2, 5, 17], [-17, 8, 18], [-18, 11],
+    [3, 6, 20], [-20, 9, 21], [-21, 12],
+])
+
+
+def test_11_fixpoint_does_not_prove_satisfiability(criterion):
+    # the scan's first pass finds no incompatible literal, so the procedure
+    # claims satisfiability; the completion rule's pick then dead-ends. Brute
+    # force and the inverse net's reachability both show the formula unsat.
+    v = scan(COUNTEREXAMPLE)
+    t0 = time.perf_counter()
+    model = brute_force_sat(COUNTEREXAMPLE)
+    t_brute = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    reachable = target_reachable(build_inverse_net(COUNTEREXAMPLE), budget=20_000_000)
+    t_reach = time.perf_counter() - t0
+    picks = v.trace["completion"]
+    ok = (
+        v.status == "claimed_sat_unverified"
+        and picks == [{"var": 1, "picked": 1}]
+        and model is None
+        and not reachable
+    )
+    criterion(
+        "11 fixpoint-not-proof",
+        ok,
+        f"13 clauses (n=21): scan {v.status} after completion picks "
+        f"{[p['var'] for p in picks]}; brute force unsat in {t_brute:.1f} s; "
+        f"inverse-net target unreachable in {t_reach:.1f} s (budget 20,000,000)",
     )

@@ -193,6 +193,26 @@ def test_empty_model_value_line(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines()[-1] == "v 0"
 
 
+def test_a_variable_of_no_clause_is_never_probed(tmp_path, capsys):
+    path = write_cnf(tmp_path, "free.cnf", "p x1cnf 3 0\n")
+    assert main(["solve", path, "--json", "--no-timing"]) == EXIT_SAT
+    assert json.loads(capsys.readouterr().out)["assignment"] == [-1, -2, -3]
+    main(["solve", path, "--json", "--no-timing", "--trace"])
+    assert json.loads(capsys.readouterr().out)["trace"]["scopes"] == []
+
+
+def test_a_variable_of_no_clause_reads_false(tmp_path, capsys):
+    path = write_cnf(tmp_path, "one.cnf", "p x1cnf 4 1\n2 3 4 0\n")
+    assert main(["solve", path, "--json", "--no-timing", "--trace"]) == EXIT_SAT
+    doc = json.loads(capsys.readouterr().out)
+    scopes = doc["trace"]["scopes"]
+    assert scopes
+    for s in scopes:
+        named = [s["literal"], *s["E"], *(l for p in s["xor_pairs"] for l in p)]
+        assert 1 not in map(abs, named)
+    assert doc["assignment"][0] == -1
+
+
 # --- net ---------------------------------------------------------------------
 
 

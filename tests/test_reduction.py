@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +116,19 @@ def test_discard_trace_on_golden():
     }
 
 
+def test_state_is_sized_by_the_clauses_not_the_header():
+    f = formula(200_000, [])
+    tracemalloc.start()
+    try:
+        state = init_state(f)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.live_literals == {}
+    assert allocated < 1_000_000
+    assert init_state(formula(6, [[3, -5]])).live_literals == {3: (3, -3), 5: (5, -5)}
+
+
 def test_discard_reports_polarity_pair_from_unit_emergence():
     st_ = init_state(formula(2, [[1, 2], [1, -2]]))
     assert discard(st_, 1) == 2
@@ -187,6 +201,10 @@ def test_random_discard_walks_keep_invariants(f, rng):
             assert len(ls) <= sizes[k]
             sizes[k] = len(ls)
         assert n_before <= state.conjuncts
+        # solver.scan probes the variables of these clauses, both polarities
+        for ls in state.live.values():
+            if len(ls) >= 2:
+                assert all(len(state.live_literals[var_of(l)]) == 2 for l in ls)
         # necessary_literals reads pending alone: a live clause of one literal
         # is an input unit, already in pending under its own id or an earlier one
         for k, ls in state.live.items():
@@ -238,7 +256,7 @@ def test_event_replay_reconstructs_state(f, rng):
 
     # replay the log against a fresh skeleton
     live = {c.id: list(c.lits) for c in f.clauses}
-    live_literals = {v: (v, -v) for v in range(1, f.n_vars + 1)}
+    live_literals = {v: (v, -v) for v in {var_of(l) for c in f.clauses for l in c.lits}}
     conjuncts, order, pending = set(), [], {}
     rnd, conflict = 1, None
     for e in state.events:
