@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 from math import inf, log
@@ -321,6 +320,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import statistics  # only bench reads it; a cold solve never loads it
+
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise ValueError("empty size ladder")

@@ -25,7 +25,6 @@ renumbers them.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 MAX_CLAUSE_LITERALS = 3
@@ -56,6 +55,48 @@ class IncompleteAssignmentError(FormulaError):
     """failed_clauses needs a value for every mentioned variable."""
 
 
+class Record:
+    """The base of the package's record types: equality and ``repr`` by
+    field, plus a hash and read-only fields for frozen records. This is what
+    ``dataclasses`` would generate, without importing it (and ``inspect``
+    and ``ast`` with it) on every cold start.
+
+    A record's fields are the parameters of its ``__init__``, which sets each
+    one. Equality (same class, equal fields) and ``repr`` read them in that
+    order, except the names in ``_unseen``. ``class R(Record, frozen=True)``
+    makes R's fields read-only, so its ``__init__`` sets them with
+    ``object.__setattr__``, and hashes R by them; any other record is
+    mutable and unhashable."""
+
+    _unseen: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        names = code.co_varnames[1:code.co_argcount]
+        cls._fields = tuple(n for n in names if n not in cls._unseen)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _read_only
+            cls.__hash__ = lambda self: hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+def _read_only(self: Record, name: str, *value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+
 def negate(lit: int) -> int:
     """Negation is unary minus on the int encoding; an involution by construction."""
     if lit == 0:
@@ -67,22 +108,20 @@ def var_of(lit: int) -> int:
     return abs(lit)
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record, frozen=True):
     """A clause with its stable id. Literal order is input order."""
 
-    id: int
-    lits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.lits) <= MAX_CLAUSE_LITERALS:
+    def __init__(self, id: int, lits: tuple[int, ...]) -> None:
+        if not 1 <= len(lits) <= MAX_CLAUSE_LITERALS:
             raise FormulaError(
-                f"clause {self.id}: {len(self.lits)} literals (want 1..{MAX_CLAUSE_LITERALS})"
+                f"clause {id}: {len(lits)} literals (want 1..{MAX_CLAUSE_LITERALS})"
             )
-        if 0 in self.lits:
-            raise FormulaError(f"clause {self.id}: literal 0")
-        if len(set(self.lits)) != len(self.lits):
-            raise FormulaError(f"clause {self.id}: duplicate literal")
+        if 0 in lits:
+            raise FormulaError(f"clause {id}: literal 0")
+        if len(set(lits)) != len(lits):
+            raise FormulaError(f"clause {id}: duplicate literal")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "lits", lits)
 
     @property
     def is_conjunct(self) -> bool:
@@ -90,28 +129,25 @@ class Clause:
 
     def special_var(self) -> int | None:
         """The variable present in both polarities, if any."""
-        vs = {var_of(l) for l in self.lits}
-        if len(vs) < len(self.lits):
-            for l in self.lits:
-                if -l in self.lits:
-                    return var_of(l)
+        lits = self.lits
+        for l in lits:
+            if -l in lits:
+                return var_of(l)
         return None
 
 
-@dataclass(frozen=True)
-class Formula:
-    n_vars: int
-    clauses: tuple[Clause, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_vars < 0:
+class Formula(Record, frozen=True):
+    def __init__(self, n_vars: int, clauses: tuple[Clause, ...]) -> None:
+        if n_vars < 0:
             raise FormulaError("n_vars must be >= 0")
-        for c in self.clauses:
+        for c in clauses:
             for lit in c.lits:
-                if var_of(lit) > self.n_vars:
+                if var_of(lit) > n_vars:
                     raise FormulaError(
-                        f"clause {c.id}: variable {var_of(lit)} exceeds n_vars={self.n_vars}"
+                        f"clause {c.id}: variable {var_of(lit)} exceeds n_vars={n_vars}"
                     )
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "clauses", clauses)
 
     @property
     def n_clauses(self) -> int:
@@ -222,10 +258,10 @@ def failed_clauses(f: Formula, a: Assignment) -> list[int]:
 # --- classification and special-clause rewriting ------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "general" | "special"
-    special: tuple[tuple[int, int], ...] = ()  # (clause id, variable) witnesses
+class Classification(Record, frozen=True):
+    def __init__(self, kind: str, special: tuple[tuple[int, int], ...] = ()) -> None:
+        object.__setattr__(self, "kind", kind)  # "general" | "special"
+        object.__setattr__(self, "special", special)  # (clause id, variable) witnesses
 
 
 def classify(f: Formula) -> Classification:
@@ -243,16 +279,17 @@ class ConversionUnsat(Exception):
         self.var = var
 
 
-@dataclass
-class Conversion:
+class Conversion(Record):
     """The rewrite of a formula. ``formula`` is the formula to scan: the
     surviving clauses, then one unit clause per forced literal, numbered past
     the original clause ids. The input was special iff ``removed_clauses`` is
     non-empty."""
 
-    formula: Formula
-    forced: tuple[int, ...]  # literals pinned true, in derivation order
-    removed_clauses: tuple[int, ...] = ()  # original ids dropped as tautologies
+    def __init__(self, formula: Formula, forced: tuple[int, ...],
+                 removed_clauses: tuple[int, ...] = ()) -> None:
+        self.formula = formula
+        self.forced = forced  # literals pinned true, in derivation order
+        self.removed_clauses = removed_clauses  # original ids dropped as tautologies
 
 
 def convert_special(f: Formula) -> Conversion:
@@ -270,8 +307,12 @@ def convert_special(f: Formula) -> Conversion:
 
     Clause ids of surviving clauses are preserved; clauses containing a
     forced literal survive untouched, and each forced literal is conjoined as
-    a unit clause. A general formula comes back with the same clauses.
+    a unit clause. A general formula comes back with the same clauses, and
+    one whose ids already ascend comes back as it is, with nothing rebuilt.
     """
+    ids = [c.id for c in f.clauses]
+    if ids == sorted(set(ids)) and all(c.special_var() is None for c in f.clauses):
+        return Conversion(f, ())
     rows: dict[int, list[int]] = {c.id: list(c.lits) for c in f.clauses}
     holding: dict[int, list[int]] = {}  # literal -> ascending ids of clauses with it
     for cid in sorted(rows):

@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, replace
 from math import comb
 from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator
 
-from .formula import Formula, classify, convert_special, emit_x1cnf, formula
+from .formula import Formula, Record, classify, convert_special, emit_x1cnf, formula
 from .petri import build_forward_net, build_inverse_net, target_reachable
 from .solver import ScanOptions, scan
 
@@ -135,34 +134,39 @@ def net_cross_check(f: Formula, oracle_sat: bool) -> list[str]:
 # ---------------------------------------------------------------------------
 # differential testing
 
-@dataclass
-class Disagreement:
-    instance_id: int
-    formula: Formula
-    scan_status: str
-    oracle_status: str
-    minimized: Formula
+class Disagreement(Record):
+    def __init__(self, instance_id: int, formula: Formula, scan_status: str,
+                 oracle_status: str, minimized: Formula) -> None:
+        self.instance_id = instance_id
+        self.formula = formula
+        self.scan_status = scan_status
+        self.oracle_status = oracle_status
+        self.minimized = minimized
 
 
-@dataclass
-class DiffReport:
-    instance_count: int
-    agreements: int
-    disagreements: list[Disagreement]
-    order_invariance: dict
-    timing_ms: dict | None
-    errors: list[dict] = field(default_factory=list)
+class DiffReport(Record):
+    def __init__(self, instance_count: int, agreements: int,
+                 disagreements: list[Disagreement], order_invariance: dict,
+                 timing_ms: dict | None, errors: list[dict]) -> None:
+        self.instance_count = instance_count
+        self.agreements = agreements
+        self.disagreements = disagreements
+        self.order_invariance = order_invariance
+        self.timing_ms = timing_ms
+        self.errors = errors
 
 
-@dataclass
-class DiffParams:
-    count: int
-    n_range: tuple[int, int] = (2, 8)
-    m_range: tuple[int, int] | None = None  # None: (1, 2n) per instance
-    profiles: tuple[str, ...] = ("mixed",)
-    seed: int = 0
-    permutations: int = 10  # random check orders per instance
-    no_timing: bool = False
+class DiffParams(Record):
+    def __init__(self, count: int, n_range: tuple[int, int] = (2, 8),
+                 m_range: tuple[int, int] | None = None, profiles: tuple[str, ...] = ("mixed",),
+                 seed: int = 0, permutations: int = 10, no_timing: bool = False) -> None:
+        self.count = count
+        self.n_range = n_range
+        self.m_range = m_range  # None: (1, 2n) per instance
+        self.profiles = profiles
+        self.seed = seed
+        self.permutations = permutations  # random check orders per instance
+        self.no_timing = no_timing
 
 
 def _agrees(status: str, oracle_sat: bool) -> bool:
@@ -215,7 +219,8 @@ def differential_corpus(
 
         if permutations > 0:
             statuses = {
-                scan(f, replace(base, order="random", seed=k)).status
+                scan(f, ScanOptions(order="random", seed=k,
+                                    trace_checks=base.trace_checks)).status
                 for k in range(permutations)
             }
             if statuses == {v.status}:

@@ -29,9 +29,8 @@ checks that equivalence exhaustively against brute force.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .formula import Formula, classify
+from .formula import Formula, Record, classify
 
 Marking = frozenset
 
@@ -44,18 +43,20 @@ class ReachabilityBudgetError(RuntimeError):
     """Search aborted on a resource guard; not a reachability verdict."""
 
 
-@dataclass(frozen=True)
-class Net:
-    name: str
-    places: tuple[str, ...]
-    transitions: tuple[str, ...]
-    pre: dict[str, frozenset[str]]
-    post: dict[str, frozenset[str]]
-    level: dict[str, int]  # every transition and every non-sink place
-    sinks: frozenset[str]
-    initial: Marking
+class Net(Record, frozen=True):
+    def __init__(self, name: str, places: tuple[str, ...], transitions: tuple[str, ...],
+                 pre: dict[str, frozenset[str]], post: dict[str, frozenset[str]],
+                 level: dict[str, int], sinks: frozenset[str], initial: Marking) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "places", places)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "post", post)
+        # every transition and every non-sink place
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "sinks", sinks)
+        object.__setattr__(self, "initial", initial)
 
-    def __post_init__(self) -> None:
         pset, tset = set(self.places), set(self.transitions)
         if len(pset) != len(self.places) or len(tset) != len(self.transitions):
             raise NetError("duplicate node names")

@@ -32,26 +32,28 @@ Every change to a clause is logged with its id, as ``clause_to_conjunction``,
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
-from .formula import Formula, classify, negate, var_of
+from .formula import Formula, Record, classify, negate, var_of
 
 
 class ReductionError(ValueError):
     """State misuse: special input, double discard, unknown literal."""
 
 
-@dataclass
-class SolverState:
-    base: Formula
-    live: dict[int, list[int]]  # clause id -> live literals ([] once absorbed)
-    occurrence: dict[int, list[int]]  # literal -> sorted ids of clauses holding it
-    live_literals: dict[int, tuple[int, ...]]  # var of a clause -> eligible polarities
-    conjuncts: set[int]  # N
-    pending: OrderedDict[int, int]  # emerged conjunct -> source clause id
-    scan_round: int = 1
-    n_conflict: int | None = None  # var with both polarities in N, once seen
-    events: list[dict] = field(default_factory=list)
+class SolverState(Record):
+    def __init__(self, base: Formula, live: dict[int, list[int]],
+                 occurrence: dict[int, list[int]], live_literals: dict[int, tuple[int, ...]],
+                 conjuncts: set[int], pending: OrderedDict[int, int], scan_round: int = 1,
+                 n_conflict: int | None = None, events: list[dict] | None = None) -> None:
+        self.base = base
+        self.live = live  # clause id -> live literals ([] once absorbed)
+        self.occurrence = occurrence  # literal -> sorted ids of clauses holding it
+        self.live_literals = live_literals  # var of a clause -> eligible polarities
+        self.conjuncts = conjuncts  # N
+        self.pending = pending  # emerged conjunct -> source clause id
+        self.scan_round = scan_round
+        self.n_conflict = n_conflict  # var with both polarities in N, once seen
+        self.events = [] if events is None else events
 
     def log(self, kind: str, clause: int | None, literals: list[int]) -> None:
         self.events.append(

@@ -40,17 +40,17 @@ false; a model reads the root variable of a component no unit reaches as true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .formula import var_of
+from .formula import Record, var_of
 from .reduction import SolverState
 
 
-@dataclass(frozen=True)
-class ScopeFormula:
-    units: tuple[int, ...]  # E, insertion order; first is the probed literal
-    xor_pairs: tuple[tuple[int, int], ...]  # surviving 2-literal residues
+class ScopeFormula(Record, frozen=True):
+    def __init__(self, units: tuple[int, ...], xor_pairs: tuple[tuple[int, int], ...]) -> None:
+        # E, insertion order; first is the probed literal
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "xor_pairs", xor_pairs)  # surviving 2-literal residues
 
     def mentioned_vars(self) -> tuple[int, ...]:
         vs = {var_of(l) for l in self.units}
@@ -58,10 +58,11 @@ class ScopeFormula:
         return tuple(sorted(vs))
 
 
-@dataclass(frozen=True)
-class EarlyConflict:
-    var: int
-    units: tuple[int, ...]  # E at detection, both offending polarities included
+class EarlyConflict(Record, frozen=True):
+    def __init__(self, var: int, units: tuple[int, ...]) -> None:
+        object.__setattr__(self, "var", var)
+        # E at detection, both offending polarities included
+        object.__setattr__(self, "units", units)
 
 
 class _ParityUnionFind:
@@ -246,14 +247,15 @@ def build_scope(state: SolverState, z_v: int, index: PairIndex) -> Built | Early
 # --- XOR-SAT over units and exactly-one pairs ----------------------------------
 
 
-@dataclass(frozen=True)
-class XorSat:
-    model: dict[int, bool]  # over mentioned variables only
+class XorSat(Record, frozen=True):
+    def __init__(self, model: dict[int, bool]) -> None:
+        object.__setattr__(self, "model", model)  # over mentioned variables only
 
 
-@dataclass(frozen=True)
-class XorUnsat:
-    witness: tuple  # ("unit", lit) or ("pair", a, b): first constraint to clash
+class XorUnsat(Record, frozen=True):
+    def __init__(self, witness: tuple) -> None:
+        # ("unit", lit) or ("pair", a, b): the first constraint to clash
+        object.__setattr__(self, "witness", witness)
 
 
 def xor2sat_satisfiable(sf: ScopeFormula) -> XorSat | XorUnsat:
@@ -274,28 +276,36 @@ def xor2sat_satisfiable(sf: ScopeFormula) -> XorSat | XorUnsat:
 # --- the incompatibility verdict ------------------------------------------------
 # Each verdict carries the scope it was decided on (``built``), so a trace can
 # dump it without expanding the probe a second time. It takes no part in
-# equality.
+# equality or repr.
 
 
-@dataclass(frozen=True)
-class Incompatible:
-    literal: int
-    reason: str  # "early_conflict" | "scope_unsat"
-    detail: tuple  # (var,) or the xor witness
-    built: Built | EarlyConflict | None = field(default=None, compare=False, repr=False)
+class Incompatible(Record, frozen=True):
+    _unseen = ("built",)
+
+    def __init__(self, literal: int, reason: str, detail: tuple,
+                 built: Built | EarlyConflict | None = None) -> None:
+        object.__setattr__(self, "literal", literal)
+        object.__setattr__(self, "reason", reason)  # "early_conflict" | "scope_unsat"
+        object.__setattr__(self, "detail", detail)  # (var,) or the xor witness
+        object.__setattr__(self, "built", built)
 
 
-@dataclass(frozen=True)
-class NotYet:
-    literal: int
-    built: Built | None = field(default=None, compare=False, repr=False)
+class NotYet(Record, frozen=True):
+    _unseen = ("built",)
+
+    def __init__(self, literal: int, built: Built | None = None) -> None:
+        object.__setattr__(self, "literal", literal)
+        object.__setattr__(self, "built", built)
 
 
-@dataclass(frozen=True)
-class CoversSatisfiable:
-    literal: int
-    model: dict[int, bool]  # the scope's XOR model, over its variables only
-    built: Built | None = field(default=None, compare=False, repr=False)
+class CoversSatisfiable(Record, frozen=True):
+    _unseen = ("built",)
+
+    def __init__(self, literal: int, model: dict[int, bool], built: Built | None = None) -> None:
+        object.__setattr__(self, "literal", literal)
+        # the scope's XOR model, over its variables only
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "built", built)
 
 
 def incompatible(

@@ -39,11 +39,11 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from collections.abc import KeysView
-from dataclasses import dataclass
 
 from .formula import (
     ConversionUnsat,
     Formula,
+    Record,
     convert_special,
     failed_clauses,
     negate,
@@ -66,20 +66,22 @@ from .scope import (
 )
 
 
-@dataclass
-class ScanOptions:
-    order: str = "fixed"  # "fixed" | "random" (seeded shuffle of the check list)
-    seed: int | None = None
-    trace_checks: bool = False  # keep a scope dump per probe that runs
+class ScanOptions(Record):
+    def __init__(self, order: str = "fixed", seed: int | None = None,
+                 trace_checks: bool = False) -> None:
+        self.order = order  # "fixed" | "random" (seeded shuffle of the check list)
+        self.seed = seed
+        self.trace_checks = trace_checks  # keep a scope dump per probe that runs
 
 
-@dataclass
-class Verdict:
-    status: str  # "sat" | "unsat" | "claimed_sat_unverified"
-    assignment: dict[int, bool] | None
-    rounds: int
-    trace: dict
-    verification: dict | None  # {"passed": bool, "failed": [clause ids]}
+class Verdict(Record):
+    def __init__(self, status: str, assignment: dict[int, bool] | None, rounds: int,
+                 trace: dict, verification: dict | None) -> None:
+        self.status = status  # "sat" | "unsat" | "claimed_sat_unverified"
+        self.assignment = assignment
+        self.rounds = rounds
+        self.trace = trace
+        self.verification = verification  # {"passed": bool, "failed": [clause ids]}
 
 
 def extract_assignment(state: SolverState, base: dict[int, bool] | None = None) -> dict[int, bool]:

@@ -1,3 +1,8 @@
+import os
+import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         src = Path(__file__).resolve().parent.parent / "src"
         lines = sum(len(p.read_text().splitlines()) for p in src.rglob("*.py"))
         terminalreporter.write_line(f"src/: {lines:,} lines of Python (recorded, not gated)")
+        ms, added = cold_start(src)
+        terminalreporter.write_line(
+            f"cold start: `import x1scan.cli` in {ms:.1f} ms (median of 5 processes), "
+            f"adding {added} modules outside x1scan (recorded, not gated)"
+        )
+
+
+def cold_start(src: Path) -> tuple[float, int]:
+    """Median wall time of 5 fresh interpreters that only import x1scan.cli
+    from ``src``, and the number of modules outside x1scan that import adds."""
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import x1scan.cli"], env=env, check=True)
+        times.append((time.perf_counter() - t0) * 1000.0)
+    count = (
+        "import sys; before = set(sys.modules); import x1scan.cli; "
+        "print(sum(not m.startswith('x1scan') for m in set(sys.modules) - before))"
+    )
+    out = subprocess.run([sys.executable, "-c", count], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return statistics.median(times), int(out)

@@ -509,3 +509,25 @@ def test_module_entry_point_subprocess(golden_path):
     )
     assert proc.returncode == EXIT_SAT
     assert "s SATISFIABLE" in proc.stdout
+
+
+# modules a cold `solve` has no use for: dataclasses and statistics, and what
+# they pull in (inspect, ast, dis; fractions, decimal)
+COLD_START_UNUSED = ("dataclasses", "inspect", "ast", "dis", "statistics", "fractions", "decimal")
+
+
+def test_solve_loads_no_unused_stdlib_module(golden_path):
+    # only what the import adds counts, so site hooks that load a module
+    # before the interpreter runs the probe change nothing
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import x1scan.cli\n"
+        f"x1scan.cli.main(['solve', '--json', '--no-timing', {golden_path!r}])\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.splitlines()[-1].split())
+    assert "x1scan.solver" in added
+    assert sorted(added.intersection(COLD_START_UNUSED)) == []

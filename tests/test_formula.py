@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import clause_by_id, exhaustive_special, reference_convert_special
 
 from x1scan.formula import (
+    Classification,
     Clause,
     ConversionUnsat,
     Formula,
@@ -19,6 +20,7 @@ from x1scan.formula import (
     parse_x1cnf,
     var_of,
 )
+from x1scan.solver import ScanOptions
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -48,6 +50,52 @@ def test_clause_validation():
 def test_formula_rejects_out_of_range_var():
     with pytest.raises(FormulaError):
         formula(2, [[1, 3]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Clause(1, ()), "clause 1: 0 literals (want 1..3)"),
+        (lambda: Clause(2, (1, 2, 3, 4)), "clause 2: 4 literals (want 1..3)"),
+        (lambda: Clause(3, (1, 0)), "clause 3: literal 0"),
+        (lambda: Clause(4, (2, 2)), "clause 4: duplicate literal"),
+        (lambda: Formula(-1, ()), "n_vars must be >= 0"),
+        (lambda: formula(2, [[1], [1, -3]]), "clause 2: variable 3 exceeds n_vars=2"),
+    ],
+)
+def test_formula_error_messages(build, message):
+    with pytest.raises(FormulaError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_records_compare_print_and_hash_by_their_fields():
+    a, b = Clause(1, (1, -2)), Clause(1, (1, -2))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != Clause(2, (1, -2)) and a != Clause(1, (-2, 1))
+    assert repr(a) == "Clause(id=1, lits=(1, -2))"
+    assert formula(2, [[1, -2]]) == Formula(2, (b,))
+    assert hash(formula(2, [[1, -2]])) == hash(Formula(2, (b,)))
+    assert classify(GOLDEN) == Classification("general")
+    assert repr(Classification("general")) == "Classification(kind='general', special=())"
+    # mutable records compare by their fields too, and have no hash
+    assert ScanOptions() == ScanOptions("fixed", None, False) != ScanOptions(seed=1)
+    assert repr(ScanOptions()) == "ScanOptions(order='fixed', seed=None, trace_checks=False)"
+    with pytest.raises(TypeError):
+        hash(ScanOptions())
+
+
+def test_frozen_record_fields_are_read_only():
+    c = Clause(1, (1, -2))
+    with pytest.raises(AttributeError):
+        c.lits = (3,)
+    with pytest.raises(AttributeError):
+        c.extra = 1
+    with pytest.raises(AttributeError):
+        del c.id
+    with pytest.raises(AttributeError):
+        GOLDEN.n_vars = 9
+    assert c == Clause(1, (1, -2)) and GOLDEN.n_vars == 3
 
 
 def test_clause_ids_are_one_based_and_stable():

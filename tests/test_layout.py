@@ -2,11 +2,12 @@
 
 Every top-level function, class and constant of the package must be named
 somewhere in `src/` outside its own definition. Code that only the tests
-need lives in `tests/`. Likewise every field of an options dataclass (a name
-ending in `Options` or `Params`) must be set by `src/` itself: an option that
-only tests set is a test hook. And every parameter with a default, of a
-top-level function, must be passed by some call in `src/`: a parameter that no
-caller passes is a branch nothing takes.
+need lives in `tests/`. Likewise every field of an options class (a name
+ending in `Options` or `Params`; its fields are its `__init__` parameters)
+must be set by `src/` itself: an option that only tests set is a test hook.
+And every parameter with a default, of a top-level function, must be passed by
+some call in `src/`: a parameter that no caller passes is a branch nothing
+takes.
 """
 
 import ast
@@ -57,26 +58,32 @@ def test_every_top_level_name_in_src_is_used_in_src():
     assert unreferenced() == []
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for d in cls.decorator_list:
-        target = d.func if isinstance(d, ast.Call) else d
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-    return False
+def _init_fields(cls: ast.ClassDef) -> list[str]:
+    """The fields of a record class: the parameters of its `__init__`."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            args = item.args
+            return [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs][1:]]
+    return []
 
 
-def unset_options() -> list[str]:
-    """Fields of the options dataclasses in `src/` that no call in `src/`
-    outside the class passes by keyword, to the class or to `replace`."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    classes = {
+def _options_classes(trees: dict[str, ast.Module]) -> dict[str, tuple[str, ast.ClassDef]]:
+    """Class name -> (module, class) of each top-level class whose name ends
+    in `Options` or `Params`."""
+    return {
         stmt.name: (module, stmt)
         for module, tree in trees.items()
         for stmt in tree.body
-        if isinstance(stmt, ast.ClassDef)
-        and stmt.name.endswith(("Options", "Params"))
-        and _is_dataclass(stmt)
+        if isinstance(stmt, ast.ClassDef) and stmt.name.endswith(("Options", "Params"))
     }
+
+
+def unset_options() -> list[str]:
+    """Fields of the options classes in `src/` (the `__init__` parameters of a
+    class whose name ends in `Options` or `Params`) that no call in `src/`
+    outside the class passes to it by keyword."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    classes = _options_classes(trees)
     own = {id(cls) for _, cls in classes.values()}
     passed: dict[str, set[str]] = {name: set() for name in classes}
     stack = [node for tree in trees.values() for node in tree.body]
@@ -85,18 +92,23 @@ def unset_options() -> list[str]:
         if id(node) in own:
             continue
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            targets = list(classes) if node.func.id == "replace" else [node.func.id]
-            for name in targets:
-                if name in passed:
-                    passed[name].update(kw.arg for kw in node.keywords if kw.arg)
+            if node.func.id in passed:
+                passed[node.func.id].update(kw.arg for kw in node.keywords if kw.arg)
         stack.extend(ast.iter_child_nodes(node))
     unset = []
     for name, (module, cls) in sorted(classes.items()):
-        for item in cls.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                if item.target.id not in passed[name]:
-                    unset.append(f"{module}.{name}.{item.target.id}")
+        for field in _init_fields(cls):
+            if field not in passed[name]:
+                unset.append(f"{module}.{name}.{field}")
     return unset
+
+
+def test_options_classes_are_found():
+    # an options class the rule cannot read would pass it silently
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    fields = {name: _init_fields(cls) for name, (_, cls) in _options_classes(trees).items()}
+    assert fields["ScanOptions"] == ["order", "seed", "trace_checks"]
+    assert "permutations" in fields["DiffParams"]
 
 
 def test_every_option_field_is_set_in_src():

@@ -134,6 +134,19 @@ def test_safety_violation_detected():
         fire(net, m, "u")
 
 
+# a valid one-transition net; each validation test breaks one field of it
+TINY_NET = dict(
+    name="n",
+    places=("a", "s"),
+    transitions=("t",),
+    pre={"t": frozenset({"a"})},
+    post={"t": frozenset({"s"})},
+    level={"a": 0, "t": 0},
+    sinks=frozenset({"s"}),
+    initial=frozenset({"a"}),
+)
+
+
 @pytest.mark.parametrize(
     "breakage,needle",
     [
@@ -145,19 +158,24 @@ def test_safety_violation_detected():
     ],
 )
 def test_net_validation(breakage, needle):
-    base = dict(
-        name="n",
-        places=("a", "s"),
-        transitions=("t",),
-        pre={"t": frozenset({"a"})},
-        post={"t": frozenset({"s"})},
-        level={"a": 0, "t": 0},
-        sinks=frozenset({"s"}),
-        initial=frozenset({"a"}),
-    )
-    base.update(breakage)
     with pytest.raises(NetError, match=needle):
-        Net(**base)
+        Net(**{**TINY_NET, **breakage})
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (dict(places=("a", "a", "s")), "duplicate node names"),
+        (dict(pre={}), "pre/post must be keyed by exactly the transitions"),
+        (dict(level={"t": 0}), "place a has no level and is not a sink"),
+        (dict(level={"a": 1, "t": 0}), "t: input a not at transition level 0"),
+        (dict(initial=frozenset()), "initial marking must be exactly the sourceless places"),
+    ],
+)
+def test_net_error_messages(breakage, message):
+    with pytest.raises(NetError) as err:
+        Net(**{**TINY_NET, **breakage})
+    assert str(err.value) == message
 
 
 def test_same_level_output_rejected():

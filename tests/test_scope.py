@@ -358,3 +358,22 @@ def test_carried_verdicts_match_reference_on_seeded_formulas():
             for _ in range(rng.randint(2, 12))
         ]
         probe_along_random_discards(formula(n, rows), rng)
+
+
+def test_verdicts_compare_and_print_without_their_scope():
+    f = formula(3, [[1, 2, 3], [-1, 2]])
+    state = init_state(f)
+    built = build_scope(state, 1, PairIndex(state))
+    for plain, with_scope, text in [
+        (Incompatible(1, "scope_unsat", ("unit", 1)),
+         Incompatible(1, "scope_unsat", ("unit", 1), built),
+         "Incompatible(literal=1, reason='scope_unsat', detail=('unit', 1))"),
+        (NotYet(-2), NotYet(-2, built), "NotYet(literal=-2)"),
+        (CoversSatisfiable(3, {3: True}), CoversSatisfiable(3, {3: True}, built),
+         "CoversSatisfiable(literal=3, model={3: True})"),
+    ]:
+        assert plain == with_scope and repr(plain) == repr(with_scope) == text
+        assert with_scope.built is built
+    assert hash(NotYet(-2)) == hash(NotYet(-2, built))
+    assert Incompatible(1, "scope_unsat", ("unit", 1)) != Incompatible(1, "early_conflict", (1,))
+    assert NotYet(1) != NotYet(-1)
