@@ -20,12 +20,19 @@ The X-DIMACS file format::
 Clause lines are 1..3 nonzero ints terminated by ``0``. Clause ids are assigned
 in input order starting at 1 and are stable: no operation in this package ever
 renumbers them.
+
+A :class:`Formula` checks its own facts once, when it is built, and nothing
+downstream checks them again: a :class:`Clause` holds one to three distinct
+nonzero literals; clause ids strictly ascend from 1; every variable is at most
+``n_vars``; and ``Formula.special`` lists the (clause id, variable) witnesses
+of the clauses holding both polarities of a variable, computed in that same
+pass. The parser checks only the text and names the line of every error.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_CLAUSE_LITERALS = 3
 # largest n a header may declare; assignments (and the v line) and nets are
@@ -35,7 +42,12 @@ MAX_VARS = 10**6
 
 
 class FormulaError(ValueError):
-    """Structurally invalid formula or literal."""
+    """Structurally invalid formula or literal; ``clause`` is the id of the
+    clause at fault, when a formula's own check names one."""
+
+    def __init__(self, message: str, clause: int | None = None):
+        super().__init__(message)
+        self.clause = clause
 
 
 class ParseError(FormulaError):
@@ -127,27 +139,30 @@ class Clause(Record, frozen=True):
     def is_conjunct(self) -> bool:
         return len(self.lits) == 1
 
-    def special_var(self) -> int | None:
-        """The variable present in both polarities, if any."""
-        lits = self.lits
-        for l in lits:
-            if -l in lits:
-                return var_of(l)
-        return None
-
 
 class Formula(Record, frozen=True):
     def __init__(self, n_vars: int, clauses: tuple[Clause, ...]) -> None:
         if n_vars < 0:
             raise FormulaError("n_vars must be >= 0")
+        special = []
+        last = 0
         for c in clauses:
-            for lit in c.lits:
-                if var_of(lit) > n_vars:
+            cid, lits = c.id, c.lits
+            if cid <= last:
+                raise FormulaError(f"clause {cid}: id not above {last}; ids ascend from 1", cid)
+            last = cid
+            for l in lits:
+                if l > n_vars or -l > n_vars:
                     raise FormulaError(
-                        f"clause {c.id}: variable {var_of(lit)} exceeds n_vars={n_vars}"
+                        f"clause {cid}: variable {var_of(l)} exceeds n_vars={n_vars}", cid
                     )
+            # of at most three literals, every pair holds the first or the last
+            if -lits[0] in lits or -lits[-1] in lits:
+                special.append((cid, next(var_of(l) for l in lits if -l in lits)))
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "clauses", clauses)
+        # (clause id, variable) witnesses; derived, so not a field
+        object.__setattr__(self, "special", tuple(special))
 
     @property
     def n_clauses(self) -> int:
@@ -163,16 +178,22 @@ def formula(n_vars: int, lit_rows: Iterable[Sequence[int]]) -> Formula:
 # --- X-DIMACS ---------------------------------------------------------------
 
 
-def parse_x1cnf(text: str) -> Formula:
-    """Parse X-DIMACS. Raises ParseError with the offending line number."""
-    header: tuple[int, int] | None = None
-    rows: list[tuple[int, ...]] = []
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, raw line) of every line that is not blank or a comment."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+        if line and not line.startswith("c"):
+            yield line_no, raw
+
+
+def parse_x1cnf(text: str) -> Formula:
+    """Parse X-DIMACS. Raises ParseError with the offending line number; a
+    FormulaError of Clause or Formula is re-raised with its clause's line."""
+    header: tuple[int, int] | None = None
+    clauses: list[Clause] = []
+    for line_no, raw in _content_lines(text):
         if header is None:
-            parts = line.split()
+            parts = raw.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "x1cnf":
                 raise ParseError(line_no, f"malformed header: {raw!r}")
             try:
@@ -189,39 +210,37 @@ def parse_x1cnf(text: str) -> Formula:
             header = (n, m)
             continue
         try:
-            nums = [int(tok) for tok in line.split()]
+            nums = [int(tok) for tok in raw.split()]
         except ValueError:
             raise ParseError(line_no, f"non-integer token: {raw!r}") from None
         if nums[-1] != 0:
             raise ParseError(line_no, "clause line must end with 0")
-        lits = nums[:-1]
-        if 0 in lits:
-            raise ParseError(line_no, "literal 0 inside clause")
-        if not lits:
+        if len(nums) == 1:
             raise ParseError(line_no, "empty clause")
-        if len(lits) > MAX_CLAUSE_LITERALS:
-            raise ParseError(line_no, f"{len(lits)} literals in clause (max {MAX_CLAUSE_LITERALS})")
-        if len(set(lits)) != len(lits):
-            raise ParseError(line_no, "duplicate literal in clause")
-        n = header[0]
-        for lit in lits:
-            if var_of(lit) > n:
-                raise ParseError(line_no, f"variable {var_of(lit)} exceeds declared n={n}")
-        rows.append(tuple(lits))
+        try:
+            clauses.append(Clause(len(clauses) + 1, tuple(nums[:-1])))
+        except FormulaError as e:
+            raise ParseError(line_no, str(e)) from None
     if header is None:
         raise ParseError(1, "missing header")
-    if len(rows) != header[1]:
+    try:
+        f = Formula(header[0], tuple(clauses))
+    except FormulaError as e:
+        # clause k sits on the k-th content line after the header
+        line_no = list(_content_lines(text))[e.clause][0]
+        raise ParseError(line_no, str(e)) from None
+    if f.n_clauses != header[1]:
         raise ParseError(
-            1, f"header declares {header[1]} clauses, file has {len(rows)}"
+            1, f"header declares {header[1]} clauses, file has {f.n_clauses}"
         )
-    return formula(header[0], rows)
+    return f
 
 
 def emit_x1cnf(f: Formula) -> str:
     """Canonical byte-deterministic emission: header then clauses in id order."""
     out = io.StringIO()
     out.write(f"p x1cnf {f.n_vars} {f.n_clauses}\n")
-    for c in sorted(f.clauses, key=lambda c: c.id):
+    for c in f.clauses:
         out.write(" ".join(str(l) for l in c.lits))
         out.write(" 0\n")
     return out.getvalue()
@@ -255,20 +274,7 @@ def failed_clauses(f: Formula, a: Assignment) -> list[int]:
     return failed
 
 
-# --- classification and special-clause rewriting ------------------------------
-
-
-class Classification(Record, frozen=True):
-    def __init__(self, kind: str, special: tuple[tuple[int, int], ...] = ()) -> None:
-        object.__setattr__(self, "kind", kind)  # "general" | "special"
-        object.__setattr__(self, "special", special)  # (clause id, variable) witnesses
-
-
-def classify(f: Formula) -> Classification:
-    hits = tuple(
-        (c.id, sv) for c in f.clauses if (sv := c.special_var()) is not None
-    )
-    return Classification("special" if hits else "general", hits)
+# --- special-clause rewriting --------------------------------------------------
 
 
 class ConversionUnsat(Exception):
@@ -300,34 +306,34 @@ def convert_special(f: Formula) -> Conversion:
     clause itself drops as a tautology. A bare {x, -x} clause likewise drops.
     Forcing both polarities raises ConversionUnsat.
 
-    Deleting a literal never creates a both-polarity pair, so a clause found
-    general stays general: one pass in ascending clause id, over an index of
-    the clauses holding each literal, reaches the fixpoint. Each literal is
-    deleted at most once, since no clause holds it afterwards.
+    Deleting a literal never creates a both-polarity pair, so only the
+    clauses in ``f.special`` can be rewritten: one pass over them in ascending
+    clause id, over an index of the clauses holding each literal, reaches the
+    fixpoint. A witness clause whose pair lost a literal to an earlier
+    deletion is general by then and stays. Each literal is deleted at most
+    once, since no clause holds it afterwards.
 
     Clause ids of surviving clauses are preserved; clauses containing a
     forced literal survive untouched, and each forced literal is conjoined as
-    a unit clause. A general formula comes back with the same clauses, and
-    one whose ids already ascend comes back as it is, with nothing rebuilt.
+    a unit clause, numbered from the last clause id + 1. A general formula
+    comes back as it is.
     """
-    ids = [c.id for c in f.clauses]
-    if ids == sorted(set(ids)) and all(c.special_var() is None for c in f.clauses):
+    if not f.special:
         return Conversion(f, ())
     rows: dict[int, list[int]] = {c.id: list(c.lits) for c in f.clauses}
     holding: dict[int, list[int]] = {}  # literal -> ascending ids of clauses with it
-    for cid in sorted(rows):
-        for lit in rows[cid]:
+    for cid, lits in rows.items():
+        for lit in lits:
             holding.setdefault(lit, []).append(cid)
     forced: list[int] = []
     forced_set: set[int] = set()
     removed: list[int] = []
 
-    for cid in sorted(rows):
+    for cid, v in f.special:
         lits = rows[cid]
-        pair_var = next((var_of(l) for l in lits if -l in lits), None)
-        if pair_var is None:
+        if v not in lits or -v not in lits:
             continue
-        rest = [l for l in lits if var_of(l) != pair_var]
+        rest = [l for l in lits if var_of(l) != v]
         for z in rest:
             if z in forced_set:
                 raise ConversionUnsat(var_of(z))
@@ -346,6 +352,7 @@ def convert_special(f: Formula) -> Conversion:
                         # clause demanded z true while z is forced false
                         raise ConversionUnsat(var_of(z))
 
-    kept = [Clause(cid, tuple(rows[cid])) for cid in sorted(rows)]
-    kept += [Clause(f.n_clauses + 1 + i, (lit,)) for i, lit in enumerate(forced)]
+    kept = [Clause(cid, tuple(lits)) for cid, lits in rows.items()]
+    last = f.clauses[-1].id
+    kept += [Clause(last + 1 + i, (lit,)) for i, lit in enumerate(forced)]
     return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed))

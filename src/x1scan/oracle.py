@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator
 
-from .formula import Formula, Record, classify, convert_special, emit_x1cnf, formula
+from .formula import Formula, Record, emit_x1cnf, formula
 from .petri import build_forward_net, build_inverse_net, target_reachable
 from .solver import ScanOptions, scan
 
@@ -79,7 +79,7 @@ def _draw_clause(rng: Random, n: int, profile: str, prev: tuple[int, ...] | None
 
 def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> Formula:
     """Seeded, reproducible instance. Clauses are distinct and use distinct
-    variables, so the mandatory convert_special pass is an identity guard.
+    variables, so the formula is general.
 
     uniform3: every clause has 3 literals. mixed: 1-3 literals weighted
     1:2:7. adversarial: 3-literal chain, each clause sharing a variable with
@@ -115,9 +115,9 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
             continue
         seen.add(clause)
         rows.append(clause)
-    conv = convert_special(formula(n, rows))
-    assert not conv.removed_clauses
-    return conv.formula
+    f = formula(n, rows)
+    assert not f.special
+    return f
 
 
 def net_cross_check(f: Formula, oracle_sat: bool) -> list[str]:
@@ -213,8 +213,8 @@ def differential_corpus(
             continue
         scanned += 1
 
-        if f.n_vars <= 3 and f.n_clauses <= 4:
-            for problem in _net_check_if_general(f, oracle_sat):
+        if f.n_vars <= 3 and f.n_clauses <= 4 and not f.special:
+            for problem in net_cross_check(f, oracle_sat):
                 errors.append({"instance_id": i, "error": problem})
 
         if permutations > 0:
@@ -256,12 +256,6 @@ def differential_corpus(
         timing_ms=None if no_timing or not timings else _percentiles(timings),
         errors=errors,
     )
-
-
-def _net_check_if_general(f: Formula, oracle_sat: bool) -> list[str]:
-    if classify(f).kind != "general":
-        return []
-    return net_cross_check(f, oracle_sat)
 
 
 def generate_campaign(params: DiffParams) -> Iterator[Formula]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .formula import Formula, Record, classify
+from .formula import Formula, Record
 
 Marking = frozenset
 
@@ -126,10 +126,9 @@ def _lit_name(lit: int) -> str:
 
 
 def _require_general(f: Formula) -> None:
-    cls = classify(f)
-    if cls.kind != "general":
+    if f.special:
         raise NetError(
-            f"net construction needs a general formula; special witnesses: {cls.special}"
+            f"net construction needs a general formula; special witnesses: {f.special}"
         )
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .formula import Formula, Record, classify, negate, var_of
+from .formula import Formula, Record, negate, var_of
 
 
 class ReductionError(ValueError):
@@ -46,7 +46,7 @@ class SolverState(Record):
                  conjuncts: set[int], pending: OrderedDict[int, int], scan_round: int = 1,
                  n_conflict: int | None = None, events: list[dict] | None = None) -> None:
         self.base = base
-        self.live = live  # clause id -> live literals ([] once absorbed)
+        self.live = live  # ascending clause id -> live literals ([] once absorbed)
         self.occurrence = occurrence  # literal -> sorted ids of clauses holding it
         self.live_literals = live_literals  # var of a clause -> eligible polarities
         self.conjuncts = conjuncts  # N
@@ -63,19 +63,18 @@ class SolverState(Record):
 
 
 def init_state(f: Formula) -> SolverState:
-    cls = classify(f)
-    if cls.kind != "general":
+    if f.special:
         raise ReductionError(
-            f"reduction needs a general formula; special witnesses: {cls.special}"
+            f"reduction needs a general formula; special witnesses: {f.special}"
         )
-    occurrence: dict[int, list[int]] = {}
+    occurrence: dict[int, list[int]] = {}  # ids ascend, as the clauses do
     for c in f.clauses:
         for lit in c.lits:
             occurrence.setdefault(lit, []).append(c.id)
     state = SolverState(
         base=f,
         live={c.id: list(c.lits) for c in f.clauses},
-        occurrence={lit: sorted(ids) for lit, ids in occurrence.items()},
+        occurrence=occurrence,
         live_literals={v: (v, -v) for v in sorted({var_of(l) for l in occurrence})},
         conjuncts=set(),
         pending=OrderedDict(),

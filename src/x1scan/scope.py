@@ -138,8 +138,7 @@ class PairIndex:
     def __init__(self, state: SolverState) -> None:
         pairs: list[tuple[int, int, int]] = []
         threes: list[int] = []
-        for k in sorted(state.live):
-            ls = state.live[k]
+        for k, ls in state.live.items():
             if len(ls) == 3:
                 threes.append(k)
             elif len(ls) == 2:

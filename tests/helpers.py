@@ -390,7 +390,8 @@ def reference_convert_special(f: Formula) -> Conversion:
             break
 
     kept = [Clause(cid, tuple(rows[cid])) for cid in sorted(rows)]
-    kept += [Clause(f.n_clauses + 1 + i, (lit,)) for i, lit in enumerate(forced)]
+    last = max((c.id for c in f.clauses), default=0)
+    kept += [Clause(last + 1 + i, (lit,)) for i, lit in enumerate(forced)]
     return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed))
 
 

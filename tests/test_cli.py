@@ -9,6 +9,7 @@ import time
 import pytest
 
 from helpers import load_schema, validate
+from test_formula import MALFORMED
 
 from x1scan.cli import EXIT_INTERNAL, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
 
@@ -98,6 +99,14 @@ def test_solve_malformed_file_reports_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
     assert "line 2" in err and "end with 0" in err
+
+
+@pytest.mark.parametrize("text,line_no,needle", MALFORMED)
+def test_solve_malformed_inputs_name_their_line(tmp_path, capsys, text, line_no, needle):
+    rc = main(["solve", write_cnf(tmp_path, "bad.cnf", text)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert f"line {line_no}: " in err and needle in err
 
 
 def test_solve_rejects_huge_declared_n(tmp_path, capsys):

@@ -4,14 +4,12 @@ from hypothesis import given, settings, strategies as st
 from helpers import clause_by_id, exhaustive_special, reference_convert_special
 
 from x1scan.formula import (
-    Classification,
     Clause,
     ConversionUnsat,
     Formula,
     FormulaError,
     IncompleteAssignmentError,
     ParseError,
-    classify,
     convert_special,
     emit_x1cnf,
     failed_clauses,
@@ -20,7 +18,8 @@ from x1scan.formula import (
     parse_x1cnf,
     var_of,
 )
-from x1scan.solver import ScanOptions
+from x1scan.petri import build_inverse_net, target_reachable
+from x1scan.solver import ScanOptions, scan
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -42,14 +41,13 @@ def test_clause_validation():
         Clause(1, (1, 0))
     with pytest.raises(FormulaError):
         Clause(1, (2, 2))
-    assert Clause(1, (1, -1)).special_var() == 1
-    assert Clause(2, (1, -2, 3)).special_var() is None
     assert Clause(3, (4,)).is_conjunct
 
 
 def test_formula_rejects_out_of_range_var():
-    with pytest.raises(FormulaError):
-        formula(2, [[1, 3]])
+    with pytest.raises(FormulaError) as err:
+        formula(2, [[1, 2], [1, 3]])
+    assert err.value.clause == 2
 
 
 @pytest.mark.parametrize(
@@ -61,6 +59,11 @@ def test_formula_rejects_out_of_range_var():
         (lambda: Clause(4, (2, 2)), "clause 4: duplicate literal"),
         (lambda: Formula(-1, ()), "n_vars must be >= 0"),
         (lambda: formula(2, [[1], [1, -3]]), "clause 2: variable 3 exceeds n_vars=2"),
+        # duplicate ids: a rewrite keyed by id would drop one of the clauses
+        (lambda: Formula(2, (Clause(1, (1,)), Clause(1, (-1,)))),
+         "clause 1: id not above 1; ids ascend from 1"),
+        (lambda: Formula(3, (Clause(2, (1, 2)), Clause(1, (3,)))),
+         "clause 1: id not above 2; ids ascend from 1"),
     ],
 )
 def test_formula_error_messages(build, message):
@@ -76,8 +79,11 @@ def test_records_compare_print_and_hash_by_their_fields():
     assert repr(a) == "Clause(id=1, lits=(1, -2))"
     assert formula(2, [[1, -2]]) == Formula(2, (b,))
     assert hash(formula(2, [[1, -2]])) == hash(Formula(2, (b,)))
-    assert classify(GOLDEN) == Classification("general")
-    assert repr(Classification("general")) == "Classification(kind='general', special=())"
+    # the derived witnesses stay out of equality, repr and hash
+    pair = formula(1, [[1, -1]])
+    assert pair.special == ((1, 1),)
+    assert repr(pair) == "Formula(n_vars=1, clauses=(Clause(id=1, lits=(1, -1)),))"
+    assert pair == Formula(1, (Clause(1, (1, -1)),))
     # mutable records compare by their fields too, and have no hash
     assert ScanOptions() == ScanOptions("fixed", None, False) != ScanOptions(seed=1)
     assert repr(ScanOptions()) == "ScanOptions(order='fixed', seed=None, trace_checks=False)"
@@ -116,22 +122,24 @@ def test_emit_parse_roundtrip_golden():
     assert emit_x1cnf(GOLDEN) == "p x1cnf 3 3\n1 -3 0\n1 -2 3 0\n2 -3 0\n"
 
 
-@pytest.mark.parametrize(
-    "text,line_no,needle",
-    [
-        ("p cnf 3 3\n1 0\n", 1, "header"),
-        ("p x1cnf 3\n", 1, "header"),
-        ("1 2 0\n", 1, "header"),
-        ("p x1cnf 3 1\n1 x 0\n", 2, "integer"),
-        ("p x1cnf 3 1\n1 2\n", 2, "end with 0"),
-        ("p x1cnf 3 1\n1 0 2 0\n", 2, "literal 0"),
-        ("p x1cnf 3 1\n0\n", 2, "empty clause"),
-        ("p x1cnf 4 1\n1 2 3 4 0\n", 2, "max 3"),
-        ("p x1cnf 3 1\n2 2 0\n", 2, "duplicate"),
-        ("p x1cnf 2 1\n1 -3 0\n", 2, "variable 3"),
-        ("p x1cnf 2 2\n1 0\n", 1, "declares 2 clauses"),
-    ],
-)
+MALFORMED = [
+    ("p cnf 3 3\n1 0\n", 1, "header"),
+    ("p x1cnf 3\n", 1, "header"),
+    ("1 2 0\n", 1, "header"),
+    ("p x1cnf 3 1\n1 x 0\n", 2, "integer"),
+    ("p x1cnf 3 1\n1 2\n", 2, "end with 0"),
+    ("p x1cnf 3 1\n1 0 2 0\n", 2, "literal 0"),
+    ("p x1cnf 3 1\n0\n", 2, "empty clause"),
+    ("p x1cnf 4 1\n1 2 3 4 0\n", 2, "want 1..3"),
+    ("p x1cnf 3 1\n2 2 0\n", 2, "duplicate"),
+    ("p x1cnf 2 1\n1 -3 0\n", 2, "variable 3"),
+    ("p x1cnf 2 3\n1 2 0\n-1 0\n2 -3 0\n", 4, "variable 3"),
+    ("p x1cnf 2 3\nc note\n1 2 0\n\n-1 0\n2 -3 0\n", 6, "variable 3"),
+    ("p x1cnf 2 2\n1 0\n", 1, "declares 2 clauses"),
+]
+
+
+@pytest.mark.parametrize("text,line_no,needle", MALFORMED)
 def test_parse_errors_carry_line_numbers(text, line_no, needle):
     with pytest.raises(ParseError) as exc:
         parse_x1cnf(text)
@@ -184,17 +192,13 @@ def test_evaluate_incomplete_assignment():
 # --- special clauses and conversion ------------------------------------------
 
 
-def test_classify_general():
-    cls = classify(GOLDEN)
-    assert cls.kind == "general"
-    assert cls.special == ()
+def test_general_formula_has_no_witnesses():
+    assert GOLDEN.special == ()
 
 
-def test_classify_special_lists_witnesses():
+def test_special_witnesses_listed_in_clause_order():
     f = formula(3, [[1, -3], [2, -2, 3], [3, -3]])
-    cls = classify(f)
-    assert cls.kind == "special"
-    assert cls.special == ((2, 2), (3, 3))
+    assert f.special == ((2, 2), (3, 3))
 
 
 def test_convert_three_literal_special_clause():
@@ -205,7 +209,7 @@ def test_convert_three_literal_special_clause():
     assert [(c.id, c.lits) for c in conv.formula.clauses] == [
         (1, (-3, 4)), (3, (2, -3)), (4, (-1,))
     ]
-    assert classify(conv.formula).kind == "general"
+    assert conv.formula.special == ()
 
 
 def test_convert_contradictory_forcings_unsat():
@@ -228,6 +232,15 @@ def test_convert_pure_pair_clause_dropped():
     assert conv.forced == ()
     assert conv.removed_clauses == (1,)
     assert [c.lits for c in conv.formula.clauses] == [(2,)]
+
+
+def test_convert_numbers_units_past_the_last_clause_id():
+    # with a gap in the ids, the unit for -2 must not take id 3 from a kept clause
+    f = Formula(4, (Clause(1, (2, 1, -1)), Clause(3, (2, 3, 4))))
+    conv = convert_special(f)
+    assert [(c.id, c.lits) for c in conv.formula.clauses] == [(3, (3, 4)), (4, (-2,))]
+    assert target_reachable(build_inverse_net(conv.formula))
+    assert scan(f).status == "sat"
 
 
 def test_convert_cascade_pair_drop():
@@ -318,7 +331,7 @@ def special_formulas(max_n=10, max_m=12):
 @settings(max_examples=300, deadline=None)
 @given(special_formulas())
 def test_convert_matches_reference_on_special_formulas(f):
-    assert classify(f).kind == "special"
+    assert f.special
     assert conversion_outcome(convert_special, f) == conversion_outcome(
         reference_convert_special, f
     )

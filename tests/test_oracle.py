@@ -13,7 +13,7 @@ from helpers import (
 )
 
 from x1scan import oracle
-from x1scan.formula import classify, formula, parse_x1cnf
+from x1scan.formula import formula, parse_x1cnf
 from x1scan.oracle import (
     DiffParams,
     OracleBudgetError,
@@ -73,7 +73,7 @@ class TestGenerator:
     def test_mixed_sizes(self):
         f = generate_random(8, 30, seed=3, profile="mixed")
         assert {len(c.lits) for c in f.clauses} <= {1, 2, 3}
-        assert classify(f).kind == "general"
+        assert f.special == ()
 
     def test_adversarial_chain_shares_vars(self):
         f = generate_random(8, 12, seed=7, profile="adversarial")
@@ -131,7 +131,7 @@ class TestExhaustiveCorpora:
         general_only = math.comb(64 + 1, 2) + 64
         expected = (total + math.comb(total + 1, 2)) - general_only
         assert len(corpus) == expected == 2226
-        assert all(classify(f).kind == "special" for f in corpus[:50])
+        assert all(f.special for f in corpus[:50])
 
 
 class TestNetCrossCheck:
@@ -176,7 +176,7 @@ class TestDifferential:
 
     def test_net_problems_do_not_cancel_the_scan_count(self, monkeypatch):
         monkeypatch.setattr(
-            "x1scan.oracle._net_check_if_general",
+            "x1scan.oracle.net_cross_check",
             lambda f, oracle_sat: ["forward net: planted", "inverse net: planted"],
         )
         r = differential_corpus([formula(2, [[1, 2]])], permutations=0)
