@@ -26,12 +26,11 @@ from .formula import (
 from .oracle import (
     BRUTE_VAR_LIMIT,
     PROFILES,
-    DiffParams,
     OracleBudgetError,
     brute_force_sat,
-    differential_run,
+    differential_corpus,
+    generate_campaign,
     generate_random,
-    report_as_dict,
     write_discrepancies,
 )
 from .petri import (
@@ -301,21 +300,23 @@ def cmd_diff(args) -> int:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.m_min is not None and args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
-    params = DiffParams(
-        count=args.count,
-        n_range=(args.n_min, args.n_max),
-        m_range=None if args.m_min is None else (args.m_min, args.m_max),
-        profiles=tuple(args.profiles.split(",")),
-        seed=_resolve_seed(args),
-        permutations=args.permutations,
-        no_timing=args.no_timing,
+    seed = _resolve_seed(args)
+    report = differential_corpus(
+        generate_campaign(
+            args.count,
+            (args.n_min, args.n_max),
+            None if args.m_min is None else (args.m_min, args.m_max),
+            tuple(args.profiles.split(",")),
+            seed,
+        ),
+        ScanOptions(order=args.order, seed=seed),
+        args.permutations,
+        args.no_timing,
     )
-    opts = ScanOptions(order=args.order, seed=_resolve_seed(args))
-    report = differential_run(params, opts=opts)
     if args.out:
         written = write_discrepancies(report, args.out)
         print(f"c wrote {len(written)} discrepancy files to {args.out}", file=sys.stderr)
-    print(json.dumps(report_as_dict(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

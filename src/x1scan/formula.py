@@ -109,13 +109,6 @@ def _read_only(self: Record, name: str, *value: object) -> None:
     raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
 
 
-def negate(lit: int) -> int:
-    """Negation is unary minus on the int encoding; an involution by construction."""
-    if lit == 0:
-        raise FormulaError("0 is not a literal")
-    return -lit
-
-
 def var_of(lit: int) -> int:
     return abs(lit)
 
@@ -209,8 +202,17 @@ def parse_x1cnf(text: str) -> Formula:
                 )
             header = (n, m)
             continue
+        # a clause line holds at most MAX_CLAUSE_LITERALS literals and its 0;
+        # a longer one is refused before any token is converted
+        parts = raw.split(None, MAX_CLAUSE_LITERALS + 1)
+        if len(parts) > MAX_CLAUSE_LITERALS + 1:
+            raise ParseError(
+                line_no,
+                f"clause {len(clauses) + 1}: more than {MAX_CLAUSE_LITERALS} literals "
+                f"(want 1..{MAX_CLAUSE_LITERALS})",
+            )
         try:
-            nums = [int(tok) for tok in raw.split()]
+            nums = [int(tok) for tok in parts]
         except ValueError:
             raise ParseError(line_no, f"non-integer token: {raw!r}") from None
         if nums[-1] != 0:

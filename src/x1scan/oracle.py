@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator
 
-from .formula import Formula, Record, emit_x1cnf, formula
+from .formula import Formula, emit_x1cnf, formula
 from .petri import build_forward_net, build_inverse_net, target_reachable
 from .solver import ScanOptions, scan
 
@@ -134,39 +134,8 @@ def net_cross_check(f: Formula, oracle_sat: bool) -> list[str]:
 # ---------------------------------------------------------------------------
 # differential testing
 
-class Disagreement(Record):
-    def __init__(self, instance_id: int, formula: Formula, scan_status: str,
-                 oracle_status: str, minimized: Formula) -> None:
-        self.instance_id = instance_id
-        self.formula = formula
-        self.scan_status = scan_status
-        self.oracle_status = oracle_status
-        self.minimized = minimized
-
-
-class DiffReport(Record):
-    def __init__(self, instance_count: int, agreements: int,
-                 disagreements: list[Disagreement], order_invariance: dict,
-                 timing_ms: dict | None, errors: list[dict]) -> None:
-        self.instance_count = instance_count
-        self.agreements = agreements
-        self.disagreements = disagreements
-        self.order_invariance = order_invariance
-        self.timing_ms = timing_ms
-        self.errors = errors
-
-
-class DiffParams(Record):
-    def __init__(self, count: int, n_range: tuple[int, int] = (2, 8),
-                 m_range: tuple[int, int] | None = None, profiles: tuple[str, ...] = ("mixed",),
-                 seed: int = 0, permutations: int = 10, no_timing: bool = False) -> None:
-        self.count = count
-        self.n_range = n_range
-        self.m_range = m_range  # None: (1, 2n) per instance
-        self.profiles = profiles
-        self.seed = seed
-        self.permutations = permutations  # random check orders per instance
-        self.no_timing = no_timing
+# a report's ``statuses`` character for each scan status
+_STATUS_MARK = {"sat": "s", "unsat": "u", "claimed_sat_unverified": "c"}
 
 
 def _agrees(status: str, oracle_sat: bool) -> bool:
@@ -182,27 +151,36 @@ def _percentiles(xs: list[float]) -> dict:
     return {"p50": pct(0.50), "p90": pct(0.90), "p99": pct(0.99), "max": s[-1]}
 
 
+def _formula_rows(f: Formula) -> dict:
+    return {"n": f.n_vars, "clauses": [list(c.lits) for c in f.clauses]}
+
+
 def differential_corpus(
     corpus: Iterable[Formula],
     opts: ScanOptions | None = None,
     permutations: int = 10,
     no_timing: bool = False,
-) -> DiffReport:
-    """Scan-vs-oracle over an explicit corpus. Agreement means a verified sat
-    against a satisfiable instance or an unsat against an unsatisfiable one;
-    everything else (including claimed_sat_unverified) is a disagreement and
-    gets minimized. Instances with n <= 3, m <= 4 and no both-polarity clause
-    are additionally cross-checked against both net constructions."""
+) -> dict:
+    """Scan-vs-oracle over an explicit corpus; returns the JSON-ready report
+    that ``x1scan diff`` prints. Agreement means a verified sat against a
+    satisfiable instance or an unsat against an unsatisfiable one; everything
+    else (including claimed_sat_unverified) is a disagreement and gets
+    minimized. Instances with n <= 3, m <= 4 and no both-polarity clause are
+    additionally cross-checked against both net constructions.
+
+    ``statuses`` has one character per instance, in corpus order: the scan
+    status (``s`` sat, ``u`` unsat, ``c`` claimed_sat_unverified), or ``e``
+    where the scan or the oracle raised."""
     base = opts or ScanOptions()
-    disagreements: list[Disagreement] = []
+    disagreements: list[dict] = []
     errors: list[dict] = []
     timings: list[float] = []
+    marks: list[str] = []
     invariant = 0
     varied: list[int] = []
-    count = scanned = agreements = 0
+    agreements = 0
 
     for i, f in enumerate(corpus):
-        count += 1
         try:
             t0 = time.perf_counter()
             v = scan(f, base)
@@ -210,8 +188,9 @@ def differential_corpus(
             oracle_sat = brute_force_sat(f) is not None
         except Exception as e:  # recorded, never fatal to the campaign
             errors.append({"instance_id": i, "error": f"{type(e).__name__}: {e}"})
+            marks.append("e")
             continue
-        scanned += 1
+        marks.append(_STATUS_MARK[v.status])
 
         if f.n_vars <= 3 and f.n_clauses <= 4 and not f.special:
             for problem in net_cross_check(f, oracle_sat):
@@ -231,52 +210,43 @@ def differential_corpus(
         if _agrees(v.status, oracle_sat):
             agreements += 1
             continue
-        small = minimize_counterexample(f, base)
-        disagreements.append(
-            Disagreement(
-                instance_id=i,
-                formula=f,
-                scan_status=v.status,
-                oracle_status="sat" if oracle_sat else "unsat",
-                minimized=small,
-            )
-        )
+        disagreements.append({
+            "instance_id": i,
+            "formula": _formula_rows(f),
+            "scan_status": v.status,
+            "oracle_status": "sat" if oracle_sat else "unsat",
+            "minimized": _formula_rows(minimize_counterexample(f, base)),
+        })
 
-    order_stats = {
-        "instances": scanned,
-        "permutations": permutations,
-        "invariant": invariant,
-        "varied_instances": varied,
+    return {
+        "instance_count": len(marks),
+        "agreements": agreements,
+        "disagreements": disagreements,
+        "order_invariance": {
+            "instances": len(marks) - marks.count("e"),
+            "permutations": permutations,
+            "invariant": invariant,
+            "varied_instances": varied,
+        },
+        "statuses": "".join(marks),
+        "timing_ms": None if no_timing or not timings else _percentiles(timings),
+        "errors": errors,
     }
-    return DiffReport(
-        instance_count=count,
-        agreements=agreements,
-        disagreements=disagreements,
-        order_invariance=order_stats,
-        timing_ms=None if no_timing or not timings else _percentiles(timings),
-        errors=errors,
-    )
 
 
-def generate_campaign(params: DiffParams) -> Iterator[Formula]:
-    rng = Random(f"campaign:{params.seed}")
-    for i in range(params.count):
-        n = rng.randint(*params.n_range)
-        lo, hi = params.m_range if params.m_range else (1, 2 * n)
+def generate_campaign(count: int, n_range: tuple[int, int], m_range: tuple[int, int] | None,
+                      profiles: tuple[str, ...], seed: int) -> Iterator[Formula]:
+    """``count`` seeded instances with n drawn from ``n_range`` and m from
+    ``m_range`` (None: 1..2n per instance), cycling through ``profiles``."""
+    rng = Random(f"campaign:{seed}")
+    for i in range(count):
+        n = rng.randint(*n_range)
+        lo, hi = m_range if m_range else (1, 2 * n)
         m = rng.randint(lo, hi)
-        profile = params.profiles[i % len(params.profiles)]
+        profile = profiles[i % len(profiles)]
         if profile in ("uniform3", "adversarial"):
             n = max(n, 3)
-        yield generate_random(n, m, seed=params.seed * 1_000_003 + i, profile=profile)
-
-
-def differential_run(params: DiffParams, opts: ScanOptions | None = None) -> DiffReport:
-    return differential_corpus(
-        generate_campaign(params),
-        opts=opts,
-        permutations=params.permutations,
-        no_timing=params.no_timing,
-    )
+        yield generate_random(n, m, seed=seed * 1_000_003 + i, profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -331,48 +301,26 @@ def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Form
 # ---------------------------------------------------------------------------
 # report emission
 
-def _formula_rows(f: Formula) -> dict:
-    return {"n": f.n_vars, "clauses": [list(c.lits) for c in f.clauses]}
-
-
-def report_as_dict(report: DiffReport) -> dict:
-    return {
-        "instance_count": report.instance_count,
-        "agreements": report.agreements,
-        "disagreements": [
-            {
-                "instance_id": d.instance_id,
-                "formula": _formula_rows(d.formula),
-                "scan_status": d.scan_status,
-                "oracle_status": d.oracle_status,
-                "minimized": _formula_rows(d.minimized),
-            }
-            for d in report.disagreements
-        ],
-        "order_invariance": report.order_invariance,
-        "timing_ms": report.timing_ms,
-        "errors": report.errors,
-    }
-
-
-def write_discrepancies(report: DiffReport, out_dir: str | Path) -> list[Path]:
-    """One X-DIMACS file per minimized disagreement plus a JSON sidecar with
-    both verdicts and a reproducer command."""
+def write_discrepancies(report: dict, out_dir: str | Path) -> list[Path]:
+    """One X-DIMACS file per minimized disagreement of a
+    :func:`differential_corpus` report, plus a JSON sidecar with both
+    verdicts and a reproducer command."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for d in report.disagreements:
-        stem = f"disagreement_{d.instance_id:05d}"
+    for d in report["disagreements"]:
+        stem = f"disagreement_{d['instance_id']:05d}"
+        small = d["minimized"]
         cnf = out / f"{stem}.cnf"
-        cnf.write_text(emit_x1cnf(d.minimized))
+        cnf.write_text(emit_x1cnf(formula(small["n"], small["clauses"])))
         sidecar = out / f"{stem}.json"
         sidecar.write_text(
             json.dumps(
                 {
-                    "original": _formula_rows(d.formula),
-                    "minimized": _formula_rows(d.minimized),
-                    "scan_status": d.scan_status,
-                    "oracle_status": d.oracle_status,
+                    "original": d["formula"],
+                    "minimized": small,
+                    "scan_status": d["scan_status"],
+                    "oracle_status": d["oracle_status"],
                     "reproduce": f"x1scan solve --json {cnf.name}",
                 },
                 indent=2,

@@ -46,7 +46,7 @@ class ReachabilityBudgetError(RuntimeError):
 class Net(Record, frozen=True):
     def __init__(self, name: str, places: tuple[str, ...], transitions: tuple[str, ...],
                  pre: dict[str, frozenset[str]], post: dict[str, frozenset[str]],
-                 level: dict[str, int], sinks: frozenset[str], initial: Marking) -> None:
+                 level: dict[str, int], sinks: frozenset[str]) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "places", places)
         object.__setattr__(self, "transitions", transitions)
@@ -55,7 +55,6 @@ class Net(Record, frozen=True):
         # every transition and every non-sink place
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "sinks", sinks)
-        object.__setattr__(self, "initial", initial)
 
         pset, tset = set(self.places), set(self.transitions)
         if len(pset) != len(self.places) or len(tset) != len(self.transitions):
@@ -86,8 +85,8 @@ class Net(Record, frozen=True):
                     raise NetError(f"{t}: unknown output place {p}")
                 if p not in self.sinks and self.level[p] <= lt:
                     raise NetError(f"{t}: output {p} not above transition level {lt}")
-        if self.initial != sourceless_places(self):
-            raise NetError("initial marking must be exactly the sourceless places")
+        # the sourceless places; derived, so not a field
+        object.__setattr__(self, "initial", sourceless_places(self))
 
 
 def sourceless_places(net: Net) -> Marking:
@@ -176,7 +175,7 @@ def build_forward_net(f: Formula) -> Net:
     pre["collect"] = frozenset(f"c{c.id}" for c in f.clauses)
     post["collect"] = frozenset({"top"})
 
-    net = Net(
+    return Net(
         name="forward",
         places=tuple(places),
         transitions=tuple(transitions),
@@ -184,9 +183,7 @@ def build_forward_net(f: Formula) -> Net:
         post=post,
         level=level,
         sinks=frozenset({"top"}),
-        initial=frozenset([f"l{i}" for i in range(1, n + 1)] + [f"g{c.id}" for c in f.clauses]),
     )
-    return net
 
 
 def build_inverse_net(f: Formula) -> Net:
@@ -237,9 +234,6 @@ def build_inverse_net(f: Formula) -> Net:
         post=post,
         level=level,
         sinks=frozenset({"top"}),
-        initial=frozenset(
-            [f"c{c.id}" for c in f.clauses] + [f"g{i}" for i in range(1, n + 1)]
-        ),
     )
 
 

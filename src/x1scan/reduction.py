@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .formula import Formula, Record, negate, var_of
+from .formula import Formula, Record, var_of
 
 
 class ReductionError(ValueError):
@@ -99,7 +99,7 @@ def _empty_clause(state: SolverState, k: int) -> None:
 def _add_conjunct(state: SolverState, lit: int, source: int | None) -> None:
     if lit in state.conjuncts:
         return
-    if negate(lit) in state.conjuncts and state.n_conflict is None:
+    if -lit in state.conjuncts and state.n_conflict is None:
         state.n_conflict = var_of(lit)
     state.conjuncts.add(lit)
     if source is not None:
@@ -113,9 +113,9 @@ def reduce_on_true(state: SolverState, z: int) -> list[tuple[int, int]]:
     emerged: list[tuple[int, int]] = []
     for k in conflict_index(state, z):
         others = [l for l in state.live[k] if l != z]
-        state.log("clause_to_conjunction", k, [negate(l) for l in others])
+        state.log("clause_to_conjunction", k, [-l for l in others])
         _empty_clause(state, k)
-        emerged.extend((negate(l), k) for l in others)
+        emerged.extend((-l, k) for l in others)
     return emerged
 
 
@@ -154,14 +154,14 @@ def discard(state: SolverState, z_v: int) -> int | None:
         raise ReductionError(f"unknown variable {v}")
     if z_v not in state.live_literals[v]:
         raise ReductionError(f"literal {z_v} already discarded")
-    _add_conjunct(state, negate(z_v), source=None)
-    for lit, k in reduce_on_true(state, negate(z_v)):
+    _add_conjunct(state, -z_v, source=None)
+    for lit, k in reduce_on_true(state, -z_v):
         _add_conjunct(state, lit, source=k)
     if state.n_conflict is not None:
         return state.n_conflict
     for lit, k in reduce_on_false(state, z_v):
         _add_conjunct(state, lit, source=k)
-    state.live_literals[v] = (negate(z_v),)
+    state.live_literals[v] = (-z_v,)
     state.log("literal_discarded", None, [z_v])
     state.scan_round += 1
     # units emerging in the deletion phase can complete a polarity pair in N;

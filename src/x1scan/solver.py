@@ -46,7 +46,6 @@ from .formula import (
     Record,
     convert_special,
     failed_clauses,
-    negate,
     var_of,
 )
 from .reduction import (
@@ -241,7 +240,7 @@ def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         nec = necessary_literals(state)
         if nec:
             lit, source = nec[0]
-            z, via = negate(lit), "necessary"
+            z, via = -lit, "necessary"
         else:
             # the open variables: those of the live clauses of two or more
             # literals; discard strips its variable from every such clause,

@@ -22,7 +22,6 @@ from x1scan.formula import (
     convert_special,
     failed_clauses,
     formula,
-    negate,
     var_of,
 )
 from x1scan.petri import Marking, Net
@@ -146,7 +145,7 @@ def reference_build_scope(state: SolverState, z_v: int) -> ReferenceBuilt | Earl
             return True
         e_set.add(lit)
         e_order.append(lit)
-        if negate(lit) in e_set:
+        if -lit in e_set:
             conflict_var = var_of(lit)
             return False
         return True
@@ -157,7 +156,7 @@ def reference_build_scope(state: SolverState, z_v: int) -> ReferenceBuilt | Earl
         for lit, _k in reduce_on_true(scratch, z_j):
             if not add(lit):
                 return EarlyConflict(conflict_var, tuple(e_order))
-        for lit, _k in reduce_on_false(scratch, negate(z_j)):
+        for lit, _k in reduce_on_false(scratch, -z_j):
             if not add(lit):
                 return EarlyConflict(conflict_var, tuple(e_order))
         pos += 1
@@ -313,7 +312,7 @@ def reprobe_scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
         nec = necessary_literals(state)
         if nec:
             lit, source = nec[0]
-            z, via = negate(lit), "necessary"
+            z, via = -lit, "necessary"
         else:
             zs = open_literals(state)
             if opts.order == "random":

@@ -34,9 +34,8 @@ from x1scan.formula import (
     var_of,
 )
 from x1scan.oracle import (
-    DiffParams,
     brute_force_sat,
-    differential_run,
+    differential_corpus,
     generate_campaign,
     generate_random,
     net_cross_check,
@@ -225,9 +224,7 @@ def test_7_monotone_incompatibility(criterion):
     violations = rechecks = 0
     for f in itertools.chain(
         [GOLDEN],
-        generate_campaign(
-            DiffParams(count=10_000, n_range=(2, 8), profiles=("mixed",), seed=0)
-        ),
+        generate_campaign(10_000, (2, 8), None, ("mixed",), 0),
     ):
         checked, found = replay_monotonicity(f, scan(f).trace["discards"])
         rechecks += checked
@@ -242,39 +239,37 @@ def test_7_monotone_incompatibility(criterion):
 
 def test_8_differential_campaign(criterion, tmp_path):
     t0 = time.perf_counter()
-    report = differential_run(
-        DiffParams(
-            count=10_000,
-            n_range=(2, 8),
-            profiles=("mixed",),
-            seed=0,
-            permutations=2,
-            no_timing=True,
-        )
+    report = differential_corpus(
+        generate_campaign(10_000, (2, 8), None, ("mixed",), 0),
+        permutations=2,
+        no_timing=True,
     )
     elapsed = time.perf_counter() - t0
     written = write_discrepancies(report, tmp_path / "discrepancies")
 
-    emitted_ok = len(written) == 2 * len(report.disagreements) and all(
+    disagreements, errors = report["disagreements"], report["errors"]
+    order = report["order_invariance"]
+    emitted_ok = len(written) == 2 * len(disagreements) and all(
         json.loads(p.read_text())["reproduce"].startswith("x1scan solve")
         for p in written
         if p.suffix == ".json"
     )
-    accounted = report.agreements + len(report.disagreements)
+    accounted = report["agreements"] + len(disagreements)
     ok = (
-        report.instance_count == 10_000
+        report["instance_count"] == 10_000
         and accounted == 10_000
-        and report.errors == []
+        and len(report["statuses"]) == 10_000
+        and errors == []
         and emitted_ok
         and elapsed < 300.0
     )
     criterion(
         "8 differential-campaign",
         ok,
-        f"10000 seeded instances (n 2..8, mixed): {report.agreements} verified "
-        f"agreements, {len(report.disagreements)} disagreements minimized+written, "
-        f"{len(report.errors)} errors, "
-        f"{report.order_invariance['invariant']}/{report.order_invariance['instances']} "
+        f"10000 seeded instances (n 2..8, mixed): {report['agreements']} verified "
+        f"agreements, {len(disagreements)} disagreements minimized+written, "
+        f"{len(errors)} errors, "
+        f"{order['invariant']}/{order['instances']} "
         f"order-invariant, {elapsed:.1f} s < 300 s",
     )
 

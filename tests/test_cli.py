@@ -425,6 +425,21 @@ def test_diff_json_deterministic_and_valid(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_diff_statuses_tell_campaigns_apart(capsys):
+    # every instance of both campaigns agrees with the oracle, so the counts
+    # alone print the same bytes for the two seeds; the verdicts differ
+    outs = []
+    for seed in ("3000", "11000"):
+        assert main(["diff", "--no-timing", "--count", "25", "--n-min", "2",
+                     "--n-max", "14", "--profiles", "mixed,uniform3,adversarial",
+                     "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    docs = [json.loads(out) for out in outs]
+    assert all(d["agreements"] == 25 and len(d["statuses"]) == 25 for d in docs)
+    assert outs[0] != outs[1]
+    assert docs[0]["statuses"] != docs[1]["statuses"]
+
+
 def test_diff_out_dir_created(tmp_path, capsys):
     out = tmp_path / "corpus"
     rc = main(["diff", "--count", "3", "--seed", "1", "--no-timing",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,6 @@ from x1scan.formula import (
     emit_x1cnf,
     failed_clauses,
     formula,
-    negate,
     parse_x1cnf,
     var_of,
 )
@@ -25,11 +26,9 @@ GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
 
 def test_negate_and_var():
-    assert negate(5) == -5
-    assert negate(-5) == 5
-    assert var_of(-7) == 7
-    with pytest.raises(FormulaError):
-        negate(0)
+    # negation is unary minus on the int encoding; a literal and its
+    # negation name the same variable
+    assert var_of(-7) == var_of(7) == 7
 
 
 def test_clause_validation():
@@ -145,6 +144,20 @@ def test_parse_errors_carry_line_numbers(text, line_no, needle):
         parse_x1cnf(text)
     assert exc.value.line_no == line_no
     assert needle in str(exc.value)
+
+
+def test_parse_refuses_a_long_clause_line_before_converting_it():
+    # one clause line of a million literals: the parser splits off no more
+    # than a clause can hold, so its peak stays near the size of the text
+    text = "p x1cnf 3 1\n" + "1 " * 1_000_000 + "0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"line 2: clause 1: .*\(want 1\.\.3\)"):
+            parse_x1cnf(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
 
 
 def literals(n):

@@ -108,7 +108,6 @@ def test_options_classes_are_found():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     fields = {name: _init_fields(cls) for name, (_, cls) in _options_classes(trees).items()}
     assert fields["ScanOptions"] == ["order", "seed", "trace_checks"]
-    assert "permutations" in fields["DiffParams"]
 
 
 def test_every_option_field_is_set_in_src():

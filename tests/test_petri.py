@@ -67,13 +67,16 @@ def reference_net() -> Net:
         post={t: frozenset(outs) for t, (_, outs) in flows.items()},
         level=level,
         sinks=frozenset({"p17"}),
-        initial=frozenset({"p1", "p2", "p3", "p11", "p12", "p13"}),
     )
 
 
 def test_reference_net_validates():
     net = reference_net()
-    assert sourceless_places(net) == net.initial
+    # the initial marking is derived, like Formula.special: the places no
+    # transition produces into, outside the fields, equality and repr
+    assert net.initial == sourceless_places(net)
+    assert net.initial == frozenset({"p1", "p2", "p3", "p11", "p12", "p13"})
+    assert "initial" not in Net._fields and "initial" not in repr(net)
 
 
 def test_reference_net_conflicts():
@@ -127,7 +130,6 @@ def test_safety_violation_detected():
         post={"t": frozenset({"s"}), "u": frozenset({"s"})},
         level={"a": 0, "b": 0, "t": 0, "u": 0},
         sinks=frozenset({"s"}),
-        initial=frozenset({"a", "b"}),
     )
     m = fire(net, net.initial, "t")
     with pytest.raises(SafetyViolationError, match="'s'"):
@@ -143,7 +145,6 @@ TINY_NET = dict(
     post={"t": frozenset({"s"})},
     level={"a": 0, "t": 0},
     sinks=frozenset({"s"}),
-    initial=frozenset({"a"}),
 )
 
 
@@ -153,7 +154,6 @@ TINY_NET = dict(
         (dict(sinks=frozenset({"t"})), "sinks must be places"),
         (dict(level={"a": 0, "t": 0, "s": 5}), "sink"),
         (dict(level={"a": 1, "t": 0}), "not at transition level"),
-        (dict(initial=frozenset()), "sourceless"),
         (dict(places=("a", "t", "s")), "overlap"),
     ],
 )
@@ -169,7 +169,6 @@ def test_net_validation(breakage, needle):
         (dict(pre={}), "pre/post must be keyed by exactly the transitions"),
         (dict(level={"t": 0}), "place a has no level and is not a sink"),
         (dict(level={"a": 1, "t": 0}), "t: input a not at transition level 0"),
-        (dict(initial=frozenset()), "initial marking must be exactly the sourceless places"),
     ],
 )
 def test_net_error_messages(breakage, message):
@@ -188,7 +187,6 @@ def test_same_level_output_rejected():
             post={"t": frozenset({"b"})},
             level={"a": 0, "b": 0, "t": 0},
             sinks=frozenset(),
-            initial=frozenset({"a"}),
         )
 
 
@@ -315,7 +313,6 @@ def test_token_stranded_on_a_level_without_transitions_is_unreachable():
         post={"t": frozenset({"q", "s"})},
         level={"a": 0, "q": 1, "t": 0},
         sinks=frozenset({"s"}),
-        initial=frozenset({"a"}),
     )
     assert not target_reachable(net)
     assert not search_reachable(net)

@@ -13,7 +13,7 @@ from helpers import (
     open_literals,
 )
 
-from x1scan.formula import failed_clauses, formula, negate, var_of
+from x1scan.formula import failed_clauses, formula, var_of
 from x1scan.reduction import (
     ReductionError,
     conflict_index,
@@ -263,7 +263,7 @@ def test_event_replay_reconstructs_state(f, rng):
         kind, k, lits = e["kind"], e["clause"], e["literals"]
         if kind == "conjunct_added":
             (lit,) = lits
-            if negate(lit) in conjuncts and conflict is None:
+            if -lit in conjuncts and conflict is None:
                 conflict = var_of(lit)
             if lit not in conjuncts:
                 conjuncts.add(lit)
@@ -277,7 +277,7 @@ def test_event_replay_reconstructs_state(f, rng):
             live[k].remove(z)
         elif kind == "literal_discarded":
             (z,) = lits
-            live_literals[var_of(z)] = (negate(z),)
+            live_literals[var_of(z)] = (-z,)
             rnd += 1
     replayed = (
         tuple(sorted((k, tuple(ls)) for k, ls in live.items())),
