@@ -1,4 +1,4 @@
-"""Command-line surface: solve | oracle | net | diff | bench.
+"""Command-line surface: solve | oracle | net | diff.
 
 Exit codes follow SAT-solver convention: 10 satisfiable, 20 unsatisfiable,
 30 claimed-but-unverified, 1 usage or parse error, 2 internal/budget error.
@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from math import inf, log
 from pathlib import Path
 
 from .formula import (
@@ -24,13 +23,11 @@ from .formula import (
     parse_x1cnf,
 )
 from .oracle import (
-    BRUTE_VAR_LIMIT,
     PROFILES,
     OracleBudgetError,
-    brute_force_sat,
     differential_corpus,
+    first_model,
     generate_campaign,
-    generate_random,
     write_discrepancies,
 )
 from .petri import (
@@ -66,16 +63,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(low: int, kind: type = int):
-    """argparse type: a finite ``kind`` value no smaller than ``low``."""
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
 
-    def parse(raw: str):
-        value = kind(raw)
-        if not low <= value < inf:
-            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {raw}")
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {raw}")
         return value
 
-    parse.__name__ = kind.__name__  # argparse names the type in its own errors
+    parse.__name__ = "int"  # argparse names the type in its own errors
     return parse
 
 
@@ -132,9 +129,10 @@ _FLAGS = {
     "--order": dict(choices=("fixed", "random"), default="fixed",
                     help="literal check order"),
     "--budget-states": dict(type=_at_least(1), default=None, metavar="N",
-                            help="reachability budget in search steps: one per choice "
-                                 "tried, one per marking met between two levels and one "
-                                 "per token in it (default: $X1SCAN_BUDGET or "
+                            help="search budget in steps, one per choice tried plus, for "
+                                 "net reachability, one per marking met between two levels "
+                                 "and one per token in it, or, for the oracle, one per "
+                                 "clause examined (default: $X1SCAN_BUDGET or "
                                  f"{DEFAULT_STATE_BUDGET})"),
     "--no-timing": dict(action="store_true", help="omit timing fields"),
 }
@@ -155,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("path", help="X-DIMACS file, or - for stdin")
     _add_common(solve, "--json", "--trace", "--seed", "--order", "--no-timing")
 
-    oracle = sub.add_parser("oracle", help="brute-force ground truth")
-    oracle.add_argument("path", help=f"X-DIMACS file (n <= {BRUTE_VAR_LIMIT})")
-    _add_common(oracle, "--json", "--no-timing")
+    oracle = sub.add_parser("oracle", help="exact-search ground truth")
+    oracle.add_argument("path", help="X-DIMACS file, or - for stdin")
+    _add_common(oracle, "--json", "--budget-states", "--no-timing")
 
     net = sub.add_parser("net", help="emit a Petri net construction")
     net.add_argument("path", help="X-DIMACS file, or - for stdin")
@@ -184,14 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--out", default=None, metavar="DIR",
                       help="write the discrepancy corpus here")
 
-    bench = sub.add_parser("bench", help="empirical scaling ladder")
-    _add_common(bench, "--seed", "--order")
-    bench.add_argument("--sizes", default="25,50,100,200,400",
-                       help="comma-separated n ladder")
-    bench.add_argument("--m-factor", type=_at_least(0, float), default=4,
-                       help="clauses per variable: m = round(factor * n)")
-    bench.add_argument("--repeats", type=_at_least(1), default=3)
-    bench.add_argument("--profile", default="uniform3", choices=PROFILES)
     return p
 
 
@@ -230,7 +220,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     f = _load_formula(args.path)
     t0 = time.perf_counter()
-    model = brute_force_sat(f)
+    model = first_model(f, _resolve_budget(args))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     status = "sat" if model is not None else "unsat"
@@ -320,46 +310,11 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import statistics  # only bench reads it; a cold solve never loads it
-
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes:
-        raise ValueError("empty size ladder")
-    seed = _resolve_seed(args)
-    opts = ScanOptions(order=args.order, seed=seed)
-    rows = []
-    for n in sizes:
-        try:
-            m = round(args.m_factor * n)
-        except OverflowError:
-            raise ValueError(f"--m-factor {args.m_factor} times n={n} clauses "
-                             "is out of range") from None
-        f = generate_random(n, m, seed=seed, profile=args.profile)
-        times = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            scan(f, opts)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        rows.append((n, m, statistics.median(times)))
-
-    print("n,m,median_ms")
-    for n, m, med in rows:
-        print(f"{n},{m},{med:.3f}")
-    if len(rows) >= 2:
-        reg = statistics.linear_regression(
-            [log(n) for n, _, _ in rows], [log(med) for _, _, med in rows]
-        )
-        print(f"# loglog_slope {reg.slope:.3f}")
-    return 0
-
-
 _COMMANDS = {
     "solve": cmd_solve,
     "oracle": cmd_oracle,
     "net": cmd_net,
     "diff": cmd_diff,
-    "bench": cmd_bench,
 }
 
 

@@ -179,6 +179,28 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield line_no, raw
 
 
+# the longest piece of an offending token an error message quotes
+QUOTE_LIMIT = 40
+
+
+def _quote(token: str) -> str:
+    """``token`` quoted for an error message, clipped to QUOTE_LIMIT characters."""
+    if len(token) > QUOTE_LIMIT:
+        return f"{token[:QUOTE_LIMIT]!r}... ({len(token)} characters)"
+    return repr(token)
+
+
+def _ints(parts: list[str], line_no: int, what: str) -> list[int]:
+    """The tokens as integers; a ParseError quoting the first that is not one."""
+    nums = []
+    for tok in parts:
+        try:
+            nums.append(int(tok))
+        except ValueError:
+            raise ParseError(line_no, f"{what}: {_quote(tok)}") from None
+    return nums
+
+
 def parse_x1cnf(text: str) -> Formula:
     """Parse X-DIMACS. Raises ParseError with the offending line number; a
     FormulaError of Clause or Formula is re-raised with its clause's line."""
@@ -186,13 +208,16 @@ def parse_x1cnf(text: str) -> Formula:
     clauses: list[Clause] = []
     for line_no, raw in _content_lines(text):
         if header is None:
-            parts = raw.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "x1cnf":
-                raise ParseError(line_no, f"malformed header: {raw!r}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(line_no, f"malformed header counts: {raw!r}") from None
+            parts = raw.split(None, 4)  # a header's four tokens, then any rest
+            if len(parts) != 4 or parts[:2] != ["p", "x1cnf"]:
+                wrong = [tok for tok, want in zip(parts, ("p", "x1cnf")) if tok != want]
+                if len(parts) > 4:
+                    wrong.append(parts[4].split(None, 1)[0])
+                got = _quote(wrong[0]) if wrong else "end of line"
+                raise ParseError(
+                    line_no, f"malformed header: want 'p x1cnf <vars> <clauses>', got {got}"
+                )
+            n, m = _ints(parts[2:], line_no, "malformed header counts")
             if n < 0 or m < 0:
                 raise ParseError(line_no, "header counts must be nonnegative")
             if n > MAX_VARS:
@@ -211,10 +236,7 @@ def parse_x1cnf(text: str) -> Formula:
                 f"clause {len(clauses) + 1}: more than {MAX_CLAUSE_LITERALS} literals "
                 f"(want 1..{MAX_CLAUSE_LITERALS})",
             )
-        try:
-            nums = [int(tok) for tok in parts]
-        except ValueError:
-            raise ParseError(line_no, f"non-integer token: {raw!r}") from None
+        nums = _ints(parts, line_no, "non-integer token")
         if nums[-1] != 0:
             raise ParseError(line_no, "clause line must end with 0")
         if len(nums) == 1:

@@ -1,16 +1,15 @@
 """Ground-truth oracles, instance generation, differential testing, and
 counterexample minimization.
 
-The brute-force enumerator is the reference semantics everything else is
-judged against. The differential harness runs the scan loop against it over
-seeded corpora, re-verifies every claimed model, cross-checks tiny instances
+The exact search is the ground truth everything else is judged against; it
+shares no code with the scan. The differential harness runs the scan loop
+against it over seeded corpora, re-verifies every claimed model, cross-checks tiny instances
 against both Petri-net constructions, measures order robustness, and shrinks
 any disagreement to a small reproducer.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from math import comb
@@ -19,37 +18,172 @@ from random import Random
 from typing import Iterable, Iterator
 
 from .formula import Formula, emit_x1cnf, formula
-from .petri import build_forward_net, build_inverse_net, target_reachable
+from .petri import DEFAULT_STATE_BUDGET, build_forward_net, build_inverse_net, target_reachable
 from .solver import ScanOptions, scan
-
-BRUTE_VAR_LIMIT = 24
 
 
 class OracleBudgetError(RuntimeError):
     pass
 
 
-def brute_force_sat(f: Formula) -> dict[int, bool] | None:
-    """First satisfying assignment in lexicographic order (all-false first),
-    or None. Exhaustive over 2^n, so guarded at n <= 24."""
-    if f.n_vars > BRUTE_VAR_LIMIT:
-        raise OracleBudgetError(f"n={f.n_vars} exceeds brute-force limit {BRUTE_VAR_LIMIT}")
-    rows = [c.lits for c in f.clauses]
-    for bits in itertools.product((False, True), repeat=f.n_vars):
-        ok = True
-        for lits in rows:
-            hits = 0
-            for l in lits:
-                if (l > 0) == bits[abs(l) - 1]:
-                    hits += 1
-                    if hits > 1:
-                        break
-            if hits != 1:
-                ok = False
-                break
-        if ok:
-            return {v: bits[v - 1] for v in range(1, f.n_vars + 1)}
-    return None
+class _Steps:
+    """A search budget: one step per choice tried and one per clause examined."""
+
+    def __init__(self, budget: int):
+        self.budget = self.left = budget
+
+    def spend(self, k: int) -> None:
+        self.left -= k
+        if self.left < 0:
+            raise OracleBudgetError(f"exact search spent its budget of {self.budget} steps")
+
+
+def _components(rows: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """The rows grouped into connected components by shared variables."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row in rows:
+        a = find(abs(row[0]))
+        for lit in row[1:]:
+            b = find(abs(lit))
+            if a != b:
+                parent[b] = a
+    comps: dict[int, list[tuple[int, ...]]] = {}
+    for row in rows:
+        comps.setdefault(find(abs(row[0])), []).append(row)
+    return list(comps.values())
+
+
+def _split(row: tuple[int, ...], val: dict[int, bool]) -> tuple[int, list[int]]:
+    """How many literals of ``row`` hold under ``val``, and its open ones."""
+    true, open_ = 0, []
+    for lit in row:
+        x = val.get(abs(lit))
+        if x is None:
+            open_.append(lit)
+        elif x == (lit > 0):
+            true += 1
+    return true, open_
+
+
+def _component_sat(rows: list[tuple[int, ...]], val: dict[int, bool], steps: _Steps) -> bool:
+    """Depth-first search over one component, its choices on an explicit
+    stack. On True, ``val`` holds a model of every variable the rows use."""
+    occ: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for lit in row:
+            occ.setdefault(abs(lit), []).append(i)
+    fresh: list[int] = []  # rows propagation left undecided with two open literals
+
+    def propagate(lits: list[int], trail: list[int]) -> bool:
+        """Make the literals true, then what exactly-one forces: a row with a
+        true literal makes its open ones false, a row with one open literal
+        and none true makes it true. False on a conflict; ``trail`` gets
+        every variable set."""
+        while lits:
+            lit = lits.pop()
+            v = abs(lit)
+            if v in val:
+                if val[v] != (lit > 0):
+                    return False
+                continue
+            val[v] = lit > 0
+            trail.append(v)
+            steps.spend(len(occ[v]))
+            for ci in occ[v]:
+                true, open_ = _split(rows[ci], val)
+                if true > 1 or (true == 0 and not open_):
+                    return False
+                if true == 1:
+                    lits += [-o for o in open_]
+                elif len(open_) == 1:
+                    lits.append(open_[0])
+                elif len(open_) == 2:
+                    fresh.append(ci)
+        return True
+
+    def pick() -> list[int] | None:
+        """The open literals of an undecided row with the fewest, or None if
+        every row holds. Propagation leaves none with fewer than two, so the
+        first row with two ends the look: those propagation saw go first."""
+        while fresh:
+            steps.spend(1)
+            true, open_ = _split(rows[fresh.pop()], val)
+            if true == 0 and len(open_) == 2:
+                return open_
+        best = None
+        for i, row in enumerate(rows):
+            true, open_ = _split(row, val)
+            if true == 0 and (best is None or len(open_) < len(best)):
+                best = open_
+                if len(best) == 2:
+                    break
+        steps.spend(i + 1)
+        return best
+
+    if not propagate([row[0] for row in rows if len(row) == 1], []):
+        return False
+    # a frame: a row's open literals, the next to try as its true one, and
+    # the variables the last try set
+    first = pick()
+    stack: list[list] = [] if first is None else [[first, 0, []]]
+    while stack:
+        frame = stack[-1]
+        options, k, trail = frame
+        for v in trail:
+            del val[v]
+        trail.clear()
+        if k == len(options):
+            stack.pop()
+            continue
+        frame[1] = k + 1
+        steps.spend(1)
+        if propagate([options[k]] + [-o for o in options if o != options[k]], trail):
+            options = pick()
+            if options is None:
+                return True
+            stack.append([options, 0, []])
+    return first is None
+
+
+def satisfiable(f: Formula) -> bool:
+    """Whether ``f`` has a model, by exact search: each connected component
+    is searched depth first, branching on an undecided clause with the
+    fewest open literals, with exactly-one propagation after every choice.
+    Raises OracleBudgetError after DEFAULT_STATE_BUDGET steps."""
+    steps = _Steps(DEFAULT_STATE_BUDGET)
+    return all(_component_sat(comp, {}, steps)
+               for comp in _components([c.lits for c in f.clauses]))
+
+
+def first_model(f: Formula, budget: int) -> dict[int, bool] | None:
+    """The first model in lexicographic order (all-false first), or None, by
+    self-reduction over :func:`satisfiable`'s search, component by component:
+    each variable in turn is fixed false if a model remains, else true; one
+    false in the model at hand needs no search. ``budget`` bounds it all."""
+    steps = _Steps(budget)
+    comps = _components([c.lits for c in f.clauses])
+    models: list[dict[int, bool]] = [{} for _ in comps]
+    if not all(_component_sat(comp, val, steps) for comp, val in zip(comps, models)):
+        return None
+    first: dict[int, bool] = {}
+    for comp, val in zip(comps, models):
+        for v in sorted(val):
+            if val[v]:
+                trial: dict[int, bool] = {}
+                if not _component_sat(comp + [(-v,)], trial, steps):
+                    comp.append((v,))
+                    continue
+                val = trial
+            comp.append((-v,))
+        first.update(val)
+    return {v: first.get(v, False) for v in range(1, f.n_vars + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +319,7 @@ def differential_corpus(
             t0 = time.perf_counter()
             v = scan(f, base)
             timings.append((time.perf_counter() - t0) * 1000.0)
-            oracle_sat = brute_force_sat(f) is not None
+            oracle_sat = satisfiable(f)
         except Exception as e:  # recorded, never fatal to the campaign
             errors.append({"instance_id": i, "error": f"{type(e).__name__}: {e}"})
             marks.append("e")
@@ -255,12 +389,11 @@ def generate_campaign(count: int, n_range: tuple[int, int], m_range: tuple[int, 
 def _same_class(rows: list[tuple[int, ...]], n_vars: int, opts: ScanOptions | None,
                 target: tuple[str, bool]) -> bool:
     """Whether the formula on ``rows`` has the class ``target``, a pair (scan
-    status, oracle satisfiable). The brute force runs only when the scan
+    status, oracle satisfiable). The exact search runs only when the scan
     status matches."""
     f = formula(n_vars, rows)
     status, oracle_sat = target
-    return (scan(f, opts).status == status
-            and (brute_force_sat(f) is not None) == oracle_sat)
+    return scan(f, opts).status == status and satisfiable(f) == oracle_sat
 
 
 def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Formula:
@@ -270,7 +403,7 @@ def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Form
     fixpoint. The result is clause-minimal under single drops."""
     rows = [tuple(c.lits) for c in f.clauses]
     start = formula(f.n_vars, rows)
-    target = (scan(start, opts).status, brute_force_sat(start) is not None)
+    target = (scan(start, opts).status, satisfiable(start))
     if _agrees(*target):
         raise ValueError("input is not a scan/oracle disagreement")
 

@@ -4,7 +4,8 @@ package's incompatibility check and XOR decision are compared against; the
 monotonicity audit, replayed from a scan's discards; the reference scan loop
 that probes every open literal on every pass; the reference special-clause
 rewrite; the token game and the reference reachability search that the
-package's net engine is compared against; the exhaustive formula corpora;
+package's net engine is compared against; the brute-force oracle that the
+package's exact search is compared against; the exhaustive formula corpora;
 and a structural checker for the shipped JSON schemas."""
 
 import itertools
@@ -465,6 +466,31 @@ def search_reachable(net: Net) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return False
+
+
+# --- reference oracle -----------------------------------------------------------
+
+
+def brute_force_sat(f: Formula) -> dict[int, bool] | None:
+    """First satisfying assignment in lexicographic order (all-false first),
+    or None, by enumerating all 2^n assignments: the reference the package's
+    exact search is compared against. Meant for small n."""
+    rows = [c.lits for c in f.clauses]
+    for bits in itertools.product((False, True), repeat=f.n_vars):
+        ok = True
+        for lits in rows:
+            hits = 0
+            for l in lits:
+                if (l > 0) == bits[abs(l) - 1]:
+                    hits += 1
+                    if hits > 1:
+                        break
+            if hits != 1:
+                ok = False
+                break
+        if ok:
+            return {v: bits[v - 1] for v in range(1, f.n_vars + 1)}
+    return None
 
 
 # --- exhaustive corpora -------------------------------------------------------

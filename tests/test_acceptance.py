@@ -16,6 +16,7 @@ from random import Random
 from statistics import linear_regression, median
 
 from helpers import (
+    brute_force_sat,
     exhaustive_general,
     exhaustive_special,
     play_token_game,
@@ -34,14 +35,14 @@ from x1scan.formula import (
     var_of,
 )
 from x1scan.oracle import (
-    brute_force_sat,
     differential_corpus,
     generate_campaign,
+    first_model,
     generate_random,
     net_cross_check,
     write_discrepancies,
 )
-from x1scan.petri import build_inverse_net, target_reachable
+from x1scan.petri import DEFAULT_STATE_BUDGET, build_inverse_net, target_reachable
 from x1scan.reduction import init_state
 from x1scan.scope import (
     Built,
@@ -393,9 +394,13 @@ COUNTEREXAMPLE = formula(21, [
 
 def test_11_fixpoint_does_not_prove_satisfiability(criterion):
     # the scan's first pass finds no incompatible literal, so the procedure
-    # claims satisfiability; the completion rule's pick then dead-ends. Brute
-    # force and the inverse net's reachability both show the formula unsat.
+    # claims satisfiability; the completion rule's pick then dead-ends. The
+    # package's exact search, the brute-force reference and the inverse net's
+    # reachability all show the formula unsat.
     v = scan(COUNTEREXAMPLE)
+    t0 = time.perf_counter()
+    exact = first_model(COUNTEREXAMPLE, DEFAULT_STATE_BUDGET)
+    t_exact = time.perf_counter() - t0
     t0 = time.perf_counter()
     model = brute_force_sat(COUNTEREXAMPLE)
     t_brute = time.perf_counter() - t0
@@ -406,6 +411,8 @@ def test_11_fixpoint_does_not_prove_satisfiability(criterion):
     ok = (
         v.status == "claimed_sat_unverified"
         and picks == [{"var": 1, "picked": 1}]
+        and exact is None
+        and t_exact < 1.0
         and model is None
         and not reachable
     )
@@ -413,6 +420,7 @@ def test_11_fixpoint_does_not_prove_satisfiability(criterion):
         "11 fixpoint-not-proof",
         ok,
         f"13 clauses (n=21): scan {v.status} after completion picks "
-        f"{[p['var'] for p in picks]}; brute force unsat in {t_brute:.1f} s; "
+        f"{[p['var'] for p in picks]}; exact search unsat in {t_exact * 1000:.1f} ms "
+        f"< 1 s; brute force unsat in {t_brute:.1f} s; "
         f"inverse-net target unreachable in {t_reach:.1f} s (budget 20,000,000)",
     )

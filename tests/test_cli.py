@@ -9,9 +9,12 @@ import time
 import pytest
 
 from helpers import load_schema, validate
+from test_acceptance import COUNTEREXAMPLE
 from test_formula import MALFORMED
 
 from x1scan.cli import EXIT_INTERNAL, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
+from x1scan.formula import emit_x1cnf
+from x1scan.oracle import generate_random
 
 GOLDEN = "p x1cnf 3 3\n1 -3 0\n1 -2 3 0\n2 -3 0\n"
 
@@ -148,7 +151,7 @@ def test_diff_out_onto_an_existing_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["oracle", "FILE", "--order", "random"],
     ["diff", "--json"],
-    ["bench", "--no-timing"],
+    ["diff", "--budget-states", "5"],
     ["net", "FILE", "--seed", "1"],
 ])
 def test_subcommand_rejects_a_common_flag_it_never_reads(golden_path, capsys, argv):
@@ -180,11 +183,32 @@ def test_oracle_unsat_pair(tmp_path, capsys):
     assert main(["oracle", path]) == EXIT_UNSAT
 
 
-def test_oracle_budget_guard(tmp_path, capsys):
+def test_oracle_budget_guard(tmp_path, capsys, monkeypatch):
+    # the search stops when it has spent its budget, whatever n is
+    path = write_cnf(tmp_path, "php.cnf", emit_x1cnf(COUNTEREXAMPLE))
+    assert main(["oracle", path]) == EXIT_UNSAT
+    capsys.readouterr()
+    assert main(["oracle", path, "--budget-states", "5"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exact search spent its budget of 5 steps\n"
+    monkeypatch.setenv("X1SCAN_BUDGET", "5")
+    assert main(["oracle", path]) == EXIT_INTERNAL
+
+
+def test_oracle_decides_past_thirty_variables(tmp_path, capsys):
     path = write_cnf(tmp_path, "wide.cnf", "p x1cnf 30 1\n1 2 3 0\n")
-    rc = main(["oracle", path])
-    assert rc == EXIT_INTERNAL
-    assert "error:" in capsys.readouterr().err
+    assert main(["oracle", path]) == EXIT_SAT
+    assert capsys.readouterr().out.splitlines()[-1] == "v " + " ".join(
+        str(-v) if v != 3 else "3" for v in range(1, 31)) + " 0"
+
+
+def test_oracle_on_a_large_instance_ends_without_a_traceback(tmp_path):
+    path = write_cnf(tmp_path, "big.cnf", emit_x1cnf(generate_random(1000, 4000, 0)))
+    proc, elapsed = run_cli(["oracle", path], timeout=60)
+    assert proc.returncode in (EXIT_UNSAT, EXIT_INTERNAL)
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 10.0
 
 
 def test_oracle_json_validates(golden_path, capsys):
@@ -343,10 +367,10 @@ def exit_code(argv) -> int:
     ["net", "FILE", "--check-reach", "--budget-states", "-5"],
     ["diff", "--permutations", "0", "--count", "-1"],
     ["diff", "--count", "1", "--permutations", "-1"],
-    ["bench", "--sizes", "4", "--repeats", "0"],
-    ["bench", "--sizes", "4", "--repeats", "-2"],
-    ["bench", "--sizes", "4", "--m-factor", "-1"],
-    ["bench", "--sizes", "4", "--m-factor", "inf"],
+    ["oracle", "FILE", "--budget-states", "0"],
+    ["oracle", "FILE", "--budget-states", "-5"],
+    ["oracle", "FILE", "--budget-states", "inf"],
+    ["diff", "--count", "1", "--permutations", "inf"],
 ])
 def test_numeric_flag_out_of_range_is_a_usage_error(golden_path, capsys, argv):
     argv = [golden_path if a == "FILE" else a for a in argv]
@@ -456,32 +480,6 @@ def test_diff_m_range_must_be_paired(capsys):
     assert "--m-min and --m-max" in capsys.readouterr().err
 
 
-# --- bench -----------------------------------------------------------------------
-
-
-def test_bench_csv_shape(capsys):
-    rc = main(["bench", "--sizes", "4,6", "--m-factor", "2", "--repeats", "1",
-               "--seed", "0"])
-    lines = capsys.readouterr().out.splitlines()
-    assert rc == 0
-    assert lines[0] == "n,m,median_ms"
-    assert lines[1].startswith("4,8,")
-    assert lines[2].startswith("6,12,")
-    assert lines[3].startswith("# loglog_slope ")
-
-
-def test_bench_takes_a_fractional_m_factor(capsys):
-    rc = main(["bench", "--sizes", "50,100", "--m-factor", "0.3", "--repeats", "1"])
-    lines = capsys.readouterr().out.splitlines()
-    assert rc == 0
-    assert lines[1].startswith("50,15,")
-    assert lines[2].startswith("100,30,")
-
-
-def test_bench_rejects_empty_ladder(capsys):
-    assert main(["bench", "--sizes", ","]) == EXIT_USAGE
-
-
 # --- hostile input ----------------------------------------------------------------
 
 
@@ -500,6 +498,19 @@ SPECIAL_16000 = "p x1cnf 32000 16000\n" + "".join(
 )
 
 
+@pytest.mark.parametrize("text,line_no", [
+    ("p x1cnf 3 1\n1 2 " + "x" * 5_000_000 + " 0\n", 2),
+    ("p x1cnf 3 " + "y" * 5_000_000 + "\n", 1),
+    ("p x1cnf 3 1 " + "z " * 2_500_000 + "\n", 1),
+], ids=["clause-token", "header-count", "header-tail"])
+def test_a_huge_token_gets_a_short_error(tmp_path, capsys, text, line_no):
+    # the message quotes the offending token, clipped, never the whole line
+    rc = main(["solve", write_cnf(tmp_path, "huge.cnf", text)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith(f"error: line {line_no}: ") and len(err) < 200
+
+
 @pytest.mark.parametrize("text", [UNITS_20000, SPECIAL_16000], ids=["units", "special"])
 def test_unit_and_special_heavy_input_solves_in_linear_time(tmp_path, text):
     path = write_cnf(tmp_path, "hostile.cnf", text)
@@ -510,10 +521,12 @@ def test_unit_and_special_heavy_input_solves_in_linear_time(tmp_path, text):
 
 
 @pytest.mark.parametrize("argv", [
-    ["bench", "--sizes", "25", "--m-factor", "1e4"],
+    ["diff", "--count", "1", "--n-min", "3", "--n-max", "3", "--m-min", "9",
+     "--m-max", "9", "--profiles", "uniform3", "--permutations", "0"],
     ["diff", "--count", "1", "--n-min", "8", "--n-max", "8", "--m-min", "100000",
      "--m-max", "100000", "--permutations", "0"],
-    ["bench", "--sizes", "25", "--m-factor", "1e308"],
+    ["diff", "--count", "1", "--n-min", "1", "--n-max", "1", "--m-min", "3",
+     "--m-max", "3", "--permutations", "0"],
 ])
 def test_impossible_generator_request_exits_at_once(argv):
     proc, elapsed = run_cli(argv, timeout=30)

@@ -2,28 +2,33 @@
 
 import json
 import math
+import sys
 
 import pytest
 
 from helpers import (
+    brute_force_sat,
     exhaustive_general,
     exhaustive_special,
     general_clause_types,
     special_clause_types,
 )
+from test_acceptance import COUNTEREXAMPLE
 
 from x1scan import oracle
 from x1scan.formula import formula, parse_x1cnf
 from x1scan.oracle import (
     OracleBudgetError,
-    brute_force_sat,
     differential_corpus,
+    first_model,
     generate_campaign,
     generate_random,
     minimize_counterexample,
     net_cross_check,
+    satisfiable,
     write_discrepancies,
 )
+from x1scan.petri import DEFAULT_STATE_BUDGET
 from x1scan.solver import Verdict
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
@@ -43,9 +48,52 @@ class TestBruteForce:
         # all-false fails here; the first model flips the last variable
         assert brute_force_sat(formula(2, [[1, 2]])) == {1: False, 2: True}
 
-    def test_budget_guard(self):
-        with pytest.raises(OracleBudgetError):
-            brute_force_sat(formula(25, [[1]]))
+
+def same_as_brute_force(f) -> bool:
+    """The exact search's verdict and first model both match brute force's."""
+    model = brute_force_sat(f)
+    return (first_model(f, DEFAULT_STATE_BUDGET) == model
+            and satisfiable(f) == (model is not None))
+
+
+class TestExactSearch:
+    def test_budget_guard(self, monkeypatch):
+        # the search proves the formula unsat in 235 steps
+        assert first_model(COUNTEREXAMPLE, 235) is None
+        with pytest.raises(OracleBudgetError, match="budget of 234 steps"):
+            first_model(COUNTEREXAMPLE, 234)
+        monkeypatch.setattr(oracle, "DEFAULT_STATE_BUDGET", 234)
+        with pytest.raises(OracleBudgetError, match="budget of 234 steps"):
+            satisfiable(COUNTEREXAMPLE)
+
+    def test_matches_brute_force_on_the_exhaustive_corpora(self):
+        corpus = [f for n in (1, 2, 3) for f in exhaustive_general(n, 4)]
+        corpus += exhaustive_special(4, 2)
+        assert len(corpus) == 27912 + 2226
+        assert [f for f in corpus if not same_as_brute_force(f)] == []
+
+    @pytest.mark.parametrize("profile", ["mixed", "uniform3", "adversarial"])
+    def test_matches_brute_force_on_seeded_instances(self, profile):
+        corpus = list(generate_campaign(15, (3, 20), None, (profile,), 16))
+        assert max(f.n_vars for f in corpus) == 20
+        assert {satisfiable(f) for f in corpus} == {False, True}
+        assert [f for f in corpus if not same_as_brute_force(f)] == []
+
+    def test_free_variables_read_false(self):
+        assert first_model(formula(4, [[-3]]), 10) == {v: False for v in range(1, 5)}
+        assert first_model(formula(3, []), 10) == {1: False, 2: False, 3: False}
+
+    def test_components_are_decided_apart(self):
+        # a satisfiable block next to an unsatisfiable pair on other variables
+        f = formula(6, [[1, 2, 3], [-1, 2], [5, 6], [5, -6]])
+        assert not satisfiable(f) and first_model(f, DEFAULT_STATE_BUDGET) is None
+
+    def test_deep_search_does_not_recurse(self):
+        # a chain of clauses, each sharing a variable with the next, twice as
+        # long as the interpreter's recursion limit: no frame per choice
+        k = 2 * sys.getrecursionlimit()
+        chain = formula(2 * k + 1, [[2 * i + 1, 2 * i + 2, 2 * i + 3] for i in range(k)])
+        assert satisfiable(chain)
 
 
 class TestGenerator:
@@ -176,6 +224,15 @@ class TestDifferential:
         assert all(2 <= f.n_vars <= 8 for f in fs)
         assert all(1 <= f.n_clauses <= 2 * f.n_vars for f in fs)
 
+    def test_a_spent_oracle_budget_is_an_error_entry(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_STATE_BUDGET", 100)
+        r = differential_corpus([GOLDEN, COUNTEREXAMPLE], permutations=0)
+        assert r["statuses"] == "se"
+        assert r["errors"] == [{
+            "instance_id": 1,
+            "error": "OracleBudgetError: exact search spent its budget of 100 steps",
+        }]
+
     def test_net_problems_do_not_cancel_the_scan_count(self, monkeypatch):
         monkeypatch.setattr(
             "x1scan.oracle.net_cross_check",
@@ -218,8 +275,9 @@ class TestMinimizer:
     def test_brute_force_only_when_the_scan_status_matches(
         self, monkeypatch, ignore_incompatible
     ):
+        # the exact search, which took over from brute force, runs only then
         statuses, brute_calls = [], []
-        real_scan, real_brute = oracle.scan, oracle.brute_force_sat
+        real_scan, real_brute = oracle.scan, oracle.satisfiable
 
         def scan(f, opts=None):
             v = real_scan(f, opts)
@@ -231,7 +289,7 @@ class TestMinimizer:
             return real_brute(f)
 
         monkeypatch.setattr(oracle, "scan", scan)
-        monkeypatch.setattr(oracle, "brute_force_sat", brute)
+        monkeypatch.setattr(oracle, "satisfiable", brute)
         small = minimize_counterexample(formula(5, [[3, 4, 5], [1, 2], [1, -2]]))
         assert [c.lits for c in small.clauses] == [(1, 2), (1, -2)]
         # the input's status comes first; a shrink with another is rejected unsolved

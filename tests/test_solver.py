@@ -1,6 +1,5 @@
 """End-to-end scan loop tests: frozen golden traces plus safety properties."""
 
-import itertools
 import json
 
 import pytest
@@ -36,14 +35,6 @@ GOLDEN_EVENTS = [
     {"round": 2, "kind": "literal_discarded", "clause": None, "literals": [3]},
     {"round": 3, "kind": "literal_discarded", "clause": None, "literals": [2]},
 ]
-
-
-def brute_sat(f):
-    for bits in itertools.product([False, True], repeat=f.n_vars):
-        a = {v: bits[v - 1] for v in range(1, f.n_vars + 1)}
-        if all(sum(1 for l in c.lits if (l > 0) == a[abs(l)]) == 1 for c in f.clauses):
-            return a
-    return None
 
 
 class TestGoldenRun:
