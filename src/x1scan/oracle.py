@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .formula import Formula, emit_x1cnf, formula
 from .petri import DEFAULT_STATE_BUDGET, build_forward_net, build_inverse_net, target_reachable
-from .solver import ScanOptions, scan
+from .solver import ScanOptions, scan, scans
 
 
 class OracleBudgetError(RuntimeError):
@@ -302,6 +302,11 @@ def differential_corpus(
     minimized. Instances with n <= 3, m <= 4 and no both-polarity clause are
     additionally cross-checked against both net constructions.
 
+    Each instance is scanned in ``opts``'s order and in ``permutations``
+    seeded random orders, all as one group (``solver.scans``); an instance
+    is order-invariant when every random order gives ``opts``'s status, and
+    ``timing_ms`` times the group.
+
     ``statuses`` has one character per instance, in corpus order: the scan
     status (``s`` sat, ``u`` unsat, ``c`` claimed_sat_unverified), or ``e``
     where the scan or the oracle raised."""
@@ -314,10 +319,13 @@ def differential_corpus(
     varied: list[int] = []
     agreements = 0
 
+    # the random orders keep no scope dumps: only their statuses are read
+    orders = [base] + [ScanOptions(order="random", seed=k) for k in range(permutations)]
+
     for i, f in enumerate(corpus):
         try:
             t0 = time.perf_counter()
-            v = scan(f, base)
+            v, *others = scans(f, orders)
             timings.append((time.perf_counter() - t0) * 1000.0)
             oracle_sat = satisfiable(f)
         except Exception as e:  # recorded, never fatal to the campaign
@@ -330,13 +338,8 @@ def differential_corpus(
             for problem in net_cross_check(f, oracle_sat):
                 errors.append({"instance_id": i, "error": problem})
 
-        if permutations > 0:
-            statuses = {
-                scan(f, ScanOptions(order="random", seed=k,
-                                    trace_checks=base.trace_checks)).status
-                for k in range(permutations)
-            }
-            if statuses == {v.status}:
+        if others:
+            if {o.status for o in others} == {v.status}:
                 invariant += 1
             elif len(varied) < 20:
                 varied.append(i)

@@ -55,6 +55,20 @@ class SolverState(Record):
         self.n_conflict = n_conflict  # var with both polarities in N, once seen
         self.events = [] if events is None else events
 
+    def copy(self) -> SolverState:
+        """An independent copy: discards on either leave the other as it was."""
+        return SolverState(
+            base=self.base,
+            live={k: list(ls) for k, ls in self.live.items()},
+            occurrence={lit: list(ids) for lit, ids in self.occurrence.items()},
+            live_literals=dict(self.live_literals),
+            conjuncts=set(self.conjuncts),
+            pending=OrderedDict(self.pending),
+            scan_round=self.scan_round,
+            n_conflict=self.n_conflict,
+            events=list(self.events),
+        )
+
     def log(self, kind: str, clause: int | None, literals: list[int]) -> None:
         self.events.append(
             {"round": self.scan_round, "kind": kind, "clause": clause,

@@ -21,6 +21,10 @@ no open variable left, the model is read off the state. Every completion pick
 taints the run: from then on a contradiction no longer proves
 unsatisfiability and is reported as claimed_sat_unverified instead.
 
+``scans`` runs several check orders of one formula as one walk: orders that
+have discarded the same literals share the state and each pass's probes, and
+the state is copied only where they part. ``scan`` is a group of one order.
+
 Verdict statuses:
 
 * sat                     - assignment produced and verified clause by clause;
@@ -70,7 +74,7 @@ class ScanOptions(Record):
                  trace_checks: bool = False) -> None:
         self.order = order  # "fixed" | "random" (seeded shuffle of the check list)
         self.seed = seed
-        self.trace_checks = trace_checks  # keep a scope dump per probe that runs
+        self.trace_checks = trace_checks  # keep a scope dump per probe the order reads
 
 
 class Verdict(Record):
@@ -141,6 +145,17 @@ class CarriedVerdicts:
         self.by_consumed: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         self.read = 0  # events of the state's log that begin_pass has read
 
+    def copy(self) -> CarriedVerdicts:
+        """An independent copy, for a copy of the state it was read from."""
+        c = CarriedVerdicts()
+        c.kept = dict(self.kept)
+        c.serial = self.serial
+        for mine, theirs in ((self.by_clause, c.by_clause), (self.by_literal, c.by_literal),
+                             (self.by_consumed, c.by_consumed)):
+            theirs.update((k, list(entries)) for k, entries in mine.items())
+        c.read = self.read
+        return c
+
     def _drop(self, entries: list[tuple[int, int]]) -> None:
         kept = self.kept
         for z, serial in entries:
@@ -194,94 +209,165 @@ class CarriedVerdicts:
         return self.kept.keys()
 
 
-def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
-    opts = opts or ScanOptions()
-    trace: dict = {
-        "conversion": None,
-        "events": [],
-        "discards": [],
-        "scopes": [],
-        "completion": [],
-    }
+class _Order:
+    """One check order's own part of a group scan (see ``scans``): its
+    shuffle, its taint, its trace and, once it ends, its verdict."""
 
+    def __init__(self, opts: ScanOptions) -> None:
+        self.opts = opts
+        # a fixed order draws nothing, so it seeds no generator
+        self.rng = random.Random(opts.seed) if opts.order == "random" else None
+        self.tainted = False
+        self.trace: dict = {
+            "conversion": None,
+            "events": [],
+            "discards": [],
+            "scopes": [],
+            "completion": [],
+        }
+        self.verdict: Verdict | None = None
+
+    def end(self, f: Formula, state: SolverState, status: str,
+            assignment: dict[int, bool] | None = None, verification: dict | None = None) -> None:
+        self.trace["events"] = list(state.events)
+        assert state.scan_round <= f.n_vars + 1, "more discards than variables"
+        self.verdict = Verdict(status, assignment, state.scan_round, self.trace, verification)
+
+    def end_sat(self, f: Formula, state: SolverState, assignment: dict[int, bool]) -> None:
+        failed = failed_clauses(f, assignment)
+        self.end(f, state, "claimed_sat_unverified" if failed else "sat", assignment,
+                 {"passed": not failed, "failed": failed})
+
+    def log_discard(self, state: SolverState, z: int, via: str, source: int | None) -> None:
+        self.trace["discards"].append(
+            {"round": state.scan_round, "literal": z, "via": via, "source_clause": source}
+        )
+
+
+def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
+    """Scan ``f`` in one check order (default: fixed)."""
+    return scans(f, [opts or ScanOptions()])[0]
+
+
+def scans(f: Formula, orders: list[ScanOptions]) -> list[Verdict]:
+    """Scan ``f`` once per check order, all of them in one depth-first walk.
+    The verdicts come in the order of ``orders``, each the one its order
+    gives alone; only the scope dumps can differ (see ``_pass``).
+
+    Orders that have discarded the same literals form a group: they share one
+    state and its carried verdicts, and each pass probes a literal at most
+    once for the whole group. Where the orders of a group discard different
+    literals, it splits, and each new group but the first goes on from a copy
+    of the state."""
+    runs = [_Order(o) for o in orders]
     try:
         conv = convert_special(f)
     except ConversionUnsat as e:
-        trace["conversion"] = {
+        conv, conversion = None, {
             "forced": [], "removed_clauses": [], "contradiction_var": e.var
         }
-        return Verdict("unsat", None, 0, trace, None)
-    if conv.removed_clauses:  # the input was special
-        trace["conversion"] = {
+    else:
+        conversion = None if not conv.removed_clauses else {  # the input was special
             "forced": list(conv.forced),
             "removed_clauses": list(conv.removed_clauses),
             "contradiction_var": None,
         }
+    for run in runs:
+        run.trace["conversion"] = conversion
+    if conv is None:
+        return [Verdict("unsat", None, 0, run.trace, None) for run in runs]
 
-    state = init_state(conv.formula)
-    rng = random.Random(opts.seed)
-    tainted = False
-    carried = CarriedVerdicts()
+    # a group: its state, its carried verdicts, its orders and the literal
+    # they discard next (None before the first pass)
+    groups = [(init_state(conv.formula), CarriedVerdicts(), runs, None)]
+    while groups:
+        state, carried, group, z = groups.pop()
+        # every pass ends an order or discards a literal of an open variable,
+        # and the discard settles it: at most n discards (end() asserts it),
+        # n + 1 passes
+        while group:
+            if z is not None and discard(state, z) is not None:
+                for run in group:
+                    run.end(f, state, "claimed_sat_unverified" if run.tainted else "unsat")
+                break
+            picks = _pass(f, state, carried, group)
+            if not picks:
+                break
+            (z, group), *rest = picks.items()
+            groups += [(state.copy(), carried.copy(), g, lit) for lit, g in rest]
+    return [run.verdict for run in runs]
 
-    def verdict(status: str, assignment: dict[int, bool] | None,
-                verification: dict | None) -> Verdict:
-        trace["events"] = list(state.events)
-        assert state.scan_round <= f.n_vars + 1, "more discards than variables"
-        return Verdict(status, assignment, state.scan_round, trace, verification)
 
-    def finish_sat(assignment: dict[int, bool]) -> Verdict:
-        failed = failed_clauses(f, assignment)
-        status = "claimed_sat_unverified" if failed else "sat"
-        return verdict(status, assignment, {"passed": not failed, "failed": failed})
+def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
+          group: list[_Order]) -> dict[int, list[_Order]]:
+    """One pass for the orders of ``group``, which share ``state``: ends each
+    order the pass decides, and returns for the others each literal to
+    discard next with the orders that discard it, first picks first.
 
-    # every pass returns or discards a literal of an open variable, and the
-    # discard settles it: at most n discards (verdict() asserts it), n + 1 passes
-    while True:
-        nec = necessary_literals(state)
-        if nec:
-            lit, source = nec[0]
-            z, via = -lit, "necessary"
-        else:
-            # the open variables: those of the live clauses of two or more
-            # literals; discard strips its variable from every such clause,
-            # so each of them has both polarities eligible
-            open_vars = sorted({var_of(l) for ls in state.live.values()
-                                if len(ls) >= 2 for l in ls})
-            if not open_vars:
-                assert state.n_conflict is None, "unreported conjunct contradiction"
-                return finish_sat(extract_assignment(state))
-            zs = [z for v in open_vars for z in (v, -v)]
-            if opts.order == "random":
-                rng.shuffle(zs)
-
-            res = None
-            index = PairIndex(state)  # one per pass, shared by its probes
-            held = carried.begin_pass(state, index)
-            for z in zs:
+    A probing pass probes a literal once for the group; each order then reads
+    the probes in its own order, up to the first decisive one. An order's
+    scope dumps list the probes it read, so a literal that the group's
+    carried verdicts hold, where alone the order would have probed it, has
+    no entry."""
+    nec = necessary_literals(state)
+    if nec:
+        lit, source = nec[0]
+        for run in group:
+            run.log_discard(state, -lit, "necessary", source)
+        return {-lit: group}
+    # the open variables: those of the live clauses of two or more literals;
+    # discard strips its variable from every such clause, so each of them has
+    # both polarities eligible
+    open_vars = sorted({var_of(l) for ls in state.live.values() if len(ls) >= 2 for l in ls})
+    if not open_vars:
+        assert state.n_conflict is None, "unreported conjunct contradiction"
+        for run in group:
+            run.end_sat(f, state, extract_assignment(state))
+        return {}
+    zs = [z for v in open_vars for z in (v, -v)]
+    index = PairIndex(state)  # one per pass, shared by its probes
+    held = carried.begin_pass(state, index)
+    dumps = any(run.opts.trace_checks for run in group)
+    # literal -> (its verdict, None for not_yet, and its scope dump if any
+    # order keeps them); a not_yet keeps no scope alive past its probe
+    probed: dict[int, tuple] = {}
+    picks: dict[int, list[_Order]] = {}
+    for run in group:
+        order = zs
+        if run.rng is not None:
+            order = zs.copy()
+            run.rng.shuffle(order)
+        res = None
+        for z in order:
+            hit = probed.get(z)
+            if hit is None:
                 if z in held:
                     continue
                 res = incompatible(state, z, index)
-                if opts.trace_checks:
-                    trace["scopes"].append(scope_as_dict(res.built, z, _check_name(res)))
-                if not isinstance(res, NotYet):
-                    break
-                carried.note(res, index)
+                dump = scope_as_dict(res.built, z, _check_name(res)) if dumps else None
+                if isinstance(res, NotYet):
+                    carried.note(res, index)
+                    res = None
+                hit = probed[z] = (res, dump)
+            res, dump = hit
+            if run.opts.trace_checks:
+                run.trace["scopes"].append(dump)
+            if res is not None:
+                break
 
-            if isinstance(res, CoversSatisfiable):
-                return finish_sat(extract_assignment(state, base=res.model))
-            if isinstance(res, Incompatible):  # the probe loop stopped at z
-                via, source = "incompatible", None
-            else:
-                v = open_vars[0]
-                tainted = True
-                trace["completion"].append({"var": v, "picked": v})
-                z, via, source = -v, "completion", None
-
-        trace["discards"].append(
-            {"round": state.scan_round, "literal": z, "via": via, "source_clause": source}
-        )
-        if discard(state, z) is not None:
-            return verdict("claimed_sat_unverified" if tainted else "unsat", None, None)
+        if isinstance(res, CoversSatisfiable):
+            run.end_sat(f, state, extract_assignment(state, base=res.model))
+            continue
+        if isinstance(res, Incompatible):  # the order stopped at z
+            via = "incompatible"
+        else:
+            v = open_vars[0]
+            run.tainted = True
+            run.trace["completion"].append({"var": v, "picked": v})
+            z, via = -v, "completion"
+        run.log_discard(state, z, via, None)
+        picks.setdefault(z, []).append(run)
+    return picks
 
 
 def _check_name(res) -> str:

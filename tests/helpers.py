@@ -112,21 +112,6 @@ def full_fingerprint(state: SolverState) -> tuple:
 # --- reference probe: expansion on a full copy, XOR decision over every pair ----
 
 
-def clone(state: SolverState) -> SolverState:
-    """Independent copy; scratch mutations never touch the original."""
-    return SolverState(
-        base=state.base,
-        live={k: list(ls) for k, ls in state.live.items()},
-        occurrence={lit: list(ids) for lit, ids in state.occurrence.items()},
-        live_literals=dict(state.live_literals),
-        conjuncts=set(state.conjuncts),
-        pending=dict(state.pending),
-        scan_round=state.scan_round,
-        n_conflict=state.n_conflict,
-        events=list(state.events),
-    )
-
-
 @dataclass(frozen=True)
 class ReferenceBuilt:
     scope: ScopeFormula
@@ -135,7 +120,7 @@ class ReferenceBuilt:
 
 def reference_build_scope(state: SolverState, z_v: int) -> ReferenceBuilt | EarlyConflict:
     """Scope expansion run by the reduction engine itself on a scratch copy."""
-    scratch = clone(state)
+    scratch = state.copy()
     e_order: list[int] = [z_v]
     e_set: set[int] = {z_v}
     conflict_var: int | None = None

@@ -1,5 +1,6 @@
 """Exit codes, output contracts, and schema validity of the x1scan CLI."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -462,6 +463,23 @@ def test_diff_statuses_tell_campaigns_apart(capsys):
     assert all(d["agreements"] == 25 and len(d["statuses"]) == 25 for d in docs)
     assert outs[0] != outs[1]
     assert docs[0]["statuses"] != docs[1]["statuses"]
+
+
+# sha256 of the benchmark's campaign batch report, per seed; the same bytes on
+# Python 3.10 to 3.13
+CAMPAIGN_REPORT_SHA256 = {
+    0: "0e1c035ae593a3dfad73e145f05b62c9005015d8bb19cd9b8e542d56d03c6707",
+    1: "8f319ac7959ad90965ce4866591e8ec25c0a34b9e318815b4d435ceba2684609",
+    2: "789f721dc351c7ac8c7bd205defa0f5be705411c32163684a4e32d1f341974a5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CAMPAIGN_REPORT_SHA256))
+def test_diff_campaign_report_is_pinned(seed, capsys):
+    assert main(["diff", "--no-timing", "--count", "25", "--n-min", "2", "--n-max", "14",
+                 "--profiles", "mixed,uniform3,adversarial", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CAMPAIGN_REPORT_SHA256[seed]
 
 
 def test_diff_out_dir_created(tmp_path, capsys):

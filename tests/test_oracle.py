@@ -29,7 +29,7 @@ from x1scan.oracle import (
     write_discrepancies,
 )
 from x1scan.petri import DEFAULT_STATE_BUDGET
-from x1scan.solver import Verdict
+from x1scan.solver import ScanOptions, Verdict
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -217,6 +217,21 @@ class TestDifferential:
             return json.dumps(report, sort_keys=True)
 
         assert run() == run()
+
+    def test_orders_run_as_one_group_and_only_the_base_keeps_dumps(self, monkeypatch):
+        groups = []
+        real = oracle.scans
+
+        def recorded(f, orders):
+            groups.append(orders)
+            return real(f, orders)
+
+        monkeypatch.setattr(oracle, "scans", recorded)
+        base = ScanOptions(order="random", seed=4, trace_checks=True)
+        differential_corpus([GOLDEN, GOLDEN], base, permutations=3)
+        assert len(groups) == 2
+        assert groups[0] == [base] + [ScanOptions(order="random", seed=k) for k in range(3)]
+        assert [o.trace_checks for o in groups[0]] == [True, False, False, False]
 
     def test_campaign_respects_ranges(self):
         fs = list(generate_campaign(25, (2, 8), None, ("mixed",), 9))

@@ -9,6 +9,7 @@ from helpers import (
     clause_by_id,
     event_lines,
     fingerprint,
+    full_fingerprint,
     index_consistent,
     open_literals,
 )
@@ -145,6 +146,24 @@ def test_discard_twice_rejected():
     discard(st_, 1)
     with pytest.raises(ReductionError, match="already discarded"):
         discard(st_, 1)
+
+
+def test_copy_shares_no_mutable_part():
+    st_ = golden_state()
+    discard(st_, 1)
+    before = full_fingerprint(st_)
+    twin = st_.copy()
+    assert full_fingerprint(twin) == before
+    for k, ls in st_.live.items():
+        assert twin.live[k] is not ls
+    for lit, ids in st_.occurrence.items():
+        assert twin.occurrence[lit] is not ids
+    # a discard on the copy leaves the original as it was, and the reverse
+    discard(twin, 3)
+    assert full_fingerprint(st_) == before
+    after = full_fingerprint(twin)
+    discard(st_, -3)
+    assert full_fingerprint(twin) == after
 
 
 def test_event_lines_are_json():

@@ -1,6 +1,7 @@
 """End-to-end scan loop tests: frozen golden traces plus safety properties."""
 
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,12 @@ from helpers import replay_monotonicity
 
 from x1scan import scope, solver
 from x1scan.formula import failed_clauses, formula
-from x1scan.oracle import PROFILES, generate_random
+from x1scan.oracle import PROFILES, generate_campaign, generate_random
 from x1scan.solver import (
     ScanOptions,
     extract_assignment,
     scan,
+    scans,
     verdict_as_dict,
 )
 from x1scan.reduction import discard, init_state
@@ -319,6 +321,90 @@ class TestCarriedVerdicts:
         helpers.reprobe_scan(f)
         assert probed == [s["literal"] for s in v.trace["scopes"]]
         assert len(probed) < len(reprobed)
+
+
+# the orders `x1scan diff` runs as one group: the fixed order, then seeds 0-9
+DIFF_ORDERS = [ScanOptions()] + [ScanOptions(order="random", seed=k) for k in range(10)]
+
+
+def discard_sequences(verdicts) -> set:
+    return {tuple(d["literal"] for d in v.trace["discards"]) for v in verdicts}
+
+
+class TestGroupScan:
+    """Orders scanned as one group give the verdicts they give alone."""
+
+    @pytest.mark.parametrize("corpus", [
+        pytest.param(lambda: [f for n in (1, 2, 3) for f in helpers.exhaustive_general(n, 3)],
+                     id="exhaustive"),
+        pytest.param(lambda: generate_campaign(600, (2, 40), None, PROFILES, 17), id="campaign"),
+    ])
+    def test_each_order_gives_its_own_verdict(self, corpus):
+        branched = 0
+        for f in corpus():
+            group = scans(f, DIFF_ORDERS)
+            assert group == [scans(f, [o])[0] for o in DIFF_ORDERS], f
+            branched += len(discard_sequences(group)) >= 2
+        # the orders split often enough for the copied states to be exercised
+        assert branched >= 20
+
+    def test_scan_is_a_group_of_one(self):
+        f = generate_random(30, 20, seed=3, profile="mixed")
+        for opts in DIFF_ORDERS[:3] + [ScanOptions(trace_checks=True)]:
+            assert scan(f, opts) == scans(f, [opts])[0]
+
+    def test_a_pass_probes_each_literal_once_for_the_group(self, monkeypatch):
+        f = generate_random(14, 12, seed=2, profile="adversarial")
+        calls, indexes = [], []
+        real = solver.incompatible
+
+        def probe(state, z, index):
+            indexes.append(index)  # alive, so no two passes' indexes share an id
+            calls.append((id(index), z))
+            return real(state, z, index)
+
+        monkeypatch.setattr(solver, "incompatible", probe)
+        group = scans(f, DIFF_ORDERS)
+        assert len(discard_sequences(group)) >= 2
+        assert len(calls) == len(set(calls))
+
+    def test_dumps_list_the_probes_each_order_read(self):
+        # the second order reads the probe of 1 that the first ran, and lists it
+        traced = [ScanOptions(trace_checks=True),
+                  ScanOptions(order="random", seed=3, trace_checks=True)]
+        group = scans(GOLDEN, traced + [ScanOptions(order="random", seed=1)])
+        for opts, v in zip(traced, group):
+            assert v.trace["scopes"]
+            assert v.trace["scopes"] == scan(GOLDEN, opts).trace["scopes"]
+        assert group[2].trace["scopes"] == []
+
+    def test_a_not_yet_scope_is_freed_before_the_next_probe(self, monkeypatch):
+        # the pass's probe memo keeps no not_yet scope alive: every scope a
+        # not_yet probe built is gone by the time the next probe runs
+        f = generate_random(40, 12, seed=0, profile="uniform3")
+        alive, not_yet = [], 0
+        real = solver.incompatible
+
+        def probe(state, z, index):
+            nonlocal not_yet
+            assert all(ref() is None for ref in alive)
+            res = real(state, z, index)
+            if isinstance(res, NotYet):
+                alive.append(weakref.ref(res.built))
+                not_yet += 1
+            return res
+
+        monkeypatch.setattr(solver, "incompatible", probe)
+        scans(f, DIFF_ORDERS)
+        assert not_yet > 10
+
+    def test_a_fixed_order_seeds_no_generator(self, monkeypatch):
+        def unseeded(*args):
+            raise AssertionError("a fixed-order scan built a random.Random")
+
+        monkeypatch.setattr(solver.random, "Random", unseeded)
+        assert scan(GOLDEN).status == "sat"
+        assert scan(GOLDEN, ScanOptions(seed=5)).status == "sat"
 
 
 class TestMonotonicityReplay:
