@@ -15,24 +15,24 @@ import time
 from pathlib import Path
 
 from .formula import (
+    DEFAULT_STATE_BUDGET,
+    BudgetError,
     ConversionUnsat,
     Formula,
     ParseError,
     VarLimitError,
     convert_special,
     parse_x1cnf,
+    signed_literals,
 )
 from .oracle import (
     PROFILES,
-    OracleBudgetError,
     differential_corpus,
     first_model,
     generate_campaign,
     write_discrepancies,
 )
 from .petri import (
-    DEFAULT_STATE_BUDGET,
-    ReachabilityBudgetError,
     build_forward_net,
     build_inverse_net,
     export_dot,
@@ -118,8 +118,9 @@ def _load_formula(path: str) -> Formula:
 
 
 def _value_line(assignment: dict[int, bool]) -> str:
-    lits = [v if val else -v for v, val in sorted(assignment.items())]
-    return " ".join(["v", *map(str, lits), "0"])
+    # the list's repr writes its literals without a str object for each one,
+    # which at n = MAX_VARS would double the line's peak memory
+    return "v " + repr(signed_literals(assignment) + [0])[1:-1].replace(",", "")
 
 
 _FLAGS = {
@@ -227,8 +228,7 @@ def cmd_oracle(args) -> int:
     if args.json:
         doc = {
             "status": status,
-            "assignment": None if model is None
-            else [v if val else -v for v, val in sorted(model.items())],
+            "assignment": None if model is None else signed_literals(model),
         }
         if not args.no_timing:
             doc["timing_ms"] = elapsed_ms
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OracleBudgetError, ReachabilityBudgetError, VarLimitError) as e:
+    except (BudgetError, VarLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -39,6 +39,9 @@ MAX_CLAUSE_LITERALS = 3
 # sized by the declared n, so a larger one is refused before anything is
 # allocated. The solver state is sized by the variables the clauses use.
 MAX_VARS = 10**6
+# the step budget of an exact search (the oracle's, and reachability in a
+# net) when none is given
+DEFAULT_STATE_BUDGET = 500_000
 
 
 class FormulaError(ValueError):
@@ -61,6 +64,24 @@ class ParseError(FormulaError):
 class VarLimitError(RuntimeError):
     """The header declares more than MAX_VARS variables (a budget error, not
     malformed input)."""
+
+
+class BudgetError(RuntimeError):
+    """An exact search spent its step budget: not a verdict."""
+
+
+class Budget:
+    """The steps an exact search may still take; ``search`` names it in the
+    BudgetError that ``spend`` raises once more than ``steps`` are spent."""
+
+    def __init__(self, steps: int, search: str) -> None:
+        self.steps = self.left = steps
+        self.search = search
+
+    def spend(self, k: int) -> None:
+        self.left -= k
+        if self.left < 0:
+            raise BudgetError(f"{self.search} spent its budget of {self.steps} steps")
 
 
 class IncompleteAssignmentError(FormulaError):
@@ -109,10 +130,6 @@ def _read_only(self: Record, name: str, *value: object) -> None:
     raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
 
 
-def var_of(lit: int) -> int:
-    return abs(lit)
-
-
 class Clause(Record, frozen=True):
     """A clause with its stable id. Literal order is input order."""
 
@@ -147,11 +164,11 @@ class Formula(Record, frozen=True):
             for l in lits:
                 if l > n_vars or -l > n_vars:
                     raise FormulaError(
-                        f"clause {cid}: variable {var_of(l)} exceeds n_vars={n_vars}", cid
+                        f"clause {cid}: variable {abs(l)} exceeds n_vars={n_vars}", cid
                     )
             # of at most three literals, every pair holds the first or the last
             if -lits[0] in lits or -lits[-1] in lits:
-                special.append((cid, next(var_of(l) for l in lits if -l in lits)))
+                special.append((cid, next(abs(l) for l in lits if -l in lits)))
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "clauses", clauses)
         # (clause id, variable) witnesses; derived, so not a field
@@ -190,11 +207,17 @@ def _quote(token: str) -> str:
     return repr(token)
 
 
-def _ints(parts: list[str], line_no: int, what: str) -> list[int]:
-    """The tokens as integers; a ParseError quoting the first that is not one."""
+def _ints(raw: str, parts: list[str], line_no: int, what: str) -> list[int]:
+    """The tokens of the line ``raw`` as integers, each an optional sign and
+    ASCII digits; a ParseError quoting the first that is not one."""
+    # int() also reads "1_0" and non-ASCII digits; only a line holding an
+    # underscore or a non-ASCII character needs its tokens checked for them
+    plain = raw.isascii() and "_" not in raw
     nums = []
     for tok in parts:
         try:
+            if not (plain or tok.isascii() and "_" not in tok):
+                raise ValueError(tok)
             nums.append(int(tok))
         except ValueError:
             raise ParseError(line_no, f"{what}: {_quote(tok)}") from None
@@ -217,7 +240,7 @@ def parse_x1cnf(text: str) -> Formula:
                 raise ParseError(
                     line_no, f"malformed header: want 'p x1cnf <vars> <clauses>', got {got}"
                 )
-            n, m = _ints(parts[2:], line_no, "malformed header counts")
+            n, m = _ints(raw, parts[2:], line_no, "malformed header counts")
             if n < 0 or m < 0:
                 raise ParseError(line_no, "header counts must be nonnegative")
             if n > MAX_VARS:
@@ -236,7 +259,7 @@ def parse_x1cnf(text: str) -> Formula:
                 f"clause {len(clauses) + 1}: more than {MAX_CLAUSE_LITERALS} literals "
                 f"(want 1..{MAX_CLAUSE_LITERALS})",
             )
-        nums = _ints(parts, line_no, "non-integer token")
+        nums = _ints(raw, parts, line_no, "non-integer token")
         if nums[-1] != 0:
             raise ParseError(line_no, "clause line must end with 0")
         if len(nums) == 1:
@@ -275,6 +298,12 @@ def emit_x1cnf(f: Formula) -> str:
 Assignment = Mapping[int, bool]
 
 
+def signed_literals(a: Assignment) -> list[int]:
+    """A total assignment over variables 1..n as its n true literals, in
+    variable order."""
+    return [v if a[v] else -v for v in range(1, len(a) + 1)]
+
+
 def failed_clauses(f: Formula, a: Assignment) -> list[int]:
     """Ids of the clauses without exactly one true literal under ``a``, in
     clause order; an empty list means ``a`` is a model.
@@ -286,7 +315,7 @@ def failed_clauses(f: Formula, a: Assignment) -> list[int]:
     for c in f.clauses:
         count = 0
         for lit in c.lits:
-            v = var_of(lit)
+            v = abs(lit)
             if v not in a:
                 raise IncompleteAssignmentError(
                     f"clause {c.id}: variable {v} unassigned"
@@ -357,10 +386,10 @@ def convert_special(f: Formula) -> Conversion:
         lits = rows[cid]
         if v not in lits or -v not in lits:
             continue
-        rest = [l for l in lits if var_of(l) != v]
+        rest = [l for l in lits if abs(l) != v]
         for z in rest:
             if z in forced_set:
-                raise ConversionUnsat(var_of(z))
+                raise ConversionUnsat(abs(z))
             if -z not in forced_set:
                 forced_set.add(-z)
                 forced.append(-z)
@@ -374,7 +403,7 @@ def convert_special(f: Formula) -> Conversion:
                     olits.remove(z)
                     if not olits:
                         # clause demanded z true while z is forced false
-                        raise ConversionUnsat(var_of(z))
+                        raise ConversionUnsat(abs(z))
 
     kept = [Clause(cid, tuple(lits)) for cid, lits in rows.items()]
     last = f.clauses[-1].id

@@ -17,25 +17,9 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator
 
-from .formula import Formula, emit_x1cnf, formula
-from .petri import DEFAULT_STATE_BUDGET, build_forward_net, build_inverse_net, target_reachable
+from .formula import DEFAULT_STATE_BUDGET, Budget, Formula, emit_x1cnf, formula
+from .petri import build_forward_net, build_inverse_net, target_reachable
 from .solver import ScanOptions, scan, scans
-
-
-class OracleBudgetError(RuntimeError):
-    pass
-
-
-class _Steps:
-    """A search budget: one step per choice tried and one per clause examined."""
-
-    def __init__(self, budget: int):
-        self.budget = self.left = budget
-
-    def spend(self, k: int) -> None:
-        self.left -= k
-        if self.left < 0:
-            raise OracleBudgetError(f"exact search spent its budget of {self.budget} steps")
 
 
 def _components(rows: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
@@ -72,9 +56,10 @@ def _split(row: tuple[int, ...], val: dict[int, bool]) -> tuple[int, list[int]]:
     return true, open_
 
 
-def _component_sat(rows: list[tuple[int, ...]], val: dict[int, bool], steps: _Steps) -> bool:
+def _component_sat(rows: list[tuple[int, ...]], val: dict[int, bool], steps: Budget) -> bool:
     """Depth-first search over one component, its choices on an explicit
-    stack. On True, ``val`` holds a model of every variable the rows use."""
+    stack. On True, ``val`` holds a model of every variable the rows use.
+    It spends one step per choice tried and one per clause examined."""
     occ: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
         for lit in row:
@@ -156,8 +141,8 @@ def satisfiable(f: Formula) -> bool:
     """Whether ``f`` has a model, by exact search: each connected component
     is searched depth first, branching on an undecided clause with the
     fewest open literals, with exactly-one propagation after every choice.
-    Raises OracleBudgetError after DEFAULT_STATE_BUDGET steps."""
-    steps = _Steps(DEFAULT_STATE_BUDGET)
+    Raises BudgetError after DEFAULT_STATE_BUDGET steps."""
+    steps = Budget(DEFAULT_STATE_BUDGET, "exact search")
     return all(_component_sat(comp, {}, steps)
                for comp in _components([c.lits for c in f.clauses]))
 
@@ -167,7 +152,7 @@ def first_model(f: Formula, budget: int) -> dict[int, bool] | None:
     self-reduction over :func:`satisfiable`'s search, component by component:
     each variable in turn is fixed false if a model remains, else true; one
     false in the model at hand needs no search. ``budget`` bounds it all."""
-    steps = _Steps(budget)
+    steps = Budget(budget, "exact search")
     comps = _components([c.lits for c in f.clauses])
     models: list[dict[int, bool]] = [{} for _ in comps]
     if not all(_component_sat(comp, val, steps) for comp, val in zip(comps, models)):

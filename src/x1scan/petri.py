@@ -30,17 +30,13 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .formula import Formula, Record
+from .formula import DEFAULT_STATE_BUDGET, Budget, Formula, Record
 
 Marking = frozenset
 
 
 class NetError(ValueError):
     """Structurally invalid net."""
-
-
-class ReachabilityBudgetError(RuntimeError):
-    """Search aborted on a resource guard; not a reachability verdict."""
 
 
 class Net(Record, frozen=True):
@@ -239,9 +235,6 @@ def build_inverse_net(f: Formula) -> Net:
 
 # --- reachability ------------------------------------------------------------
 
-DEFAULT_STATE_BUDGET = 500_000
-
-
 def target_reachable(net: Net, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """True iff some firing sequence ends in a marking that is exactly the sinks.
 
@@ -258,8 +251,8 @@ def target_reachable(net: Net, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     ``budget`` bounds the work in search steps: one per choice tried (a
     transition added to a partial cover, or firing or not an empty-preset
     transition), and one per marking met between two levels plus one per
-    token in it. Running out raises ReachabilityBudgetError, which is *not*
-    an unreachability verdict.
+    token in it. Running out raises BudgetError, which is *not* an
+    unreachability verdict.
     """
     # places are numbered so that one with fewer consumers comes first and is
     # covered first: a token no transition can take ends its branch at once
@@ -290,13 +283,7 @@ def target_reachable(net: Net, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     # position of the choice (tokens first, then empty-preset transitions),
     # its moves, next move to try, (consumed, added) of the one applied]
     choices: list[list] = []
-    spent = 0
-
-    def spend(steps: int) -> None:
-        nonlocal spent
-        spent += steps
-        if spent > budget:
-            raise ReachabilityBudgetError(f"reachability search spent its budget of {budget} steps")
+    spend = Budget(budget, "reachability search").spend
 
     def arrive(i: int) -> list[int] | None:
         # the marking reaches level i: the level's tokens in cover order, or

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .formula import Formula, Record, var_of
+from .formula import Formula, Record
 
 
 class ReductionError(ValueError):
@@ -89,7 +89,7 @@ def init_state(f: Formula) -> SolverState:
         base=f,
         live={c.id: list(c.lits) for c in f.clauses},
         occurrence=occurrence,
-        live_literals={v: (v, -v) for v in sorted({var_of(l) for l in occurrence})},
+        live_literals={v: (v, -v) for v in sorted({abs(l) for l in occurrence})},
         conjuncts=set(),
         pending=OrderedDict(),
     )
@@ -114,7 +114,7 @@ def _add_conjunct(state: SolverState, lit: int, source: int | None) -> None:
     if lit in state.conjuncts:
         return
     if -lit in state.conjuncts and state.n_conflict is None:
-        state.n_conflict = var_of(lit)
+        state.n_conflict = abs(lit)
     state.conjuncts.add(lit)
     if source is not None:
         state.pending.setdefault(lit, source)
@@ -163,7 +163,7 @@ def discard(state: SolverState, z_v: int) -> int | None:
     check catches any contradiction before an assignment can be extracted);
     the variable's eligible polarities shrink to -z_v; the round counter bumps.
     """
-    v = var_of(z_v)
+    v = abs(z_v)
     if v not in state.live_literals:
         raise ReductionError(f"unknown variable {v}")
     if z_v not in state.live_literals[v]:
@@ -198,7 +198,7 @@ def necessary_literals(state: SolverState) -> list[tuple[int, int]]:
     pending = state.pending
     while pending:
         lit, k = next(iter(pending.items()))
-        if len(state.live_literals[var_of(lit)]) == 2:
+        if len(state.live_literals[abs(lit)]) == 2:
             return [(lit, k)]
         pending.popitem(last=False)
     return []

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .formula import Record, var_of
+from .formula import Record
 from .reduction import SolverState
 
 
@@ -53,8 +53,8 @@ class ScopeFormula(Record, frozen=True):
         object.__setattr__(self, "xor_pairs", xor_pairs)  # surviving 2-literal residues
 
     def mentioned_vars(self) -> tuple[int, ...]:
-        vs = {var_of(l) for l in self.units}
-        vs.update(var_of(l) for pair in self.xor_pairs for l in pair)
+        vs = {abs(l) for l in self.units}
+        vs.update(abs(l) for pair in self.xor_pairs for l in pair)
         return tuple(sorted(vs))
 
 
@@ -114,13 +114,13 @@ def _parity(units, pairs, rp: dict[int, tuple[int, int]]) -> _ParityUnionFind | 
     ``("unit", u)`` or ``("pair", a, b)``, or else the union-find."""
     pin = {0: 0}  # units only pin roots to node 0, so they need no finds
     for u in units:
-        v = var_of(u)
+        v = abs(u)
         r, p = rp.get(v, (v, 0))
         if pin.setdefault(r, p ^ (u > 0)) != p ^ (u > 0):
             return ("unit", u)
     uf = _ParityUnionFind(pin)
     for a, b in pairs:
-        va, vb = var_of(a), var_of(b)
+        va, vb = abs(a), abs(b)
         (ra, pa), (rb, pb) = rp.get(va, (va, 0)), rp.get(vb, (vb, 0))
         if not uf.union(ra, rb, 1 ^ (a < 0) ^ (b < 0) ^ pa ^ pb):
             return ("pair", a, b)
@@ -237,7 +237,7 @@ def build_scope(state: SolverState, z_v: int, index: PairIndex) -> Built | Early
             e_set.add(lit)
             e_order.append(lit)
             if -lit in e_set:
-                return EarlyConflict(var_of(lit), tuple(e_order))
+                return EarlyConflict(abs(lit), tuple(e_order))
         pos += 1
 
     return Built(index, tuple(e_order), touched, three)
@@ -280,6 +280,7 @@ def xor2sat_satisfiable(sf: ScopeFormula) -> XorSat | XorUnsat:
 
 class Incompatible(Record, frozen=True):
     _unseen = ("built",)
+    trace_name = "incompatible"  # the verdict a scope dump names
 
     def __init__(self, literal: int, reason: str, detail: tuple,
                  built: Built | EarlyConflict | None = None) -> None:
@@ -291,6 +292,7 @@ class Incompatible(Record, frozen=True):
 
 class NotYet(Record, frozen=True):
     _unseen = ("built",)
+    trace_name = "not_yet"
 
     def __init__(self, literal: int, built: Built | None = None) -> None:
         object.__setattr__(self, "literal", literal)
@@ -299,6 +301,7 @@ class NotYet(Record, frozen=True):
 
 class CoversSatisfiable(Record, frozen=True):
     _unseen = ("built",)
+    trace_name = "covers_satisfiable"
 
     def __init__(self, literal: int, model: dict[int, bool], built: Built | None = None) -> None:
         object.__setattr__(self, "literal", literal)

@@ -50,7 +50,7 @@ from .formula import (
     Record,
     convert_special,
     failed_clauses,
-    var_of,
+    signed_literals,
 )
 from .reduction import (
     SolverState,
@@ -193,7 +193,7 @@ class CarriedVerdicts:
                 self._drop(by_clause.pop(k))
         rp = index.root_parity
         roots = {
-            rp[var_of(l)][0]
+            rp[abs(l)][0]
             for k in changed
             if len(state.live[k]) == 2
             for l in state.live[k]
@@ -318,7 +318,7 @@ def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
     # the open variables: those of the live clauses of two or more literals;
     # discard strips its variable from every such clause, so each of them has
     # both polarities eligible
-    open_vars = sorted({var_of(l) for ls in state.live.values() if len(ls) >= 2 for l in ls})
+    open_vars = sorted({abs(l) for ls in state.live.values() if len(ls) >= 2 for l in ls})
     if not open_vars:
         assert state.n_conflict is None, "unreported conjunct contradiction"
         for run in group:
@@ -344,7 +344,7 @@ def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
                 if z in held:
                     continue
                 res = incompatible(state, z, index)
-                dump = scope_as_dict(res.built, z, _check_name(res)) if dumps else None
+                dump = scope_as_dict(res.built, z, res.trace_name) if dumps else None
                 if isinstance(res, NotYet):
                     carried.note(res, index)
                     res = None
@@ -370,22 +370,11 @@ def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
     return picks
 
 
-def _check_name(res) -> str:
-    if isinstance(res, Incompatible):
-        return "incompatible"
-    if isinstance(res, NotYet):
-        return "not_yet"
-    return "covers_satisfiable"
-
-
 def verdict_as_dict(v: Verdict, include_trace: bool = True) -> dict:
-    """JSON-ready verdict; assignment rendered as sorted signed literals."""
-    assignment = None
-    if v.assignment is not None:
-        assignment = [var if val else -var for var, val in sorted(v.assignment.items())]
+    """JSON-ready verdict; assignment rendered as signed literals in variable order."""
     out = {
         "status": v.status,
-        "assignment": assignment,
+        "assignment": None if v.assignment is None else signed_literals(v.assignment),
         "rounds": v.rounds,
         "verification": v.verification,
     }

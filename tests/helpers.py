@@ -23,7 +23,6 @@ from x1scan.formula import (
     convert_special,
     failed_clauses,
     formula,
-    var_of,
 )
 from x1scan.petri import Marking, Net
 from x1scan.reduction import (
@@ -79,7 +78,7 @@ def as_formula(state: SolverState) -> Formula:
 def open_literals(state: SolverState) -> list[int]:
     """``v, -v`` for each variable of a live clause of two or more literals,
     ascending: the literals ``solver.scan`` probes."""
-    open_vars = {var_of(l) for ls in state.live.values() if len(ls) >= 2 for l in ls}
+    open_vars = {abs(l) for ls in state.live.values() if len(ls) >= 2 for l in ls}
     return [z for v in sorted(open_vars) for z in (v, -v)]
 
 
@@ -132,7 +131,7 @@ def reference_build_scope(state: SolverState, z_v: int) -> ReferenceBuilt | Earl
         e_set.add(lit)
         e_order.append(lit)
         if -lit in e_set:
-            conflict_var = var_of(lit)
+            conflict_var = abs(lit)
             return False
         return True
 
@@ -245,7 +244,7 @@ def replay_monotonicity(f: Formula, discards: list[dict]) -> tuple[int, list[dic
         if not necessary_literals(state):
             index = PairIndex(state)
             for z in remembered:
-                if len(state.live_literals[var_of(z)]) != 2:
+                if len(state.live_literals[abs(z)]) != 2:
                     continue
                 checked += 1
                 res = incompatible(state, z, index)
@@ -314,8 +313,8 @@ def reprobe_scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
             if isinstance(res, Incompatible):
                 via, source = "incompatible", None
             else:
-                open_vars = [var_of(l) for ls in state.live.values() for l in ls
-                             if len(state.live_literals[var_of(l)]) == 2]
+                open_vars = [abs(l) for ls in state.live.values() for l in ls
+                             if len(state.live_literals[abs(l)]) == 2]
                 if not open_vars:
                     return finish("sat", extract_assignment(state))
                 v = min(open_vars)
@@ -342,7 +341,7 @@ def reference_convert_special(f: Formula) -> Conversion:
 
     def force(lit: int) -> None:
         if -lit in forced_set:
-            raise ConversionUnsat(var_of(lit))
+            raise ConversionUnsat(abs(lit))
         if lit not in forced_set:
             forced_set.add(lit)
             forced.append(lit)
@@ -355,11 +354,11 @@ def reference_convert_special(f: Formula) -> Conversion:
             pair_var = None
             for l in lits:
                 if -l in lits:
-                    pair_var = var_of(l)
+                    pair_var = abs(l)
                     break
             if pair_var is None:
                 continue
-            rest = [l for l in lits if var_of(l) != pair_var]
+            rest = [l for l in lits if abs(l) != pair_var]
             for z in rest:
                 force(-z)
             del rows[cid]
@@ -371,7 +370,7 @@ def reference_convert_special(f: Formula) -> Conversion:
                     if z in olits:
                         olits.remove(z)
                         if not olits:
-                            raise ConversionUnsat(var_of(z))
+                            raise ConversionUnsat(abs(z))
             break
 
     kept = [Clause(cid, tuple(rows[cid])) for cid in sorted(rows)]

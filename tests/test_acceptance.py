@@ -32,7 +32,6 @@ from x1scan.formula import (
     failed_clauses,
     formula,
     parse_x1cnf,
-    var_of,
 )
 from x1scan.oracle import (
     differential_corpus,
@@ -190,8 +189,8 @@ def _enumeration_sat(s: ScopeFormula) -> bool:
     vs = s.mentioned_vars()
     for values in itertools.product((False, True), repeat=len(vs)):
         a = dict(zip(vs, values))
-        if all(a[var_of(u)] == (u > 0) for u in s.units) and all(
-            (a[var_of(x)] == (x > 0)) != (a[var_of(y)] == (y > 0))
+        if all(a[abs(u)] == (u > 0) for u in s.units) and all(
+            (a[abs(x)] == (x > 0)) != (a[abs(y)] == (y > 0))
             for x, y in s.xor_pairs
         ):
             return True

@@ -14,8 +14,9 @@ from test_acceptance import COUNTEREXAMPLE
 from test_formula import MALFORMED
 
 from x1scan.cli import EXIT_INTERNAL, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
-from x1scan.formula import emit_x1cnf
-from x1scan.oracle import generate_random
+from x1scan.formula import emit_x1cnf, formula, parse_x1cnf
+from x1scan.oracle import PROFILES, first_model, generate_campaign, generate_random
+from x1scan.solver import scan
 
 GOLDEN = "p x1cnf 3 3\n1 -3 0\n1 -2 3 0\n2 -3 0\n"
 
@@ -245,6 +246,53 @@ def test_a_variable_of_no_clause_reads_false(tmp_path, capsys):
         named = [s["literal"], *s["E"], *(l for p in s["xor_pairs"] for l in p)]
         assert 1 not in map(abs, named)
     assert doc["assignment"][0] == -1
+
+
+# --- one assignment, printed three ways -----------------------------------------
+
+# the covering scope of x1 leaves out x2 and x4, so the scan's verdict lists
+# x1 and x3 first and then completes x2 and x4 from the state
+COVERED = formula(4, [[3, 1], [4]])
+
+
+def printed_assignments(command, path, capsys):
+    """The assignment of the ``v`` line, and that of the ``--json`` document,
+    that ``command`` prints for the file at ``path``; None where it prints none."""
+    main([command, path, "--no-timing"])
+    v_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("v ")]
+    main([command, path, "--json", "--no-timing"])
+    doc = json.loads(capsys.readouterr().out)
+    return ([int(t) for t in v_lines[0].split()[1:-1]] if v_lines else None), doc["assignment"]
+
+
+def test_v_line_and_json_print_the_same_assignment_in_variable_order(tmp_path, capsys):
+    assert list(scan(COVERED).assignment) == [1, 3, 2, 4]
+    corpus = [parse_x1cnf(GOLDEN), COVERED, formula(3, [])]
+    corpus += generate_campaign(24, (4, 12), (1, 5), PROFILES, 5)
+    models = 0
+    for i, f in enumerate(corpus):
+        path = write_cnf(tmp_path, f"{i}.cnf", emit_x1cnf(f))
+        for command, assignment in (("solve", scan(f).assignment),
+                                    ("oracle", first_model(f, 10**6))):
+            want = None
+            if assignment is not None:
+                want = [v if assignment[v] else -v for v in sorted(assignment)]
+                assert [abs(l) for l in want] == list(range(1, f.n_vars + 1))
+                models += 1
+            assert printed_assignments(command, path, capsys) == (want, want), (command, i)
+    assert models > len(corpus)
+
+
+@pytest.mark.parametrize("argv, search", [
+    (["oracle", "FILE", "--budget-states", "1"], "exact search"),
+    (["net", "FILE", "--check-reach", "--budget-states", "1"], "reachability search"),
+], ids=["oracle", "net"])
+def test_a_spent_budget_is_one_error_line_and_exit_2(golden_path, capsys, argv, search):
+    rc = main([golden_path if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err == f"error: {search} spent its budget of 1 steps\n"
 
 
 # --- net ---------------------------------------------------------------------

@@ -22,18 +22,11 @@ from x1scan.formula import (
     failed_clauses,
     formula,
     parse_x1cnf,
-    var_of,
 )
 from x1scan.petri import build_inverse_net, target_reachable
 from x1scan.solver import ScanOptions, scan
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
-
-
-def test_negate_and_var():
-    # negation is unary minus on the int encoding; a literal and its
-    # negation name the same variable
-    assert var_of(-7) == var_of(7) == 7
 
 
 def test_clause_validation():
@@ -140,6 +133,10 @@ MALFORMED = [
     ("p x1cnf 2 3\n1 2 0\n-1 0\n2 -3 0\n", 4, "variable 3"),
     ("p x1cnf 2 3\nc note\n1 2 0\n\n-1 0\n2 -3 0\n", 6, "variable 3"),
     ("p x1cnf 2 2\n1 0\n", 1, "declares 2 clauses"),
+    # int() alone would read these as 10, 3 and 12
+    ("p x1cnf 12 1\n1_0 +2 \u0663 0\n", 2, "non-integer token: '1_0'"),
+    ("p x1cnf 12 1\n10 +2 \u0663 0\n", 2, "non-integer token: '\u0663'"),
+    ("p x1cnf 1_2 1\n1 0\n", 1, "malformed header counts: '1_2'"),
 ]
 
 
@@ -149,6 +146,12 @@ def test_parse_errors_carry_line_numbers(text, line_no, needle):
         parse_x1cnf(text)
     assert exc.value.line_no == line_no
     assert needle in str(exc.value)
+
+
+def test_parse_reads_a_sign_and_ascii_digits_between_any_whitespace():
+    # a token is an optional sign then ASCII digits; any whitespace parts them
+    text = "p x1cnf 03 1\n+1\u00a0-2\t0\n"
+    assert parse_x1cnf(text) == formula(3, [[1, -2]])
 
 
 def test_parse_refuses_a_long_clause_line_before_converting_it():

@@ -16,9 +16,8 @@ from helpers import (
 from test_acceptance import COUNTEREXAMPLE
 
 from x1scan import oracle
-from x1scan.formula import formula, parse_x1cnf
+from x1scan.formula import DEFAULT_STATE_BUDGET, BudgetError, formula, parse_x1cnf
 from x1scan.oracle import (
-    OracleBudgetError,
     differential_corpus,
     first_model,
     generate_campaign,
@@ -28,7 +27,6 @@ from x1scan.oracle import (
     satisfiable,
     write_discrepancies,
 )
-from x1scan.petri import DEFAULT_STATE_BUDGET
 from x1scan.solver import ScanOptions, Verdict
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
@@ -60,10 +58,10 @@ class TestExactSearch:
     def test_budget_guard(self, monkeypatch):
         # the search proves the formula unsat in 235 steps
         assert first_model(COUNTEREXAMPLE, 235) is None
-        with pytest.raises(OracleBudgetError, match="budget of 234 steps"):
+        with pytest.raises(BudgetError, match="^exact search spent its budget of 234 steps$"):
             first_model(COUNTEREXAMPLE, 234)
         monkeypatch.setattr(oracle, "DEFAULT_STATE_BUDGET", 234)
-        with pytest.raises(OracleBudgetError, match="budget of 234 steps"):
+        with pytest.raises(BudgetError, match="^exact search spent its budget of 234 steps$"):
             satisfiable(COUNTEREXAMPLE)
 
     def test_matches_brute_force_on_the_exhaustive_corpora(self):
@@ -245,7 +243,7 @@ class TestDifferential:
         assert r["statuses"] == "se"
         assert r["errors"] == [{
             "instance_id": 1,
-            "error": "OracleBudgetError: exact search spent its budget of 100 steps",
+            "error": "BudgetError: exact search spent its budget of 100 steps",
         }]
 
     def test_net_problems_do_not_cancel_the_scan_count(self, monkeypatch):

@@ -10,12 +10,10 @@ from helpers import (
     search_reachable,
 )
 
-from x1scan.formula import formula
+from x1scan.formula import DEFAULT_STATE_BUDGET, BudgetError, formula
 from x1scan.petri import (
-    DEFAULT_STATE_BUDGET,
     Net,
     NetError,
-    ReachabilityBudgetError,
     build_forward_net,
     build_inverse_net,
     conflicts,
@@ -324,7 +322,8 @@ def test_reachability_guards():
     for build, steps in ((build_forward_net, 100), (build_inverse_net, 113)):
         net = build(GOLDEN)
         assert target_reachable(net, budget=steps)
-        with pytest.raises(ReachabilityBudgetError, match="budget of"):
+        with pytest.raises(BudgetError,
+                           match=f"^reachability search spent its budget of {steps - 1} steps$"):
             target_reachable(net, budget=steps - 1)
     # net size is no guard of its own: 1,200 disjoint clauses make 7,201
     # transitions and 1,200 tokens on one level; the default budget decides
@@ -332,7 +331,7 @@ def test_reachability_guards():
     wide = build_inverse_net(formula(2400, [[2 * i + 1, 2 * i + 2] for i in range(1200)]))
     assert len(wide.transitions) == 7201
     assert target_reachable(wide, budget=DEFAULT_STATE_BUDGET)
-    with pytest.raises(ReachabilityBudgetError, match="budget of"):
+    with pytest.raises(BudgetError, match="^reachability search spent its budget of 1000 steps$"):
         target_reachable(wide, budget=1000)
 
 

@@ -14,7 +14,7 @@ from helpers import (
     open_literals,
 )
 
-from x1scan.formula import failed_clauses, formula, var_of
+from x1scan.formula import failed_clauses, formula
 from x1scan.reduction import (
     ReductionError,
     conflict_index,
@@ -223,7 +223,7 @@ def test_random_discard_walks_keep_invariants(f, rng):
         # solver.scan probes the variables of these clauses, both polarities
         for ls in state.live.values():
             if len(ls) >= 2:
-                assert all(len(state.live_literals[var_of(l)]) == 2 for l in ls)
+                assert all(len(state.live_literals[abs(l)]) == 2 for l in ls)
         # necessary_literals reads pending alone: a live clause of one literal
         # is an input unit, already in pending under its own id or an earlier one
         for k, ls in state.live.items():
@@ -256,7 +256,7 @@ def test_discard_preserves_models_given_the_discarded_literal_false(f, rng):
     before = models(as_formula(state), n)
     false_under = {
         bits for bits in before
-        if (bool(bits >> (var_of(z) - 1) & 1)) != (z > 0)
+        if (bool(bits >> (abs(z) - 1) & 1)) != (z > 0)
     }
     discard(state, z)
     assert models(as_formula(state), n) == false_under
@@ -275,7 +275,7 @@ def test_event_replay_reconstructs_state(f, rng):
 
     # replay the log against a fresh skeleton
     live = {c.id: list(c.lits) for c in f.clauses}
-    live_literals = {v: (v, -v) for v in {var_of(l) for c in f.clauses for l in c.lits}}
+    live_literals = {v: (v, -v) for v in {abs(l) for c in f.clauses for l in c.lits}}
     conjuncts, order, pending = set(), [], {}
     rnd, conflict = 1, None
     for e in state.events:
@@ -283,7 +283,7 @@ def test_event_replay_reconstructs_state(f, rng):
         if kind == "conjunct_added":
             (lit,) = lits
             if -lit in conjuncts and conflict is None:
-                conflict = var_of(lit)
+                conflict = abs(lit)
             if lit not in conjuncts:
                 conjuncts.add(lit)
                 order.append(lit)
@@ -296,7 +296,7 @@ def test_event_replay_reconstructs_state(f, rng):
             live[k].remove(z)
         elif kind == "literal_discarded":
             (z,) = lits
-            live_literals[var_of(z)] = (-z,)
+            live_literals[abs(z)] = (-z,)
             rnd += 1
     replayed = (
         tuple(sorted((k, tuple(ls)) for k, ls in live.items())),

@@ -12,7 +12,7 @@ from helpers import (
     reference_xor2sat,
 )
 
-from x1scan.formula import formula, var_of
+from x1scan.formula import formula
 from x1scan.oracle import generate_random
 from x1scan.reduction import discard, init_state
 from x1scan.scope import (
@@ -142,8 +142,8 @@ def scope_models(s: ScopeFormula):
     vs = s.mentioned_vars()
     for values in itertools.product([False, True], repeat=len(vs)):
         a = dict(zip(vs, values))
-        if all(a[var_of(u)] == (u > 0) for u in s.units) and all(
-            (a[var_of(x)] == (x > 0)) != (a[var_of(y)] == (y > 0))
+        if all(a[abs(u)] == (u > 0) for u in s.units) and all(
+            (a[abs(x)] == (x > 0)) != (a[abs(y)] == (y > 0))
             for x, y in s.xor_pairs
         ):
             yield a
@@ -175,9 +175,9 @@ def test_xor_agrees_with_enumeration(s):
     if isinstance(res, XorSat):
         assert brute_sat
         a = res.model
-        assert all(a[var_of(u)] == (u > 0) for u in s.units)
+        assert all(a[abs(u)] == (u > 0) for u in s.units)
         assert all(
-            (a[var_of(x)] == (x > 0)) != (a[var_of(y)] == (y > 0))
+            (a[abs(x)] == (x > 0)) != (a[abs(y)] == (y > 0))
             for x, y in s.xor_pairs
         )
     else:
@@ -291,7 +291,7 @@ def assert_same_probe(res, ref):
 
 
 def general_clauses(n):
-    return st.lists(literals(n), min_size=1, max_size=3, unique_by=var_of)
+    return st.lists(literals(n), min_size=1, max_size=3, unique_by=abs)
 
 
 def general_formulas(max_n=9, max_m=12):
