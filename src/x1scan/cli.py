@@ -2,14 +2,12 @@
 
 Exit codes follow SAT-solver convention: 10 satisfiable, 20 unsatisfiable,
 30 claimed-but-unverified, 1 usage or parse error, 2 internal/budget error.
-Flags beat environment variables (X1SCAN_SEED, X1SCAN_BUDGET) beat defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -28,7 +26,7 @@ from .formula import (
 from .oracle import (
     PROFILES,
     differential_corpus,
-    first_model,
+    find_model,
     generate_campaign,
     write_discrepancies,
 )
@@ -76,42 +74,6 @@ def _at_least(low: int):
     return parse
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = _env_int("X1SCAN_SEED")
-    return env if env is not None else 0
-
-
-def _resolve_budget(args) -> int:
-    if args.budget_states is not None:
-        return args.budget_states
-    env = _env_int("X1SCAN_BUDGET")
-    if env is None:
-        return DEFAULT_STATE_BUDGET
-    if env < 1:
-        raise ValueError(f"environment variable X1SCAN_BUDGET must be >= 1, got {env}")
-    return env
-
-
-def _scan_options(args) -> ScanOptions:
-    return ScanOptions(
-        order=args.order,
-        seed=_resolve_seed(args),
-        trace_checks=args.trace,
-    )
-
-
 def _load_formula(path: str) -> Formula:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return parse_x1cnf(text)
@@ -123,18 +85,25 @@ def _value_line(assignment: dict[int, bool]) -> str:
     return "v " + repr(signed_literals(assignment) + [0])[1:-1].replace(",", "")
 
 
+def _conversion_line(c: dict) -> str:
+    """The comment line on a special input's conversion ``c``, a dict shaped
+    like the scan trace's ``conversion`` entry."""
+    if c.get("contradiction_var") is not None:
+        return f"c conversion contradiction on variable {c['contradiction_var']}"
+    return f"c converted special formula: forced={c['forced']} removed={c['removed_clauses']}"
+
+
 _FLAGS = {
     "--json": dict(action="store_true", help="machine-readable output"),
     "--trace": dict(action="store_true", help="include the full event trace"),
-    "--seed": dict(type=int, default=None, help="RNG seed (default: $X1SCAN_SEED or 0)"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default: 0)"),
     "--order": dict(choices=("fixed", "random"), default="fixed",
                     help="literal check order"),
-    "--budget-states": dict(type=_at_least(1), default=None, metavar="N",
+    "--budget-states": dict(type=_at_least(1), default=DEFAULT_STATE_BUDGET, metavar="N",
                             help="search budget in steps, one per choice tried plus, for "
                                  "net reachability, one per marking met between two levels "
                                  "and one per token in it, or, for the oracle, one per "
-                                 "clause examined (default: $X1SCAN_BUDGET or "
-                                 f"{DEFAULT_STATE_BUDGET})"),
+                                 f"clause examined (default: {DEFAULT_STATE_BUDGET})"),
     "--no-timing": dict(action="store_true", help="omit timing fields"),
 }
 
@@ -161,16 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     net = sub.add_parser("net", help="emit a Petri net construction")
     net.add_argument("path", help="X-DIMACS file, or - for stdin")
     _add_common(net, "--json", "--budget-states")
-    direction = net.add_mutually_exclusive_group()
-    direction.add_argument("--forward", action="store_true", help="clause-checking net")
-    direction.add_argument("--inverse", action="store_true",
-                           help="solver-side net (default)")
+    net.add_argument("--forward", action="store_true",
+                     help="clause-checking net (default: the solver-side inverse net)")
     net.add_argument("--dot", action="store_true", help="Graphviz output")
     net.add_argument("--check-reach", action="store_true",
                      help="also decide target reachability")
 
     diff = sub.add_parser("diff", help="differential campaign vs oracle")
-    _add_common(diff, "--seed", "--order", "--no-timing")
+    _add_common(diff, "--seed", "--no-timing")
     diff.add_argument("--count", type=_at_least(0), default=1000)
     diff.add_argument("--n-min", type=_at_least(1), default=2)
     diff.add_argument("--n-max", type=_at_least(1), default=8)
@@ -189,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_solve(args) -> int:
     f = _load_formula(args.path)
     t0 = time.perf_counter()
-    v = scan(f, _scan_options(args))
+    v = scan(f, ScanOptions(order=args.order, seed=args.seed, trace_checks=args.trace))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     if args.json:
@@ -198,12 +165,8 @@ def cmd_solve(args) -> int:
             doc["timing_ms"] = elapsed_ms
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        c = v.trace["conversion"]
-        if c is not None and c["contradiction_var"] is not None:
-            print(f"c conversion contradiction on variable {c['contradiction_var']}")
-        elif c is not None:
-            print(f"c converted special formula: forced={c['forced']} "
-                  f"removed={c['removed_clauses']}")
+        if v.trace["conversion"] is not None:
+            print(_conversion_line(v.trace["conversion"]))
         if v.trace["completion"]:
             picks = [e["picked"] for e in v.trace["completion"]]
             print(f"c completion picks (procedure gave no verdict): {picks}")
@@ -221,7 +184,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     f = _load_formula(args.path)
     t0 = time.perf_counter()
-    model = first_model(f, _resolve_budget(args))
+    model = find_model(f, args.budget_states)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     status = "sat" if model is not None else "unsat"
@@ -243,25 +206,27 @@ def cmd_oracle(args) -> int:
 def cmd_net(args) -> int:
     if args.dot and args.json:
         raise ValueError("--dot and --json are mutually exclusive")
+    if args.dot and args.check_reach:
+        # the DOT text has no place for the verdict the search would reach
+        raise ValueError("--dot and --check-reach are mutually exclusive")
     f = _load_formula(args.path)
     try:
         conv = convert_special(f)
     except ConversionUnsat as e:
         # the input has no model, so there is no net to emit
-        print(f"c conversion contradiction on variable {e.var}", file=sys.stderr)
+        print(_conversion_line({"contradiction_var": e.var}), file=sys.stderr)
         print(_STATUS_LINE["unsat"])
         return EXIT_UNSAT
     notice = None
     if conv.removed_clauses:  # the input was special
         notice = {"forced": list(conv.forced), "removed_clauses": list(conv.removed_clauses)}
-        print(f"c converted special formula: forced={notice['forced']} "
-              f"removed={notice['removed_clauses']}", file=sys.stderr)
+        print(_conversion_line(notice), file=sys.stderr)
 
     build = build_forward_net if args.forward else build_inverse_net
     net = build(conv.formula)
     reached = None
     if args.check_reach:
-        reached = target_reachable(net, budget=_resolve_budget(args))
+        reached = target_reachable(net, budget=args.budget_states)
 
     if args.dot:
         print(export_dot(net))
@@ -290,16 +255,14 @@ def cmd_diff(args) -> int:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.m_min is not None and args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
-    seed = _resolve_seed(args)
     report = differential_corpus(
         generate_campaign(
             args.count,
             (args.n_min, args.n_max),
             None if args.m_min is None else (args.m_min, args.m_max),
             tuple(args.profiles.split(",")),
-            seed,
+            args.seed,
         ),
-        ScanOptions(order=args.order, seed=seed),
         args.permutations,
         args.no_timing,
     )

@@ -227,7 +227,7 @@ def _ints(raw: str, parts: list[str], line_no: int, what: str) -> list[int]:
 def parse_x1cnf(text: str) -> Formula:
     """Parse X-DIMACS. Raises ParseError with the offending line number; a
     FormulaError of Clause or Formula is re-raised with its clause's line."""
-    header: tuple[int, int] | None = None
+    header: tuple[int, int, int] | None = None  # n, m and the header's line
     clauses: list[Clause] = []
     for line_no, raw in _content_lines(text):
         if header is None:
@@ -248,7 +248,7 @@ def parse_x1cnf(text: str) -> Formula:
                     f"line {line_no}: header declares {n} variables, "
                     f"above the limit MAX_VARS={MAX_VARS}"
                 )
-            header = (n, m)
+            header = (n, m, line_no)
             continue
         # a clause line holds at most MAX_CLAUSE_LITERALS literals and its 0;
         # a longer one is refused before any token is converted
@@ -270,16 +270,15 @@ def parse_x1cnf(text: str) -> Formula:
             raise ParseError(line_no, str(e)) from None
     if header is None:
         raise ParseError(1, "missing header")
+    n, m, header_line = header
     try:
-        f = Formula(header[0], tuple(clauses))
+        f = Formula(n, tuple(clauses))
     except FormulaError as e:
         # clause k sits on the k-th content line after the header
         line_no = list(_content_lines(text))[e.clause][0]
         raise ParseError(line_no, str(e)) from None
-    if f.n_clauses != header[1]:
-        raise ParseError(
-            1, f"header declares {header[1]} clauses, file has {f.n_clauses}"
-        )
+    if f.n_clauses != m:
+        raise ParseError(header_line, f"header declares {m} clauses, file has {f.n_clauses}")
     return f
 
 

@@ -137,38 +137,18 @@ def _component_sat(rows: list[tuple[int, ...]], val: dict[int, bool], steps: Bud
     return first is None
 
 
-def satisfiable(f: Formula) -> bool:
-    """Whether ``f`` has a model, by exact search: each connected component
+def find_model(f: Formula, budget: int) -> dict[int, bool] | None:
+    """A model of ``f``, or None, by exact search: each connected component
     is searched depth first, branching on an undecided clause with the
     fewest open literals, with exactly-one propagation after every choice.
-    Raises BudgetError after DEFAULT_STATE_BUDGET steps."""
-    steps = Budget(DEFAULT_STATE_BUDGET, "exact search")
-    return all(_component_sat(comp, {}, steps)
-               for comp in _components([c.lits for c in f.clauses]))
-
-
-def first_model(f: Formula, budget: int) -> dict[int, bool] | None:
-    """The first model in lexicographic order (all-false first), or None, by
-    self-reduction over :func:`satisfiable`'s search, component by component:
-    each variable in turn is fixed false if a model remains, else true; one
-    false in the model at hand needs no search. ``budget`` bounds it all."""
+    A variable in no clause reads false. Raises BudgetError after ``budget``
+    steps."""
     steps = Budget(budget, "exact search")
-    comps = _components([c.lits for c in f.clauses])
-    models: list[dict[int, bool]] = [{} for _ in comps]
-    if not all(_component_sat(comp, val, steps) for comp, val in zip(comps, models)):
-        return None
-    first: dict[int, bool] = {}
-    for comp, val in zip(comps, models):
-        for v in sorted(val):
-            if val[v]:
-                trial: dict[int, bool] = {}
-                if not _component_sat(comp + [(-v,)], trial, steps):
-                    comp.append((v,))
-                    continue
-                val = trial
-            comp.append((-v,))
-        first.update(val)
-    return {v: first.get(v, False) for v in range(1, f.n_vars + 1)}
+    val: dict[int, bool] = {}
+    for comp in _components([c.lits for c in f.clauses]):
+        if not _component_sat(comp, val, steps):
+            return None
+    return {v: val.get(v, False) for v in range(1, f.n_vars + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +256,6 @@ def _formula_rows(f: Formula) -> dict:
 
 def differential_corpus(
     corpus: Iterable[Formula],
-    opts: ScanOptions | None = None,
     permutations: int = 10,
     no_timing: bool = False,
 ) -> dict:
@@ -287,15 +266,14 @@ def differential_corpus(
     minimized. Instances with n <= 3, m <= 4 and no both-polarity clause are
     additionally cross-checked against both net constructions.
 
-    Each instance is scanned in ``opts``'s order and in ``permutations``
+    Each instance is scanned in the fixed order and in ``permutations``
     seeded random orders, all as one group (``solver.scans``); an instance
-    is order-invariant when every random order gives ``opts``'s status, and
-    ``timing_ms`` times the group.
+    is order-invariant when every random order gives the fixed order's
+    status, and ``timing_ms`` times the group.
 
     ``statuses`` has one character per instance, in corpus order: the scan
     status (``s`` sat, ``u`` unsat, ``c`` claimed_sat_unverified), or ``e``
     where the scan or the oracle raised."""
-    base = opts or ScanOptions()
     disagreements: list[dict] = []
     errors: list[dict] = []
     timings: list[float] = []
@@ -304,15 +282,15 @@ def differential_corpus(
     varied: list[int] = []
     agreements = 0
 
-    # the random orders keep no scope dumps: only their statuses are read
-    orders = [base] + [ScanOptions(order="random", seed=k) for k in range(permutations)]
+    # no order keeps scope dumps: only the statuses are read
+    orders = [ScanOptions()] + [ScanOptions(order="random", seed=k) for k in range(permutations)]
 
     for i, f in enumerate(corpus):
         try:
             t0 = time.perf_counter()
             v, *others = scans(f, orders)
             timings.append((time.perf_counter() - t0) * 1000.0)
-            oracle_sat = satisfiable(f)
+            oracle_sat = find_model(f, DEFAULT_STATE_BUDGET) is not None
         except Exception as e:  # recorded, never fatal to the campaign
             errors.append({"instance_id": i, "error": f"{type(e).__name__}: {e}"})
             marks.append("e")
@@ -337,7 +315,7 @@ def differential_corpus(
             "formula": _formula_rows(f),
             "scan_status": v.status,
             "oracle_status": "sat" if oracle_sat else "unsat",
-            "minimized": _formula_rows(minimize_counterexample(f, base)),
+            "minimized": _formula_rows(minimize_counterexample(f)),
         })
 
     return {
@@ -374,24 +352,24 @@ def generate_campaign(count: int, n_range: tuple[int, int], m_range: tuple[int, 
 # ---------------------------------------------------------------------------
 # minimization
 
-def _same_class(rows: list[tuple[int, ...]], n_vars: int, opts: ScanOptions | None,
-                target: tuple[str, bool]) -> bool:
+def _same_class(rows: list[tuple[int, ...]], n_vars: int, target: tuple[str, bool]) -> bool:
     """Whether the formula on ``rows`` has the class ``target``, a pair (scan
     status, oracle satisfiable). The exact search runs only when the scan
     status matches."""
     f = formula(n_vars, rows)
     status, oracle_sat = target
-    return scan(f, opts).status == status and satisfiable(f) == oracle_sat
+    return (scan(f).status == status
+            and (find_model(f, DEFAULT_STATE_BUDGET) is not None) == oracle_sat)
 
 
-def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Formula:
+def minimize_counterexample(f: Formula) -> Formula:
     """Greedy delta debugging: drop whole clauses, then drop literals from
     3-literal clauses, keeping every step whose scan status and oracle verdict
     both match the input's, so the disagreement keeps its class; repeats to a
     fixpoint. The result is clause-minimal under single drops."""
     rows = [tuple(c.lits) for c in f.clauses]
     start = formula(f.n_vars, rows)
-    target = (scan(start, opts).status, satisfiable(start))
+    target = (scan(start).status, find_model(start, DEFAULT_STATE_BUDGET) is not None)
     if _agrees(*target):
         raise ValueError("input is not a scan/oracle disagreement")
 
@@ -401,7 +379,7 @@ def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Form
         i = 0
         while i < len(rows):
             candidate = rows[:i] + rows[i + 1:]
-            if candidate and _same_class(candidate, f.n_vars, opts, target):
+            if candidate and _same_class(candidate, f.n_vars, target):
                 rows = candidate
                 changed = True
             else:
@@ -412,7 +390,7 @@ def minimize_counterexample(f: Formula, opts: ScanOptions | None = None) -> Form
             for j in range(3):
                 shrunk = clause[:j] + clause[j + 1:]
                 candidate = rows[:i] + [shrunk] + rows[i + 1:]
-                if _same_class(candidate, f.n_vars, opts, target):
+                if _same_class(candidate, f.n_vars, target):
                     rows = candidate
                     changed = True
                     break

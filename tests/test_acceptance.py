@@ -35,8 +35,8 @@ from x1scan.formula import (
 )
 from x1scan.oracle import (
     differential_corpus,
+    find_model,
     generate_campaign,
-    first_model,
     generate_random,
     net_cross_check,
     write_discrepancies,
@@ -398,7 +398,7 @@ def test_11_fixpoint_does_not_prove_satisfiability(criterion):
     # reachability all show the formula unsat.
     v = scan(COUNTEREXAMPLE)
     t0 = time.perf_counter()
-    exact = first_model(COUNTEREXAMPLE, DEFAULT_STATE_BUDGET)
+    exact = find_model(COUNTEREXAMPLE, DEFAULT_STATE_BUDGET)
     t_exact = time.perf_counter() - t0
     t0 = time.perf_counter()
     model = brute_force_sat(COUNTEREXAMPLE)

@@ -14,17 +14,11 @@ from test_acceptance import COUNTEREXAMPLE
 from test_formula import MALFORMED
 
 from x1scan.cli import EXIT_INTERNAL, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
-from x1scan.formula import emit_x1cnf, formula, parse_x1cnf
-from x1scan.oracle import PROFILES, first_model, generate_campaign, generate_random
+from x1scan.formula import emit_x1cnf, failed_clauses, formula, parse_x1cnf
+from x1scan.oracle import PROFILES, find_model, generate_campaign, generate_random
 from x1scan.solver import scan
 
 GOLDEN = "p x1cnf 3 3\n1 -3 0\n1 -2 3 0\n2 -3 0\n"
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("X1SCAN_SEED", raising=False)
-    monkeypatch.delenv("X1SCAN_BUDGET", raising=False)
 
 
 @pytest.fixture
@@ -155,6 +149,7 @@ def test_diff_out_onto_an_existing_file(tmp_path, capsys):
     ["diff", "--json"],
     ["diff", "--budget-states", "5"],
     ["net", "FILE", "--seed", "1"],
+    ["diff", "--order", "random"],
 ])
 def test_subcommand_rejects_a_common_flag_it_never_reads(golden_path, capsys, argv):
     argv = [golden_path if a == "FILE" else a for a in argv]
@@ -185,7 +180,7 @@ def test_oracle_unsat_pair(tmp_path, capsys):
     assert main(["oracle", path]) == EXIT_UNSAT
 
 
-def test_oracle_budget_guard(tmp_path, capsys, monkeypatch):
+def test_oracle_budget_guard(tmp_path, capsys):
     # the search stops when it has spent its budget, whatever n is
     path = write_cnf(tmp_path, "php.cnf", emit_x1cnf(COUNTEREXAMPLE))
     assert main(["oracle", path]) == EXIT_UNSAT
@@ -194,15 +189,25 @@ def test_oracle_budget_guard(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: exact search spent its budget of 5 steps\n"
-    monkeypatch.setenv("X1SCAN_BUDGET", "5")
-    assert main(["oracle", path]) == EXIT_INTERNAL
 
 
 def test_oracle_decides_past_thirty_variables(tmp_path, capsys):
+    # the search makes the first open literal of its branching clause true
     path = write_cnf(tmp_path, "wide.cnf", "p x1cnf 30 1\n1 2 3 0\n")
     assert main(["oracle", path]) == EXIT_SAT
-    assert capsys.readouterr().out.splitlines()[-1] == "v " + " ".join(
-        str(-v) if v != 3 else "3" for v in range(1, 31)) + " 0"
+    assert capsys.readouterr().out.splitlines()[-1] == "v 1 " + " ".join(
+        str(-v) for v in range(2, 31)) + " 0"
+
+
+def test_oracle_prints_the_model_its_search_found(tmp_path, capsys):
+    # one search answers: a large satisfiable component needs no second
+    # search per true variable to print its model
+    f = generate_random(1000, 400, seed=0)
+    path = write_cnf(tmp_path, "sparse.cnf", emit_x1cnf(f))
+    assert main(["oracle", path, "--budget-states", "10000"]) == EXIT_SAT
+    v_line = capsys.readouterr().out.splitlines()[-1]
+    lits = [int(t) for t in v_line.split()[1:-1]]
+    assert failed_clauses(f, {abs(l): l > 0 for l in lits}) == []
 
 
 def test_oracle_on_a_large_instance_ends_without_a_traceback(tmp_path):
@@ -273,7 +278,7 @@ def test_v_line_and_json_print_the_same_assignment_in_variable_order(tmp_path, c
     for i, f in enumerate(corpus):
         path = write_cnf(tmp_path, f"{i}.cnf", emit_x1cnf(f))
         for command, assignment in (("solve", scan(f).assignment),
-                                    ("oracle", first_model(f, 10**6))):
+                                    ("oracle", find_model(f, 10**6))):
             want = None
             if assignment is not None:
                 want = [v if assignment[v] else -v for v in sorted(assignment)]
@@ -308,7 +313,7 @@ def test_net_human_lists_clause_conflicts(golden_path, capsys):
 
 def test_net_unit_only_inverse_has_no_conflict_places(tmp_path, capsys):
     path = write_cnf(tmp_path, "units.cnf", "p x1cnf 2 2\n1 0\n-2 0\n")
-    rc = main(["net", path, "--inverse"])
+    rc = main(["net", path])
     out = capsys.readouterr().out
     assert rc == 0
     assert "0 conflict places" in out
@@ -374,12 +379,20 @@ def test_net_dot_json_conflict(golden_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
-def test_net_reach_budget_exhaustion(golden_path, capsys, monkeypatch):
+def test_net_dot_check_reach_conflict(golden_path, capsys):
+    # DOT text has no place for a verdict, so the search never runs: a budget
+    # it would spend at once changes nothing
+    for budget in ([], ["--budget-states", "1"]):
+        rc = main(["net", golden_path, "--dot", "--check-reach", *budget])
+        captured = capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: --dot and --check-reach are mutually exclusive\n"
+
+
+def test_net_reach_budget_exhaustion(golden_path, capsys):
     rc = main(["net", golden_path, "--check-reach", "--budget-states", "1"])
     assert rc == EXIT_INTERNAL
-    capsys.readouterr()
-    monkeypatch.setenv("X1SCAN_BUDGET", "1")
-    assert main(["net", golden_path, "--check-reach"]) == EXIT_INTERNAL
 
 
 PAIRS_1200 = "p x1cnf 2400 1200\n" + "".join(f"{2 * i + 1} {2 * i + 2} 0\n" for i in range(1200))
@@ -449,35 +462,6 @@ def test_diff_reversed_range_is_a_usage_error(capsys, low, high):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {low} 5 exceeds {high} 4\n"
-
-
-def test_budget_env_below_one_is_a_usage_error(golden_path, capsys, monkeypatch):
-    monkeypatch.setenv("X1SCAN_BUDGET", "0")
-    assert main(["net", golden_path, "--check-reach"]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: environment variable X1SCAN_BUDGET must be >= 1, got 0\n"
-
-
-# --- env precedence -----------------------------------------------------------
-
-
-def test_seed_flag_beats_env(golden_path, capsys, monkeypatch):
-    args = ["solve", golden_path, "--json", "--no-timing", "--order", "random"]
-    rc = main(args + ["--seed", "11"])
-    flagged = capsys.readouterr().out
-    assert rc == EXIT_SAT
-
-    monkeypatch.setenv("X1SCAN_SEED", "11")
-    main(args)
-    from_env = capsys.readouterr().out
-    assert from_env == flagged
-
-    monkeypatch.setenv("X1SCAN_SEED", "not-a-number")
-    assert main(args + ["--seed", "11"]) == EXIT_SAT  # flag wins, env never read
-    capsys.readouterr()
-    assert main(args) == EXIT_USAGE
-    assert "X1SCAN_SEED" in capsys.readouterr().err
 
 
 # --- diff ----------------------------------------------------------------------

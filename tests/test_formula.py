@@ -133,6 +133,7 @@ MALFORMED = [
     ("p x1cnf 2 3\n1 2 0\n-1 0\n2 -3 0\n", 4, "variable 3"),
     ("p x1cnf 2 3\nc note\n1 2 0\n\n-1 0\n2 -3 0\n", 6, "variable 3"),
     ("p x1cnf 2 2\n1 0\n", 1, "declares 2 clauses"),
+    ("c a\nc b\np x1cnf 3 2\n1 2 0\n", 3, "declares 2 clauses"),
     # int() alone would read these as 10, 3 and 12
     ("p x1cnf 12 1\n1_0 +2 \u0663 0\n", 2, "non-integer token: '1_0'"),
     ("p x1cnf 12 1\n10 +2 \u0663 0\n", 2, "non-integer token: '\u0663'"),

@@ -16,15 +16,14 @@ from helpers import (
 from test_acceptance import COUNTEREXAMPLE
 
 from x1scan import oracle
-from x1scan.formula import DEFAULT_STATE_BUDGET, BudgetError, formula, parse_x1cnf
+from x1scan.formula import DEFAULT_STATE_BUDGET, BudgetError, failed_clauses, formula, parse_x1cnf
 from x1scan.oracle import (
     differential_corpus,
-    first_model,
+    find_model,
     generate_campaign,
     generate_random,
     minimize_counterexample,
     net_cross_check,
-    satisfiable,
     write_discrepancies,
 )
 from x1scan.solver import ScanOptions, Verdict
@@ -48,21 +47,22 @@ class TestBruteForce:
 
 
 def same_as_brute_force(f) -> bool:
-    """The exact search's verdict and first model both match brute force's."""
-    model = brute_force_sat(f)
-    return (first_model(f, DEFAULT_STATE_BUDGET) == model
-            and satisfiable(f) == (model is not None))
+    """The exact search's verdict matches brute force's, and its model, which
+    need not be brute force's lexicographically first one, sets every
+    variable and satisfies every clause."""
+    model = find_model(f, DEFAULT_STATE_BUDGET)
+    if model is None:
+        return brute_force_sat(f) is None
+    return (brute_force_sat(f) is not None and sorted(model) == list(range(1, f.n_vars + 1))
+            and failed_clauses(f, model) == [])
 
 
 class TestExactSearch:
-    def test_budget_guard(self, monkeypatch):
+    def test_budget_guard(self):
         # the search proves the formula unsat in 235 steps
-        assert first_model(COUNTEREXAMPLE, 235) is None
+        assert find_model(COUNTEREXAMPLE, 235) is None
         with pytest.raises(BudgetError, match="^exact search spent its budget of 234 steps$"):
-            first_model(COUNTEREXAMPLE, 234)
-        monkeypatch.setattr(oracle, "DEFAULT_STATE_BUDGET", 234)
-        with pytest.raises(BudgetError, match="^exact search spent its budget of 234 steps$"):
-            satisfiable(COUNTEREXAMPLE)
+            find_model(COUNTEREXAMPLE, 234)
 
     def test_matches_brute_force_on_the_exhaustive_corpora(self):
         corpus = [f for n in (1, 2, 3) for f in exhaustive_general(n, 4)]
@@ -74,24 +74,24 @@ class TestExactSearch:
     def test_matches_brute_force_on_seeded_instances(self, profile):
         corpus = list(generate_campaign(15, (3, 20), None, (profile,), 16))
         assert max(f.n_vars for f in corpus) == 20
-        assert {satisfiable(f) for f in corpus} == {False, True}
+        assert {find_model(f, DEFAULT_STATE_BUDGET) is None for f in corpus} == {False, True}
         assert [f for f in corpus if not same_as_brute_force(f)] == []
 
     def test_free_variables_read_false(self):
-        assert first_model(formula(4, [[-3]]), 10) == {v: False for v in range(1, 5)}
-        assert first_model(formula(3, []), 10) == {1: False, 2: False, 3: False}
+        assert find_model(formula(4, [[-3]]), 10) == {v: False for v in range(1, 5)}
+        assert find_model(formula(3, []), 10) == {1: False, 2: False, 3: False}
 
     def test_components_are_decided_apart(self):
         # a satisfiable block next to an unsatisfiable pair on other variables
         f = formula(6, [[1, 2, 3], [-1, 2], [5, 6], [5, -6]])
-        assert not satisfiable(f) and first_model(f, DEFAULT_STATE_BUDGET) is None
+        assert find_model(f, DEFAULT_STATE_BUDGET) is None
 
     def test_deep_search_does_not_recurse(self):
         # a chain of clauses, each sharing a variable with the next, twice as
         # long as the interpreter's recursion limit: no frame per choice
         k = 2 * sys.getrecursionlimit()
         chain = formula(2 * k + 1, [[2 * i + 1, 2 * i + 2, 2 * i + 3] for i in range(k)])
-        assert satisfiable(chain)
+        assert find_model(chain, DEFAULT_STATE_BUDGET) is not None
 
 
 class TestGenerator:
@@ -216,7 +216,7 @@ class TestDifferential:
 
         assert run() == run()
 
-    def test_orders_run_as_one_group_and_only_the_base_keeps_dumps(self, monkeypatch):
+    def test_orders_run_as_one_group_from_the_fixed_order(self, monkeypatch):
         groups = []
         real = oracle.scans
 
@@ -225,11 +225,11 @@ class TestDifferential:
             return real(f, orders)
 
         monkeypatch.setattr(oracle, "scans", recorded)
-        base = ScanOptions(order="random", seed=4, trace_checks=True)
-        differential_corpus([GOLDEN, GOLDEN], base, permutations=3)
+        differential_corpus([GOLDEN, GOLDEN], permutations=3)
         assert len(groups) == 2
-        assert groups[0] == [base] + [ScanOptions(order="random", seed=k) for k in range(3)]
-        assert [o.trace_checks for o in groups[0]] == [True, False, False, False]
+        # no order keeps scope dumps
+        randoms = [ScanOptions(order="random", seed=k) for k in range(3)]
+        assert groups[0] == [ScanOptions()] + randoms
 
     def test_campaign_respects_ranges(self):
         fs = list(generate_campaign(25, (2, 8), None, ("mixed",), 9))
@@ -290,19 +290,19 @@ class TestMinimizer:
     ):
         # the exact search, which took over from brute force, runs only then
         statuses, brute_calls = [], []
-        real_scan, real_brute = oracle.scan, oracle.satisfiable
+        real_scan, real_search = oracle.scan, oracle.find_model
 
         def scan(f, opts=None):
             v = real_scan(f, opts)
             statuses.append(v.status)
             return v
 
-        def brute(f):
+        def search(f, budget):
             brute_calls.append(f)
-            return real_brute(f)
+            return real_search(f, budget)
 
         monkeypatch.setattr(oracle, "scan", scan)
-        monkeypatch.setattr(oracle, "satisfiable", brute)
+        monkeypatch.setattr(oracle, "find_model", search)
         small = minimize_counterexample(formula(5, [[3, 4, 5], [1, 2], [1, -2]]))
         assert [c.lits for c in small.clauses] == [(1, 2), (1, -2)]
         # the input's status comes first; a shrink with another is rejected unsolved
