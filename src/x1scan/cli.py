@@ -38,7 +38,7 @@ from .petri import (
     root_conflicts,
     target_reachable,
 )
-from .solver import ScanOptions, scan, verdict_as_dict
+from .solver import scan, verdict_as_dict
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -95,10 +95,6 @@ def _conversion_line(c: dict) -> str:
 
 _FLAGS = {
     "--json": dict(action="store_true", help="machine-readable output"),
-    "--trace": dict(action="store_true", help="include the full event trace"),
-    "--seed": dict(type=int, default=0, help="RNG seed (default: 0)"),
-    "--order": dict(choices=("fixed", "random"), default="fixed",
-                    help="literal check order"),
     "--budget-states": dict(type=_at_least(1), default=DEFAULT_STATE_BUDGET, metavar="N",
                             help="search budget in steps, one per choice tried plus, for "
                                  "net reachability, one per marking met between two levels "
@@ -121,7 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the scan procedure")
     solve.add_argument("path", help="X-DIMACS file, or - for stdin")
-    _add_common(solve, "--json", "--trace", "--seed", "--order", "--no-timing")
+    _add_common(solve, "--json", "--no-timing")
+    solve.add_argument("--trace", action="store_true",
+                       help="include the full event trace (needs --json)")
+    solve.add_argument("--seed", type=int, default=None,
+                       help="shuffle the literal check order with this seed "
+                            "(default: the fixed order)")
 
     oracle = sub.add_parser("oracle", help="exact-search ground truth")
     oracle.add_argument("path", help="X-DIMACS file, or - for stdin")
@@ -137,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also decide target reachability")
 
     diff = sub.add_parser("diff", help="differential campaign vs oracle")
-    _add_common(diff, "--seed", "--no-timing")
+    _add_common(diff, "--no-timing")
+    diff.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     diff.add_argument("--count", type=_at_least(0), default=1000)
     diff.add_argument("--n-min", type=_at_least(1), default=2)
     diff.add_argument("--n-max", type=_at_least(1), default=8)
@@ -154,9 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args) -> int:
+    if args.trace and not args.json:
+        # the text output has no place for the trace
+        raise ValueError("--trace needs --json")
     f = _load_formula(args.path)
     t0 = time.perf_counter()
-    v = scan(f, ScanOptions(order=args.order, seed=args.seed, trace_checks=args.trace))
+    v = scan(f, args.seed, args.trace)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     if args.json:
@@ -255,12 +260,16 @@ def cmd_diff(args) -> int:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.m_min is not None and args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
+    profiles = tuple(args.profiles.split(","))
+    for name in profiles:
+        if name not in PROFILES:
+            raise ValueError(f"unknown profile {name!r}")
     report = differential_corpus(
         generate_campaign(
             args.count,
             (args.n_min, args.n_max),
             None if args.m_min is None else (args.m_min, args.m_max),
-            tuple(args.profiles.split(",")),
+            profiles,
             args.seed,
         ),
         args.permutations,

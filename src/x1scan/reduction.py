@@ -12,16 +12,12 @@ conjuncts), plus:
 * the conjunct set N of literals fixed true (the ``conjunct_added`` events
   record the order they joined in);
 * a pending map, conjunct -> clause id it emerged from, in insertion order.
-  Input unit clauses enter first, in clause order; a clause that shrinks to
-  one literal is emptied, so the pending map is the only record of the
-  "sole member of clause k" fact that the necessary-literal rule reads. That
-  rule drops the leading entries whose variable is already settled.
+  Input unit clauses enter first, in clause order; a unit clause, input or
+  emerged, is emptied, so the pending map is the only record of the "sole
+  member of clause k" fact that the necessary-literal rule reads. That rule
+  drops the leading entries whose variable is already settled.
 
-Reduction queries see only clauses with at least two live literals. Reduction
-empties any clause it shrinks to one literal, so the only live clauses of one
-literal are the unit clauses of the *input*; they seed N directly. The stored
-occurrence index itself is unfiltered; the filter is applied per query, which
-keeps rebuild-and-compare checks trivial.
+Every live clause is therefore empty or holds two or three literals.
 
 All iteration orders are deterministic (ascending clause ids, literal order
 within a clause), so event logs and traces are reproducible byte for byte.
@@ -96,12 +92,8 @@ def init_state(f: Formula) -> SolverState:
     for c in f.clauses:
         if c.is_conjunct:
             _add_conjunct(state, c.lits[0], source=c.id)
+            _empty_clause(state, c.id)
     return state
-
-
-def conflict_index(state: SolverState, lit: int) -> list[int]:
-    """Clause ids where ``lit`` sits in a residue of >= 2 live literals."""
-    return [k for k in state.occurrence.get(lit, ()) if len(state.live[k]) >= 2]
 
 
 def _empty_clause(state: SolverState, k: int) -> None:
@@ -125,7 +117,7 @@ def reduce_on_true(state: SolverState, z: int) -> list[tuple[int, int]]:
     """Absorb every clause containing ``z`` (held true): its other literals
     are all false. Returns the emerged conjuncts as (literal, source clause)."""
     emerged: list[tuple[int, int]] = []
-    for k in conflict_index(state, z):
+    for k in list(state.occurrence.get(z, ())):
         others = [l for l in state.live[k] if l != z]
         state.log("clause_to_conjunction", k, [-l for l in others])
         _empty_clause(state, k)
@@ -137,7 +129,7 @@ def reduce_on_false(state: SolverState, z: int) -> list[tuple[int, int]]:
     """Delete ``z`` (held false) from every residue containing it. A residue
     shrinking to a single literal empties and emerges that literal."""
     emerged: list[tuple[int, int]] = []
-    for k in conflict_index(state, z):
+    for k in list(state.occurrence.get(z, ())):
         state.live[k].remove(z)
         state.occurrence[z].remove(k)
         rest = state.live[k]
@@ -147,7 +139,6 @@ def reduce_on_false(state: SolverState, z: int) -> list[tuple[int, int]]:
             _empty_clause(state, k)
             emerged.append((u, k))
         else:
-            # the >= 2 query filter makes an empty residue impossible here
             state.log("three_to_two", k, [z])
     return emerged
 
@@ -183,14 +174,12 @@ def discard(state: SolverState, z_v: int) -> int | None:
     return state.n_conflict
 
 
-def necessary_literals(state: SolverState) -> list[tuple[int, int]]:
+def necessary_literals(state: SolverState) -> tuple[int, int] | None:
     """The next literal that must hold: the first pending conjunct, in the
     order they entered, whose variable still has both polarities eligible,
-    with the clause it came from; [] when there is none. Pending conjuncts are
-    the input unit clauses (entered first, in clause order) and the units that
-    emerged from clauses during discards; a live clause of one literal is
-    always an input unit, since reduction empties any clause it shrinks to one
-    literal.
+    with the clause it came from; None when there is none. Pending conjuncts
+    are the input unit clauses (entered first, in clause order) and the units
+    that emerged from clauses during discards.
 
     A settled variable never reopens, so the settled entries ahead of the
     first open one are dropped from ``pending`` for good: over a whole scan the
@@ -199,6 +188,6 @@ def necessary_literals(state: SolverState) -> list[tuple[int, int]]:
     while pending:
         lit, k = next(iter(pending.items()))
         if len(state.live_literals[abs(lit)]) == 2:
-            return [(lit, k)]
+            return lit, k
         pending.popitem(last=False)
-    return []
+    return None

@@ -211,7 +211,7 @@ def build_scope(state: SolverState, z_v: int, index: PairIndex) -> Built | Early
         # residues holding z collapse: their other literals are all false
         for k in occurrence.get(z, ()):
             ls = touched.get(k, live[k])
-            if len(ls) < 2:
+            if not ls:
                 continue
             if len(ls) == 3:
                 three -= 1
@@ -221,7 +221,7 @@ def build_scope(state: SolverState, z_v: int, index: PairIndex) -> Built | Early
         nz = -z
         for k in occurrence.get(nz, ()):
             ls = touched.get(k, live[k])
-            if len(ls) < 2:
+            if not ls:
                 continue
             rest = [l for l in ls if l != nz]
             if len(rest) == 1:

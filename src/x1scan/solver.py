@@ -6,20 +6,20 @@ First come necessary literals: input unit clauses, and units that emerged from
 a clause during an earlier discard, still awaiting their own discard; the
 opposite polarity is discarded, one at a time with a full restart after each.
 With none left, the pass probes both literals of each open variable, one that
-occurs in a live clause of two or more literals (ascending variable, positive
-polarity first), with the scope check, all against the one pair index the
-pass builds. A variable of no such clause is never probed, discarded or
-completed: unless already settled, it reads false in the model. A literal
-whose ``not_yet`` verdict from an earlier pass provably still holds is skipped
-(``CarriedVerdicts``); that changes no verdict, only which probes run. An
-incompatible literal is discarded and the round restarts; a covering
-satisfiable scope ends the run with its model. A full pass with neither means
-the procedure claims satisfiability. At that point the least open variable is
-settled by a documented completion rule: pick its positive polarity (the pass
-just found both polarities inconclusive) and discard the negative one. With
-no open variable left, the model is read off the state. Every completion pick
-taints the run: from then on a contradiction no longer proves
-unsatisfiability and is reported as claimed_sat_unverified instead.
+occurs in a live clause (ascending variable, positive polarity first), with
+the scope check, all against the one pair index the pass builds. A variable of
+no live clause is never probed, discarded or completed: unless already
+settled, it reads false in the model. A literal whose ``not_yet`` verdict from
+an earlier pass provably still holds is skipped (``CarriedVerdicts``); that
+changes no verdict, only which probes run. An incompatible literal is
+discarded and the round restarts; a covering satisfiable scope ends the run
+with its model. A full pass with neither means the procedure claims
+satisfiability. At that point the least open variable is settled by a
+documented completion rule: pick its positive polarity (the pass just found
+both polarities inconclusive) and discard the negative one. With no open
+variable left, the model is read off the state. Every completion pick taints
+the run: from then on a contradiction no longer proves unsatisfiability and is
+reported as claimed_sat_unverified instead.
 
 ``scans`` runs several check orders of one formula as one walk: orders that
 have discarded the same literals share the state and each pass's probes, and
@@ -69,14 +69,6 @@ from .scope import (
 )
 
 
-class ScanOptions(Record):
-    def __init__(self, order: str = "fixed", seed: int | None = None,
-                 trace_checks: bool = False) -> None:
-        self.order = order  # "fixed" | "random" (seeded shuffle of the check list)
-        self.seed = seed
-        self.trace_checks = trace_checks  # keep a scope dump per probe the order reads
-
-
 class Verdict(Record):
     def __init__(self, status: str, assignment: dict[int, bool] | None, rounds: int,
                  trace: dict, verification: dict | None) -> None:
@@ -108,8 +100,8 @@ class CarriedVerdicts:
     later state S' (z open, pair index I') if all three of these hold:
 
     (a) no clause in ``built.touched`` changed since S. Occurrence lists only
-        shrink and a clause with fewer than two live literals never changes,
-        so the expansion at S' is the one made at S;
+        shrink and an emptied clause never changes, so the expansion at S' is
+        the one made at S;
     (b) ``len(I'.threes)`` exceeds the 3-literal residues the expansion
         consumed, so it ends as it did, with residue left;
     (c) I' is consistent and no variable of E or of the probe's new pairs
@@ -213,10 +205,9 @@ class _Order:
     """One check order's own part of a group scan (see ``scans``): its
     shuffle, its taint, its trace and, once it ends, its verdict."""
 
-    def __init__(self, opts: ScanOptions) -> None:
-        self.opts = opts
+    def __init__(self, seed: int | None) -> None:
         # a fixed order draws nothing, so it seeds no generator
-        self.rng = random.Random(opts.seed) if opts.order == "random" else None
+        self.rng = None if seed is None else random.Random(seed)
         self.tainted = False
         self.trace: dict = {
             "conversion": None,
@@ -244,22 +235,25 @@ class _Order:
         )
 
 
-def scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
-    """Scan ``f`` in one check order (default: fixed)."""
-    return scans(f, [opts or ScanOptions()])[0]
+def scan(f: Formula, seed: int | None = None, dumps: bool = False) -> Verdict:
+    """Scan ``f`` in one check order: fixed, or shuffled by ``seed``."""
+    return scans(f, [seed], dumps)[0]
 
 
-def scans(f: Formula, orders: list[ScanOptions]) -> list[Verdict]:
+def scans(f: Formula, seeds: list[int | None], dumps: bool = False) -> list[Verdict]:
     """Scan ``f`` once per check order, all of them in one depth-first walk.
-    The verdicts come in the order of ``orders``, each the one its order
-    gives alone; only the scope dumps can differ (see ``_pass``).
+    Each entry of ``seeds`` names an order: None the fixed one, an int a
+    shuffle by ``random.Random(seed)``. The verdicts come in the order of
+    ``seeds``, each the one its order gives alone; with ``dumps`` each order
+    keeps a scope dump per probe it read, and only those can differ (see
+    ``_pass``).
 
     Orders that have discarded the same literals form a group: they share one
     state and its carried verdicts, and each pass probes a literal at most
     once for the whole group. Where the orders of a group discard different
     literals, it splits, and each new group but the first goes on from a copy
     of the state."""
-    runs = [_Order(o) for o in orders]
+    runs = [_Order(seed) for seed in seeds]
     try:
         conv = convert_special(f)
     except ConversionUnsat as e:
@@ -290,7 +284,7 @@ def scans(f: Formula, orders: list[ScanOptions]) -> list[Verdict]:
                 for run in group:
                     run.end(f, state, "claimed_sat_unverified" if run.tainted else "unsat")
                 break
-            picks = _pass(f, state, carried, group)
+            picks = _pass(f, state, carried, group, dumps)
             if not picks:
                 break
             (z, group), *rest = picks.items()
@@ -299,7 +293,7 @@ def scans(f: Formula, orders: list[ScanOptions]) -> list[Verdict]:
 
 
 def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
-          group: list[_Order]) -> dict[int, list[_Order]]:
+          group: list[_Order], dumps: bool) -> dict[int, list[_Order]]:
     """One pass for the orders of ``group``, which share ``state``: ends each
     order the pass decides, and returns for the others each literal to
     discard next with the orders that discard it, first picks first.
@@ -310,15 +304,15 @@ def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
     carried verdicts hold, where alone the order would have probed it, has
     no entry."""
     nec = necessary_literals(state)
-    if nec:
-        lit, source = nec[0]
+    if nec is not None:
+        lit, source = nec
         for run in group:
             run.log_discard(state, -lit, "necessary", source)
         return {-lit: group}
-    # the open variables: those of the live clauses of two or more literals;
-    # discard strips its variable from every such clause, so each of them has
-    # both polarities eligible
-    open_vars = sorted({abs(l) for ls in state.live.values() if len(ls) >= 2 for l in ls})
+    # the open variables: those of the live clauses; discard strips its
+    # variable from every live clause, so each of them has both polarities
+    # eligible
+    open_vars = sorted({abs(l) for ls in state.live.values() for l in ls})
     if not open_vars:
         assert state.n_conflict is None, "unreported conjunct contradiction"
         for run in group:
@@ -327,9 +321,8 @@ def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
     zs = [z for v in open_vars for z in (v, -v)]
     index = PairIndex(state)  # one per pass, shared by its probes
     held = carried.begin_pass(state, index)
-    dumps = any(run.opts.trace_checks for run in group)
-    # literal -> (its verdict, None for not_yet, and its scope dump if any
-    # order keeps them); a not_yet keeps no scope alive past its probe
+    # literal -> (its verdict, None for not_yet, and its scope dump if the
+    # orders keep them); a not_yet keeps no scope alive past its probe
     probed: dict[int, tuple] = {}
     picks: dict[int, list[_Order]] = {}
     for run in group:
@@ -350,7 +343,7 @@ def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
                     res = None
                 hit = probed[z] = (res, dump)
             res, dump = hit
-            if run.opts.trace_checks:
+            if dumps:
                 run.trace["scopes"].append(dump)
             if res is not None:
                 break

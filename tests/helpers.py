@@ -44,7 +44,7 @@ from x1scan.scope import (
     XorUnsat,
     incompatible,
 )
-from x1scan.solver import ScanOptions, Verdict, extract_assignment
+from x1scan.solver import Verdict, extract_assignment
 
 
 def clause_by_id(f: Formula, cid: int) -> Clause:
@@ -76,9 +76,9 @@ def as_formula(state: SolverState) -> Formula:
 
 
 def open_literals(state: SolverState) -> list[int]:
-    """``v, -v`` for each variable of a live clause of two or more literals,
-    ascending: the literals ``solver.scan`` probes."""
-    open_vars = {abs(l) for ls in state.live.values() if len(ls) >= 2 for l in ls}
+    """``v, -v`` for each variable of a live clause, ascending: the literals
+    ``solver.scan`` probes."""
+    open_vars = {abs(l) for ls in state.live.values() for l in ls}
     return [z for v in sorted(open_vars) for z in (v, -v)]
 
 
@@ -241,7 +241,7 @@ def replay_monotonicity(f: Formula, discards: list[dict]) -> tuple[int, list[dic
     violations: list[dict] = []
     # after the last discard the scan ran one more pass, unless it conflicted
     for d in [*discards, None]:
-        if not necessary_literals(state):
+        if necessary_literals(state) is None:
             index = PairIndex(state)
             for z in remembered:
                 if len(state.live_literals[abs(z)]) != 2:
@@ -263,11 +263,10 @@ def replay_monotonicity(f: Formula, discards: list[dict]) -> tuple[int, list[dic
 # --- reference scan loop: every pass probes every open literal ------------------
 
 
-def reprobe_scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
+def reprobe_scan(f: Formula, seed: int | None = None) -> Verdict:
     """``solver.scan`` with nothing carried between passes: every probing pass
     probes every open literal again. It keeps no scope dumps, so compare it
     with ``scan`` on everything but ``trace["scopes"]``."""
-    opts = opts or ScanOptions()
     trace: dict = {"conversion": None, "events": [], "discards": [], "scopes": [],
                    "completion": []}
     try:
@@ -281,7 +280,7 @@ def reprobe_scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
                                "removed_clauses": list(conv.removed_clauses),
                                "contradiction_var": None}
     state = init_state(conv.formula)
-    rng = random.Random(opts.seed)
+    rng = None if seed is None else random.Random(seed)
     tainted = False
 
     def finish(status: str, assignment: dict[int, bool] | None) -> Verdict:
@@ -295,12 +294,12 @@ def reprobe_scan(f: Formula, opts: ScanOptions | None = None) -> Verdict:
 
     while True:
         nec = necessary_literals(state)
-        if nec:
-            lit, source = nec[0]
+        if nec is not None:
+            lit, source = nec
             z, via = -lit, "necessary"
         else:
             zs = open_literals(state)
-            if opts.order == "random":
+            if rng is not None:
                 rng.shuffle(zs)
             res = None
             index = PairIndex(state) if zs else None

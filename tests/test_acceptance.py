@@ -53,7 +53,7 @@ from x1scan.scope import (
     incompatible,
     xor2sat_satisfiable,
 )
-from x1scan.solver import ScanOptions, scan
+from x1scan.solver import scan
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -72,7 +72,7 @@ GOLDEN_EVENTS = [
 
 
 def test_1_golden_trace(criterion):
-    v = scan(GOLDEN, ScanOptions(trace_checks=True))
+    v = scan(GOLDEN, dumps=True)
     first_scope = v.trace["scopes"][0]
     times = []
     for _ in range(5):
@@ -299,7 +299,7 @@ def test_9_scaling_smoke(criterion):
     # underconstrained, where passes end in completion picks: a carried
     # not_yet verdict is not probed again, and the trace lists only probes run
     sparse = generate_random(400, 120, seed=0, profile="uniform3")
-    probes = len(scan(sparse, ScanOptions(trace_checks=True)).trace["scopes"])
+    probes = len(scan(sparse, dumps=True).trace["scopes"])
 
     ok = big < 10.0 and probes < 5000
     criterion(
@@ -318,7 +318,7 @@ def test_9_transition_zone(criterion):
     t0 = time.perf_counter()
     status = scan(f).status
     ms = (time.perf_counter() - t0) * 1000.0
-    probes = len(scan(f, ScanOptions(trace_checks=True)).trace["scopes"])
+    probes = len(scan(f, dumps=True).trace["scopes"])
     criterion(
         "9 transition-zone",
         True,
@@ -362,7 +362,7 @@ def test_10_determinism(criterion, capsys, tmp_path):
 
     invocations = [
         ["solve", str(path), "--json", "--trace", "--no-timing"],
-        ["solve", str(path), "--json", "--no-timing", "--order", "random", "--seed", "11"],
+        ["solve", str(path), "--json", "--no-timing", "--seed", "11"],
         ["oracle", str(path), "--json", "--no-timing"],
         ["net", str(path), "--json", "--check-reach"],
         ["diff", "--count", "6", "--seed", "3", "--permutations", "2", "--no-timing"],

@@ -16,7 +16,7 @@ from test_formula import MALFORMED
 from x1scan.cli import EXIT_INTERNAL, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
 from x1scan.formula import emit_x1cnf, failed_clauses, formula, parse_x1cnf
 from x1scan.oracle import PROFILES, find_model, generate_campaign, generate_random
-from x1scan.solver import scan
+from x1scan.solver import scan, verdict_as_dict
 
 GOLDEN = "p x1cnf 3 3\n1 -3 0\n1 -2 3 0\n2 -3 0\n"
 
@@ -78,12 +78,33 @@ def test_solve_unsat_exit(tmp_path, capsys):
 
 
 def test_solve_random_order_seeded_deterministic(golden_path, capsys):
-    args = ["solve", golden_path, "--json", "--no-timing", "--order", "random", "--seed", "11"]
+    args = ["solve", golden_path, "--json", "--no-timing", "--seed", "11"]
     rc = main(args)
     first = capsys.readouterr().out
     assert rc == EXIT_SAT
     main(args)
     assert capsys.readouterr().out == first
+
+
+def test_solve_seed_names_the_shuffled_order(tmp_path, capsys):
+    f = generate_random(12, 10, seed=2, profile="adversarial")
+    path = write_cnf(tmp_path, "f.cnf", emit_x1cnf(f))
+    docs = []
+    for seed in (None, 11):
+        argv = ["solve", path, "--json", "--trace", "--no-timing"]
+        main(argv + ([] if seed is None else ["--seed", str(seed)]))
+        docs.append(json.loads(capsys.readouterr().out))
+        assert docs[-1] == verdict_as_dict(scan(f, seed, dumps=True))
+    # the seed changes which probes ran, so the two orders are told apart
+    assert docs[0]["trace"]["scopes"] != docs[1]["trace"]["scopes"]
+
+
+def test_solve_trace_without_json_is_a_usage_error(golden_path, capsys):
+    # the text output has no place for the trace it would build
+    assert main(["solve", golden_path, "--trace", "--no-timing"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trace needs --json\n"
 
 
 def test_solve_reads_stdin_dash(monkeypatch, capsys):
@@ -150,6 +171,7 @@ def test_diff_out_onto_an_existing_file(tmp_path, capsys):
     ["diff", "--budget-states", "5"],
     ["net", "FILE", "--seed", "1"],
     ["diff", "--order", "random"],
+    ["solve", "FILE", "--order", "random"],
 ])
 def test_subcommand_rejects_a_common_flag_it_never_reads(golden_path, capsys, argv):
     argv = [golden_path if a == "FILE" else a for a in argv]
@@ -522,6 +544,25 @@ def test_diff_out_dir_created(tmp_path, capsys):
     assert rc == 0
     assert out.is_dir()
     assert "wrote 0 discrepancy files" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--profiles", "mixed,bogus", "--count", "1"],
+    ["--profiles", "bogus", "--count", "0"],
+])
+def test_diff_unknown_profile_is_refused_before_any_draw(capsys, argv):
+    assert main(["diff", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown profile 'bogus'\n"
+
+
+def test_diff_without_random_orders_counts_every_instance_invariant(capsys):
+    assert main(["diff", "--count", "3", "--permutations", "0", "--profiles", "mixed",
+                 "--no-timing"]) == 0
+    inv = json.loads(capsys.readouterr().out)["order_invariance"]
+    assert inv == {"instances": 3, "permutations": 0, "invariant": 3,
+                   "varied_instances": []}
 
 
 def test_diff_m_range_must_be_paired(capsys):

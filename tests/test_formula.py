@@ -24,7 +24,7 @@ from x1scan.formula import (
     parse_x1cnf,
 )
 from x1scan.petri import build_inverse_net, target_reachable
-from x1scan.solver import ScanOptions, scan
+from x1scan.solver import Verdict, scan
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -82,10 +82,12 @@ def test_records_compare_print_and_hash_by_their_fields():
     assert repr(pair) == "Formula(n_vars=1, clauses=(Clause(id=1, lits=(1, -1)),))"
     assert pair == Formula(1, (Clause(1, (1, -1)),))
     # mutable records compare by their fields too, and have no hash
-    assert ScanOptions() == ScanOptions("fixed", None, False) != ScanOptions(seed=1)
-    assert repr(ScanOptions()) == "ScanOptions(order='fixed', seed=None, trace_checks=False)"
+    v = Verdict("sat", {1: True}, 2, {}, None)
+    assert v == Verdict("sat", {1: True}, 2, {}, None) != Verdict("sat", {1: False}, 2, {}, None)
+    assert repr(v) == ("Verdict(status='sat', assignment={1: True}, rounds=2, trace={}, "
+                       "verification=None)")
     with pytest.raises(TypeError):
-        hash(ScanOptions())
+        hash(v)
 
 
 def test_frozen_record_fields_are_read_only():

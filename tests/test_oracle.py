@@ -26,7 +26,7 @@ from x1scan.oracle import (
     net_cross_check,
     write_discrepancies,
 )
-from x1scan.solver import ScanOptions, Verdict
+from x1scan.solver import Verdict
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -220,16 +220,15 @@ class TestDifferential:
         groups = []
         real = oracle.scans
 
-        def recorded(f, orders):
-            groups.append(orders)
-            return real(f, orders)
+        def recorded(f, seeds, dumps=False):
+            groups.append((seeds, dumps))
+            return real(f, seeds, dumps)
 
         monkeypatch.setattr(oracle, "scans", recorded)
         differential_corpus([GOLDEN, GOLDEN], permutations=3)
         assert len(groups) == 2
         # no order keeps scope dumps
-        randoms = [ScanOptions(order="random", seed=k) for k in range(3)]
-        assert groups[0] == [ScanOptions()] + randoms
+        assert groups[0] == ([None, 0, 1, 2], False)
 
     def test_campaign_respects_ranges(self):
         fs = list(generate_campaign(25, (2, 8), None, ("mixed",), 9))
@@ -292,8 +291,8 @@ class TestMinimizer:
         statuses, brute_calls = [], []
         real_scan, real_search = oracle.scan, oracle.find_model
 
-        def scan(f, opts=None):
-            v = real_scan(f, opts)
+        def scan(f, seed=None, dumps=False):
+            v = real_scan(f, seed, dumps)
             statuses.append(v.status)
             return v
 
@@ -314,7 +313,7 @@ class TestMinimizer:
         # the input is unsat, so every kept shrink must be unsat too
         monkeypatch.setattr(
             "x1scan.oracle.scan",
-            lambda f, opts=None: Verdict("claimed_sat_unverified", None, 0, {}, None),
+            lambda f, seed=None, dumps=False: Verdict("claimed_sat_unverified", None, 0, {}, None),
         )
         f = formula(3, [[1, 2], [1, -2], [3]])
         assert brute_force_sat(f) is None

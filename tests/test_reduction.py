@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     as_formula,
-    clause_by_id,
     event_lines,
     fingerprint,
     full_fingerprint,
@@ -17,7 +16,6 @@ from helpers import (
 from x1scan.formula import failed_clauses, formula
 from x1scan.reduction import (
     ReductionError,
-    conflict_index,
     discard,
     init_state,
     necessary_literals,
@@ -34,9 +32,9 @@ def golden_state():
 
 def test_init_builds_occurrence_index():
     st_ = golden_state()
-    assert conflict_index(st_, 1) == [1, 2]
-    assert conflict_index(st_, -1) == []
-    assert conflict_index(st_, -3) == [1, 3]
+    assert st_.occurrence[1] == [1, 2]
+    assert -1 not in st_.occurrence
+    assert st_.occurrence[-3] == [1, 3]
     assert st_.conjuncts == set()
     assert index_consistent(st_)
 
@@ -44,9 +42,10 @@ def test_init_builds_occurrence_index():
 def test_init_unit_clause_seeds_conjuncts_but_not_the_index():
     f = formula(4, [[1, -3], [1, -2, 3], [2, -3], [4]])
     st_ = init_state(f)
-    assert conflict_index(st_, 4) == []
-    assert 4 in st_.conjuncts
-    assert st_.live[4] == [4]  # still live; invisible to reduction queries
+    assert st_.occurrence[4] == []
+    assert 4 in st_.conjuncts and st_.pending == {4: 4}
+    assert st_.live[4] == []  # its fact lives on in N and the pending map
+    assert st_.live_literals[4] == (4, -4)
 
 
 def test_init_rejects_special():
@@ -101,17 +100,17 @@ def test_discard_trace_on_golden():
     assert st_.pending == {-3: 1}
     assert st_.live_literals[1] == (-1,)
     assert st_.scan_round == 2
-    assert necessary_literals(st_) == [(-3, 1)]
+    assert necessary_literals(st_) == (-3, 1)
 
     assert discard(st_, 3) is None
     assert conjunct_order(st_) == [-1, -3, -2]
     assert all(ls == [] for ls in st_.live.values())
     assert st_.scan_round == 3
-    assert necessary_literals(st_) == [(-2, 3)]
+    assert necessary_literals(st_) == (-2, 3)
 
     assert discard(st_, 2) is None
     assert st_.scan_round == 4
-    assert necessary_literals(st_) == []
+    assert necessary_literals(st_) is None
     assert {v: pols for v, pols in st_.live_literals.items()} == {
         1: (-1,), 2: (-2,), 3: (-3,)
     }
@@ -220,16 +219,11 @@ def test_random_discard_walks_keep_invariants(f, rng):
             assert len(ls) <= sizes[k]
             sizes[k] = len(ls)
         assert n_before <= state.conjuncts
-        # solver.scan probes the variables of these clauses, both polarities
+        # solver.scan probes the variables of the live clauses, both polarities
         for ls in state.live.values():
-            if len(ls) >= 2:
-                assert all(len(state.live_literals[abs(l)]) == 2 for l in ls)
-        # necessary_literals reads pending alone: a live clause of one literal
-        # is an input unit, already in pending under its own id or an earlier one
-        for k, ls in state.live.items():
-            if len(ls) == 1:
-                assert clause_by_id(f, k).lits == tuple(ls)
-                assert state.pending[ls[0]] <= k
+            assert all(len(state.live_literals[abs(l)]) == 2 for l in ls)
+        # necessary_literals reads pending alone: no live clause has one literal
+        assert all(len(ls) != 1 for ls in state.live.values())
         if res is not None:
             assert res in state.conjuncts and -res in state.conjuncts
             break
@@ -274,7 +268,8 @@ def test_event_replay_reconstructs_state(f, rng):
             break
 
     # replay the log against a fresh skeleton
-    live = {c.id: list(c.lits) for c in f.clauses}
+    # a unit clause starts empty: init_state files its literal as a conjunct
+    live = {c.id: [] if c.is_conjunct else list(c.lits) for c in f.clauses}
     live_literals = {v: (v, -v) for v in {abs(l) for c in f.clauses for l in c.lits}}
     conjuncts, order, pending = set(), [], {}
     rnd, conflict = 1, None

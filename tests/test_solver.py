@@ -13,7 +13,6 @@ from x1scan import scope, solver
 from x1scan.formula import failed_clauses, formula
 from x1scan.oracle import PROFILES, generate_campaign, generate_random
 from x1scan.solver import (
-    ScanOptions,
     extract_assignment,
     scan,
     scans,
@@ -61,7 +60,7 @@ class TestGoldenRun:
         assert v.trace["conversion"] is None
 
     def test_scope_dumps_collected_on_request(self):
-        v = scan(GOLDEN, ScanOptions(trace_checks=True))
+        v = scan(GOLDEN, dumps=True)
         first = v.trace["scopes"][0]
         assert first["literal"] == 1
         assert first["verdict"] == "incompatible"
@@ -84,12 +83,12 @@ class TestGoldenRun:
         # patch every binding, so a direct call from the solver counts too
         for module in (scope, solver):
             monkeypatch.setattr(module, "build_scope", counted, raising=False)
-        v = scan(f, ScanOptions(trace_checks=True))
+        v = scan(f, dumps=True)
         assert v.trace["scopes"]
         assert calls == [s["literal"] for s in v.trace["scopes"]]
 
     def test_random_order_still_solves(self):
-        v = scan(GOLDEN, ScanOptions(order="random", seed=7))
+        v = scan(GOLDEN, seed=7)
         assert v.status == "sat"
         assert v.verification["passed"]
 
@@ -248,7 +247,7 @@ class TestProperties:
     @given(formulas(max_n=3, max_m=4), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_random_order_keeps_invariants(self, f, seed):
-        v = scan(f, ScanOptions(order="random", seed=seed))
+        v = scan(f, seed)
         if v.status == "sat":
             assert v.verification["passed"]
 
@@ -287,9 +286,9 @@ class TestCarriedVerdicts:
     @pytest.mark.parametrize("order", ["fixed", "random"])
     def test_runs_match_reprobing_everything(self, order):
         for i, f in enumerate(CARRY_CORPUS):
-            opts = ScanOptions(order=order, seed=i)
-            assert without_scopes(scan(f, opts)) == without_scopes(
-                helpers.reprobe_scan(f, opts)
+            seed = None if order == "fixed" else i
+            assert without_scopes(scan(f, seed)) == without_scopes(
+                helpers.reprobe_scan(f, seed)
             ), f
 
     def test_counterexample_dead_ends_after_completion_picks(self):
@@ -300,9 +299,9 @@ class TestCarriedVerdicts:
     @given(formulas(max_n=6, max_m=8), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_small_runs_match_reprobing_everything(self, f, seed):
-        for opts in (ScanOptions(), ScanOptions(order="random", seed=seed)):
-            assert without_scopes(scan(f, opts)) == without_scopes(
-                helpers.reprobe_scan(f, opts)
+        for order in (None, seed):
+            assert without_scopes(scan(f, order)) == without_scopes(
+                helpers.reprobe_scan(f, order)
             )
 
     def test_trace_lists_only_the_probes_that_ran(self, monkeypatch):
@@ -317,14 +316,14 @@ class TestCarriedVerdicts:
 
         monkeypatch.setattr(solver, "incompatible", counted(solver.incompatible, probed))
         monkeypatch.setattr(helpers, "incompatible", counted(helpers.incompatible, reprobed))
-        v = scan(f, ScanOptions(trace_checks=True))
+        v = scan(f, dumps=True)
         helpers.reprobe_scan(f)
         assert probed == [s["literal"] for s in v.trace["scopes"]]
         assert len(probed) < len(reprobed)
 
 
 # the orders `x1scan diff` runs as one group: the fixed order, then seeds 0-9
-DIFF_ORDERS = [ScanOptions()] + [ScanOptions(order="random", seed=k) for k in range(10)]
+DIFF_ORDERS = [None, *range(10)]
 
 
 def discard_sequences(verdicts) -> set:
@@ -350,8 +349,9 @@ class TestGroupScan:
 
     def test_scan_is_a_group_of_one(self):
         f = generate_random(30, 20, seed=3, profile="mixed")
-        for opts in DIFF_ORDERS[:3] + [ScanOptions(trace_checks=True)]:
-            assert scan(f, opts) == scans(f, [opts])[0]
+        for seed in DIFF_ORDERS[:3]:
+            for dumps in (False, True):
+                assert scan(f, seed, dumps) == scans(f, [seed], dumps)[0]
 
     def test_a_pass_probes_each_literal_once_for_the_group(self, monkeypatch):
         f = generate_random(14, 12, seed=2, profile="adversarial")
@@ -370,13 +370,12 @@ class TestGroupScan:
 
     def test_dumps_list_the_probes_each_order_read(self):
         # the second order reads the probe of 1 that the first ran, and lists it
-        traced = [ScanOptions(trace_checks=True),
-                  ScanOptions(order="random", seed=3, trace_checks=True)]
-        group = scans(GOLDEN, traced + [ScanOptions(order="random", seed=1)])
-        for opts, v in zip(traced, group):
+        seeds = [None, 3]
+        group = scans(GOLDEN, seeds, dumps=True)
+        for seed, v in zip(seeds, group):
             assert v.trace["scopes"]
-            assert v.trace["scopes"] == scan(GOLDEN, opts).trace["scopes"]
-        assert group[2].trace["scopes"] == []
+            assert v.trace["scopes"] == scan(GOLDEN, seed, dumps=True).trace["scopes"]
+        assert all(v.trace["scopes"] == [] for v in scans(GOLDEN, seeds))
 
     def test_a_not_yet_scope_is_freed_before_the_next_probe(self, monkeypatch):
         # the pass's probe memo keeps no not_yet scope alive: every scope a
@@ -404,7 +403,7 @@ class TestGroupScan:
 
         monkeypatch.setattr(solver.random, "Random", unseeded)
         assert scan(GOLDEN).status == "sat"
-        assert scan(GOLDEN, ScanOptions(seed=5)).status == "sat"
+        assert [v.status for v in scans(GOLDEN, [None, None], dumps=True)] == ["sat"] * 2
 
 
 class TestMonotonicityReplay:
