@@ -25,6 +25,7 @@ from .formula import (
 )
 from .oracle import (
     PROFILES,
+    check_profiles,
     differential_corpus,
     find_model,
     generate_campaign,
@@ -261,9 +262,7 @@ def cmd_diff(args) -> int:
     if args.m_min is not None and args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     profiles = tuple(args.profiles.split(","))
-    for name in profiles:
-        if name not in PROFILES:
-            raise ValueError(f"unknown profile {name!r}")
+    check_profiles(profiles)
     report = differential_corpus(
         generate_campaign(
             args.count,

@@ -157,21 +157,26 @@ def find_model(f: Formula, budget: int) -> dict[int, bool] | None:
 PROFILES = ("uniform3", "mixed", "adversarial")
 
 
+def check_profiles(profiles: Iterable[str]) -> None:
+    """Refuse any name outside PROFILES before anything is drawn."""
+    for name in profiles:
+        if name not in PROFILES:
+            raise ValueError(f"unknown profile {name!r}")
+
+
 def _draw_clause(rng: Random, n: int, profile: str, prev: tuple[int, ...] | None):
     if profile == "uniform3":
         vs = rng.sample(range(1, n + 1), 3)
     elif profile == "mixed":
         size = min(rng.choices((1, 2, 3), weights=(1, 2, 7))[0], n)
         vs = rng.sample(range(1, n + 1), size)
-    elif profile == "adversarial":
+    else:  # adversarial
         if prev is None:
             vs = rng.sample(range(1, n + 1), 3)
         else:
             shared = rng.choice([abs(l) for l in prev])
             rest = [v for v in range(1, n + 1) if v != shared]
             vs = [shared] + rng.sample(rest, 2)
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
     lits = sorted((v if rng.random() < 0.5 else -v for v in vs), key=abs)
     return tuple(lits)
 
@@ -184,6 +189,7 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
     1:2:7. adversarial: 3-literal chain, each clause sharing a variable with
     its predecessor.
     """
+    check_profiles((profile,))
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:

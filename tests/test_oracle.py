@@ -148,7 +148,7 @@ class TestGenerator:
             generate_random(5, -3, seed=0, profile="mixed")
 
     def test_unknown_profile(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown profile 'bogus'"):
             generate_random(3, 1, seed=0, profile="bogus")
 
 
