@@ -232,7 +232,7 @@ def cmd_net(args) -> int:
     net = build(conv.formula)
     reached = None
     if args.check_reach:
-        reached = target_reachable(net, budget=args.budget_states)
+        reached = target_reachable(net, args.budget_states)
 
     if args.dot:
         print(export_dot(net))
@@ -262,7 +262,8 @@ def cmd_diff(args) -> int:
     if args.m_min is not None and args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     profiles = tuple(args.profiles.split(","))
-    check_profiles(profiles)
+    # with no m range, m is drawn from 1..2n, which every profile can draw
+    check_profiles(profiles, args.n_min, args.m_max or 0)
     report = differential_corpus(
         generate_campaign(
             args.count,

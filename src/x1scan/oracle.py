@@ -3,9 +3,8 @@ counterexample minimization.
 
 The exact search is the ground truth everything else is judged against; it
 shares no code with the scan. The differential harness runs the scan loop
-against it over seeded corpora, re-verifies every claimed model, cross-checks tiny instances
-against both Petri-net constructions, measures order robustness, and shrinks
-any disagreement to a small reproducer.
+against it over seeded corpora, re-verifies every claimed model, measures
+order robustness, and shrinks any disagreement to a small reproducer.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from random import Random
 from typing import Iterable, Iterator
 
 from .formula import DEFAULT_STATE_BUDGET, Budget, Formula, emit_x1cnf, formula
-from .petri import build_forward_net, build_inverse_net, target_reachable
 from .solver import scan, scans
 
 
@@ -157,11 +155,27 @@ def find_model(f: Formula, budget: int) -> dict[int, bool] | None:
 PROFILES = ("uniform3", "mixed", "adversarial")
 
 
-def check_profiles(profiles: Iterable[str]) -> None:
-    """Refuse any name outside PROFILES before anything is drawn."""
+def distinct_clauses(n: int, profile: str) -> int:
+    """How many distinct clauses ``profile`` can draw over n variables: 2^k
+    sign choices per k variables."""
+    if profile == "mixed":
+        return 8 * comb(n, 3) + 4 * comb(n, 2) + 2 * n
+    return 8 * comb(n, 3)
+
+
+def check_profiles(profiles: Iterable[str], n_min: int, m_max: int) -> None:
+    """Before anything is drawn, refuse any name outside PROFILES, and
+    ``m_max`` clauses where a profile cannot draw that many distinct ones at
+    the smallest n it draws: ``n_min``, raised to 3 for the 3-literal profiles."""
     for name in profiles:
         if name not in PROFILES:
             raise ValueError(f"unknown profile {name!r}")
+        n = n_min if name == "mixed" else max(n_min, 3)
+        if m_max > distinct_clauses(n, name):
+            raise ValueError(
+                f"cannot draw {m_max} distinct {name} clauses over {n} variables "
+                f"(at most {distinct_clauses(n, name)})"
+            )
 
 
 def _draw_clause(rng: Random, n: int, profile: str, prev: tuple[int, ...] | None):
@@ -189,22 +203,13 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
     1:2:7. adversarial: 3-literal chain, each clause sharing a variable with
     its predecessor.
     """
-    check_profiles((profile,))
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
     if profile in ("uniform3", "adversarial") and n < 3:
         raise ValueError(f"profile {profile} needs n >= 3")
-    # distinct clauses the profile can draw: 2^k sign choices per k variables
-    distinct = 8 * comb(n, 3)
-    if profile == "mixed":
-        distinct += 2 * n + 4 * comb(n, 2)
-    if m > distinct:
-        raise ValueError(
-            f"cannot draw {m} distinct {profile} clauses over {n} variables "
-            f"(at most {distinct})"
-        )
+    check_profiles((profile,), n, m)
     rng = Random(f"{profile}:{n}:{m}:{seed}")
     rows: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -225,22 +230,19 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
     return f
 
 
-def net_cross_check(f: Formula, oracle_sat: bool) -> list[str]:
-    """Compare both net constructions against the oracle verdict. Any
-    mismatch is a bug in the constructions here, never a solver finding."""
-    problems = []
-    for name, build in (("forward", build_forward_net), ("inverse", build_inverse_net)):
-        reached = target_reachable(build(f))
-        if reached != oracle_sat:
-            problems.append(f"{name} net reachability {reached} vs oracle {oracle_sat}")
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # differential testing
 
 # a report's ``statuses`` character for each scan status
 _STATUS_MARK = {"sat": "s", "unsat": "u", "claimed_sat_unverified": "c"}
+
+
+# each disagreement's class, by (scan status, oracle satisfiable)
+DISAGREEMENT_CLASS = {
+    ("claimed_sat_unverified", False): "fixpoint_on_unsat",
+    ("claimed_sat_unverified", True): "completion_dead_end",
+    ("unsat", True): "unsound_unsat",
+}
 
 
 def _agrees(status: str, oracle_sat: bool) -> bool:
@@ -269,8 +271,7 @@ def differential_corpus(
     that ``x1scan diff`` prints. Agreement means a verified sat against a
     satisfiable instance or an unsat against an unsatisfiable one; everything
     else (including claimed_sat_unverified) is a disagreement and gets
-    minimized. Instances with n <= 3, m <= 4 and no both-polarity clause are
-    additionally cross-checked against both net constructions.
+    minimized and classed (``DISAGREEMENT_CLASS``).
 
     Each instance is scanned in the fixed order and in ``permutations``
     seeded random orders, all as one group (``solver.scans``); an instance
@@ -303,10 +304,6 @@ def differential_corpus(
             continue
         marks.append(_STATUS_MARK[v.status])
 
-        if f.n_vars <= 3 and f.n_clauses <= 4 and not f.special:
-            for problem in net_cross_check(f, oracle_sat):
-                errors.append({"instance_id": i, "error": problem})
-
         if all(o.status == v.status for o in others):
             invariant += 1
         elif len(varied) < 20:
@@ -320,6 +317,7 @@ def differential_corpus(
             "formula": _formula_rows(f),
             "scan_status": v.status,
             "oracle_status": "sat" if oracle_sat else "unsat",
+            "class": DISAGREEMENT_CLASS[v.status, oracle_sat],
             "minimized": _formula_rows(minimize_counterexample(f)),
         })
 
@@ -425,6 +423,7 @@ def write_discrepancies(report: dict, out_dir: str | Path) -> list[Path]:
                     "minimized": small,
                     "scan_status": d["scan_status"],
                     "oracle_status": d["oracle_status"],
+                    "class": d["class"],
                     "reproduce": f"x1scan solve --json {cnf.name}",
                 },
                 indent=2,

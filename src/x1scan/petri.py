@@ -22,15 +22,15 @@ Net construction for a general exactly-1 formula (n vars, m clauses):
   ``l{i}``; the collector consumes every ``l{i}`` and marks ``top``.
 
 Both constructions reach a marking that is exactly ``{top}`` iff the formula
-has an assignment with exactly one true literal per clause; the oracle harness
-checks that equivalence exhaustively against brute force.
+has an assignment with exactly one true literal per clause; the acceptance
+suite checks that equivalence exhaustively against brute force.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .formula import DEFAULT_STATE_BUDGET, Budget, Formula, Record
+from .formula import Budget, Formula, Record
 
 Marking = frozenset
 
@@ -120,122 +120,88 @@ def _lit_name(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"-x{-lit}"
 
 
-def _require_general(f: Formula) -> None:
-    if f.special:
-        raise NetError(
-            f"net construction needs a general formula; special witnesses: {f.special}"
-        )
+class _NetBuilder:
+    """A net for the general formula ``f``: its nodes in the order they are
+    added, with their levels; the transitions are the keys of ``pre``."""
+
+    def __init__(self, f: Formula) -> None:
+        if f.special:
+            raise NetError(
+                f"net construction needs a general formula; special witnesses: {f.special}"
+            )
+        self.places: list[str] = []
+        self.level: dict[str, int] = {}
+        self.pre: dict[str, frozenset[str]] = {}
+        self.post: dict[str, frozenset[str]] = {}
+
+    def place(self, p: str, level: int) -> None:
+        self.places.append(p)
+        self.level[p] = level
+
+    def transition(self, t: str, level: int, pre, post) -> None:
+        self.level[t] = level
+        self.pre[t] = frozenset(pre)
+        self.post[t] = frozenset(post)
+
+    def finish(self, name: str, collected) -> Net:
+        """The net, ended by the sink ``top`` and the level-2 ``collect``
+        that consumes the places ``collected`` and marks it."""
+        self.places.append("top")
+        self.transition("collect", 2, collected, ("top",))
+        return Net(name, tuple(self.places), tuple(self.pre), self.pre, self.post,
+                   self.level, frozenset({"top"}))
 
 
 def build_forward_net(f: Formula) -> Net:
-    _require_general(f)
-    n = f.n_vars
-    places: list[str] = [f"l{i}" for i in range(1, n + 1)]
-    places += [f"g{c.id}" for c in f.clauses]
-    level: dict[str, int] = {p: 0 for p in places[:n]}
+    net = _NetBuilder(f)
+    for i in range(1, f.n_vars + 1):
+        net.place(f"l{i}", 0)
     for c in f.clauses:
-        level[f"g{c.id}"] = 1
-    transitions: list[str] = []
-    pre: dict[str, frozenset[str]] = {}
-    post: dict[str, frozenset[str]] = {}
-
+        net.place(f"g{c.id}", 1)
     buffers: dict[int, list[str]] = {}  # literal -> its buffer places
     for c in f.clauses:
         for lit in c.lits:
             b = f"b{c.id}_{lit}"
-            places.append(b)
-            level[b] = 1
+            net.place(b, 1)
             buffers.setdefault(lit, []).append(b)
 
-    for i in range(1, n + 1):
+    for i in range(1, f.n_vars + 1):
         for lit in (i, -i):
-            t = _lit_name(lit)
-            transitions.append(t)
-            level[t] = 0
-            pre[t] = frozenset({f"l{i}"})
-            post[t] = frozenset(buffers.get(lit, ()))
+            net.transition(_lit_name(lit), 0, (f"l{i}",), buffers.get(lit, ()))
 
     for c in f.clauses:
-        places.append(f"c{c.id}")
-        level[f"c{c.id}"] = 2
+        net.place(f"c{c.id}", 2)
         for lit in c.lits:
-            t = f"z{c.id}_{lit}"
-            transitions.append(t)
-            level[t] = 1
-            pre[t] = frozenset({f"b{c.id}_{lit}", f"g{c.id}"})
-            post[t] = frozenset({f"c{c.id}"})
+            net.transition(f"z{c.id}_{lit}", 1, (f"b{c.id}_{lit}", f"g{c.id}"), (f"c{c.id}",))
 
-    places.append("top")
-    transitions.append("collect")
-    level["collect"] = 2
-    pre["collect"] = frozenset(f"c{c.id}" for c in f.clauses)
-    post["collect"] = frozenset({"top"})
-
-    return Net(
-        name="forward",
-        places=tuple(places),
-        transitions=tuple(transitions),
-        pre=pre,
-        post=post,
-        level=level,
-        sinks=frozenset({"top"}),
-    )
+    return net.finish("forward", [f"c{c.id}" for c in f.clauses])
 
 
 def build_inverse_net(f: Formula) -> Net:
-    _require_general(f)
-    n = f.n_vars
-    places: list[str] = [f"c{c.id}" for c in f.clauses]
-    level: dict[str, int] = {p: 0 for p in places}
-    transitions: list[str] = []
-    pre: dict[str, frozenset[str]] = {}
-    post: dict[str, frozenset[str]] = {}
-
+    net = _NetBuilder(f)
+    for c in f.clauses:
+        net.place(f"c{c.id}", 0)
     buffers: dict[int, list[str]] = {}
     for c in f.clauses:
         for lit in c.lits:
-            t = f"z{c.id}_{lit}"
             b = f"b{c.id}_{lit}"
-            places.append(b)
-            level[b] = 1
+            net.place(b, 1)
             buffers.setdefault(lit, []).append(b)
-            transitions.append(t)
-            level[t] = 0
-            pre[t] = frozenset({f"c{c.id}"})
-            post[t] = frozenset({b})
+            net.transition(f"z{c.id}_{lit}", 0, (f"c{c.id}",), (b,))
 
-    for i in range(1, n + 1):
+    for i in range(1, f.n_vars + 1):
         g, l = f"g{i}", f"l{i}"
-        places += [g, l]
-        level[g] = 1
-        level[l] = 2
+        net.place(g, 1)
+        net.place(l, 2)
         for lit in (i, -i):
-            t = _lit_name(lit)
-            transitions.append(t)
-            level[t] = 1
-            pre[t] = frozenset({g, *buffers.get(lit, ())})
-            post[t] = frozenset({l})
+            net.transition(_lit_name(lit), 1, (g, *buffers.get(lit, ())), (l,))
 
-    places.append("top")
-    transitions.append("collect")
-    level["collect"] = 2
-    pre["collect"] = frozenset(f"l{i}" for i in range(1, n + 1))
-    post["collect"] = frozenset({"top"})
-
-    return Net(
-        name="inverse",
-        places=tuple(places),
-        transitions=tuple(transitions),
-        pre=pre,
-        post=post,
-        level=level,
-        sinks=frozenset({"top"}),
-    )
+    return net.finish("inverse", [f"l{i}" for i in range(1, f.n_vars + 1)])
 
 
 # --- reachability ------------------------------------------------------------
 
-def target_reachable(net: Net, *, budget: int = DEFAULT_STATE_BUDGET) -> bool:
+def target_reachable(net: Net, budget: int) -> bool:
     """True iff some firing sequence ends in a marking that is exactly the sinks.
 
     Transitions consume only from their own level, so any firing sequence can

@@ -4,7 +4,8 @@ package's incompatibility check and XOR decision are compared against; the
 monotonicity audit, replayed from a scan's discards; the reference scan loop
 that probes every open literal on every pass; the reference special-clause
 rewrite; the token game and the reference reachability search that the
-package's net engine is compared against; the brute-force oracle that the
+package's net engine is compared against, and the check of both net
+constructions against an oracle verdict; the brute-force oracle that the
 package's exact search is compared against; the exhaustive formula corpora;
 and a structural checker for the shipped JSON schemas."""
 
@@ -16,6 +17,7 @@ from importlib import resources
 from typing import Iterable, Iterator
 
 from x1scan.formula import (
+    DEFAULT_STATE_BUDGET,
     Clause,
     Conversion,
     ConversionUnsat,
@@ -24,7 +26,7 @@ from x1scan.formula import (
     failed_clauses,
     formula,
 )
-from x1scan.petri import Marking, Net
+from x1scan.petri import Marking, Net, build_forward_net, build_inverse_net, target_reachable
 from x1scan.reduction import (
     SolverState,
     discard,
@@ -449,6 +451,17 @@ def search_reachable(net: Net) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return False
+
+
+def net_cross_check(f: Formula, oracle_sat: bool) -> list[str]:
+    """Compare both net constructions against the oracle verdict. Any
+    mismatch is a bug in the constructions, never a solver finding."""
+    problems = []
+    for name, build in (("forward", build_forward_net), ("inverse", build_inverse_net)):
+        reached = target_reachable(build(f), DEFAULT_STATE_BUDGET)
+        if reached != oracle_sat:
+            problems.append(f"{name} net reachability {reached} vs oracle {oracle_sat}")
+    return problems
 
 
 # --- reference oracle -----------------------------------------------------------

@@ -19,6 +19,7 @@ from helpers import (
     brute_force_sat,
     exhaustive_general,
     exhaustive_special,
+    net_cross_check,
     play_token_game,
     replay_monotonicity,
 )
@@ -26,6 +27,7 @@ from test_petri import reference_net
 
 from x1scan.cli import main
 from x1scan.formula import (
+    DEFAULT_STATE_BUDGET,
     ConversionUnsat,
     convert_special,
     emit_x1cnf,
@@ -38,10 +40,9 @@ from x1scan.oracle import (
     find_model,
     generate_campaign,
     generate_random,
-    net_cross_check,
     write_discrepancies,
 )
-from x1scan.petri import DEFAULT_STATE_BUDGET, build_inverse_net, target_reachable
+from x1scan.petri import build_inverse_net, target_reachable
 from x1scan.reduction import init_state
 from x1scan.scope import (
     Built,
@@ -274,6 +275,32 @@ def test_8_differential_campaign(criterion, tmp_path):
     )
 
 
+def test_8_campaign_beyond_n8(criterion):
+    # a regression guard where a polynomial procedure for an NP-complete
+    # problem would have to start failing: every shipped profile at n 40..80
+    t0 = time.perf_counter()
+    report = differential_corpus(
+        generate_campaign(810, (40, 80), None, ("mixed", "uniform3", "adversarial"), 0),
+        permutations=10,
+        no_timing=True,
+    )
+    elapsed = time.perf_counter() - t0
+    order = report["order_invariance"]
+    ok = (
+        report["agreements"] == report["instance_count"] == 810
+        and report["errors"] == []
+        and order["invariant"] == order["instances"] == 810
+        and elapsed < 30.0
+    )
+    criterion(
+        "8 campaign n 40..80",
+        ok,
+        f"810 seeded instances (mixed, uniform3, adversarial; 10 orders): "
+        f"{report['agreements']}/810 verified agreements, {len(report['errors'])} errors, "
+        f"{order['invariant']}/{order['instances']} order-invariant, {elapsed:.1f} s < 30 s",
+    )
+
+
 def test_9_scaling_smoke(criterion):
     f = generate_random(400, 1600, seed=0, profile="uniform3")
     times = []
@@ -404,7 +431,7 @@ def test_11_fixpoint_does_not_prove_satisfiability(criterion):
     model = brute_force_sat(COUNTEREXAMPLE)
     t_brute = time.perf_counter() - t0
     t0 = time.perf_counter()
-    reachable = target_reachable(build_inverse_net(COUNTEREXAMPLE), budget=20_000_000)
+    reachable = target_reachable(build_inverse_net(COUNTEREXAMPLE), 20_000_000)
     t_reach = time.perf_counter() - t0
     picks = v.trace["completion"]
     ok = (

@@ -557,6 +557,19 @@ def test_diff_unknown_profile_is_refused_before_any_draw(capsys, argv):
     assert captured.err == "error: unknown profile 'bogus'\n"
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_diff_m_range_past_the_distinct_clauses_is_refused_whatever_the_seed(capsys, seed):
+    # at n = 1 a mixed clause is 1 or -1; the refusal comes before any draw
+    argv = ["diff", "--no-timing", "--count", "40", "--n-min", "1", "--n-max", "20",
+            "--m-min", "0", "--m-max", "3", "--profiles", "mixed", "--seed", seed]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot draw 3 distinct mixed clauses over 1 variables (at most 2)\n"
+    )
+
+
 def test_diff_without_random_orders_counts_every_instance_invariant(capsys):
     assert main(["diff", "--count", "3", "--permutations", "0", "--profiles", "mixed",
                  "--no-timing"]) == 0

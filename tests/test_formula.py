@@ -11,6 +11,7 @@ from helpers import (
 )
 
 from x1scan.formula import (
+    DEFAULT_STATE_BUDGET,
     Clause,
     ConversionUnsat,
     Formula,
@@ -263,7 +264,7 @@ def test_convert_numbers_units_past_the_last_clause_id():
     f = Formula(4, (Clause(1, (2, 1, -1)), Clause(3, (2, 3, 4))))
     conv = convert_special(f)
     assert [(c.id, c.lits) for c in conv.formula.clauses] == [(3, (3, 4)), (4, (-2,))]
-    assert target_reachable(build_inverse_net(conv.formula))
+    assert target_reachable(build_inverse_net(conv.formula), DEFAULT_STATE_BUDGET)
     assert scan(f).status == "sat"
 
 

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,19 +14,24 @@ from helpers import (
     exhaustive_general,
     exhaustive_special,
     general_clause_types,
+    load_schema,
+    net_cross_check,
     special_clause_types,
+    validate,
 )
 from test_acceptance import COUNTEREXAMPLE
 
 from x1scan import oracle
 from x1scan.formula import DEFAULT_STATE_BUDGET, BudgetError, failed_clauses, formula, parse_x1cnf
 from x1scan.oracle import (
+    PROFILES,
+    check_profiles,
     differential_corpus,
+    distinct_clauses,
     find_model,
     generate_campaign,
     generate_random,
     minimize_counterexample,
-    net_cross_check,
     write_discrepancies,
 )
 from x1scan.solver import Verdict
@@ -151,6 +159,25 @@ class TestGenerator:
         with pytest.raises(ValueError, match="unknown profile 'bogus'"):
             generate_random(3, 1, seed=0, profile="bogus")
 
+    @pytest.mark.parametrize("profile,n_min,smallest_n", [
+        ("mixed", 1, 1), ("mixed", 3, 3), ("uniform3", 1, 3), ("adversarial", 4, 4),
+    ])
+    def test_an_m_range_is_refused_at_the_smallest_n_drawn(self, profile, n_min, smallest_n):
+        # the 3-literal profiles draw n >= 3 whatever the range asks
+        most = distinct_clauses(smallest_n, profile)
+        check_profiles((profile,), n_min, most)
+        with pytest.raises(ValueError, match=(
+            rf"^cannot draw {most + 1} distinct {profile} clauses over {smallest_n} "
+            rf"variables \(at most {most}\)$"
+        )):
+            check_profiles((profile,), n_min, most + 1)
+
+    def test_the_default_m_range_is_never_refused(self):
+        # without an m range, a campaign draws m from 1..2n
+        for profile in PROFILES:
+            for n in range(1 if profile == "mixed" else 3, 60):
+                assert 2 * n <= distinct_clauses(n, profile)
+
 
 class TestExhaustiveCorpora:
     def test_general_alphabet_size(self):
@@ -205,8 +232,27 @@ class TestDifferential:
         r = differential_corpus(exhaustive_general(2, 2), permutations=2)
         assert r["instance_count"] == 44
         assert r["agreements"] + len(r["disagreements"]) + len(r["errors"]) == 44
-        assert r["errors"] == []  # net cross-checks must never fail
+        assert r["errors"] == []
         assert len(r["statuses"]) == 44 and set(r["statuses"]) <= set("suc")
+
+    def test_the_campaign_builds_no_net(self, monkeypatch):
+        # acceptance claim 4 is the one check of the nets against an oracle
+        def planted(*args, **kwargs):
+            raise AssertionError("the campaign reached the Petri layer")
+
+        for name in ("build_forward_net", "build_inverse_net", "target_reachable"):
+            monkeypatch.setattr(f"x1scan.petri.{name}", planted)
+        r = differential_corpus(exhaustive_general(2, 2), permutations=2)
+        assert r["instance_count"] == 44 and len(r["statuses"]) == 44
+        assert r["agreements"] + len(r["disagreements"]) == 44
+        assert r["errors"] == []
+
+    def test_the_oracle_module_does_not_import_the_petri_layer(self):
+        code = "import sys, x1scan.oracle; print('x1scan.petri' in sys.modules)"
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "False\n"
 
     def test_campaign_determinism(self):
         def run():
@@ -244,17 +290,6 @@ class TestDifferential:
             "instance_id": 1,
             "error": "BudgetError: exact search spent its budget of 100 steps",
         }]
-
-    def test_net_problems_do_not_cancel_the_scan_count(self, monkeypatch):
-        monkeypatch.setattr(
-            "x1scan.oracle.net_cross_check",
-            lambda f, oracle_sat: ["forward net: planted", "inverse net: planted"],
-        )
-        r = differential_corpus([formula(2, [[1, 2]])], permutations=0)
-        assert len(r["errors"]) == 2
-        assert r["agreements"] == 1
-        assert r["order_invariance"]["instances"] == 1
-        assert r["statuses"] == "s"  # net problems leave the scan status
 
     def test_timing_present_by_default(self):
         r = differential_corpus([GOLDEN], permutations=0)
@@ -332,6 +367,36 @@ class TestMinimizer:
         assert r["statuses"] == "c"
 
 
+class TestDisagreementClass:
+    """Each disagreement's class follows from the scan status and the oracle
+    verdict alone."""
+
+    def classes(self, corpus) -> list[tuple[str, str, str]]:
+        r = differential_corpus(corpus, permutations=0, no_timing=True)
+        assert validate(r, load_schema("diff_report")) == []
+        return [(d["scan_status"], d["oracle_status"], d["class"]) for d in r["disagreements"]]
+
+    def test_fixpoint_on_unsat(self, ignore_incompatible):
+        f = formula(5, [[3, 4, 5], [1, 2], [1, -2]])
+        assert self.classes([f]) == [("claimed_sat_unverified", "unsat", "fixpoint_on_unsat")]
+
+    def test_completion_dead_end(self, ignore_incompatible):
+        # satisfiable, with x1 false; with no incompatible discards the scan
+        # stalls, and the completion pick of x1 dead-ends
+        f = formula(6, [[2, 5], [-1, 2, -5], [-3, -4, 6]])
+        assert brute_force_sat(f) is not None
+        assert self.classes([f]) == [("claimed_sat_unverified", "sat", "completion_dead_end")]
+
+    def test_unsound_unsat(self, monkeypatch):
+        # a scan that refutes every formula errs on every satisfiable one
+        unsat = Verdict("unsat", None, 0, {}, None)
+        monkeypatch.setattr(oracle, "scan", lambda f, seed=None, dumps=False: unsat)
+        monkeypatch.setattr(oracle, "scans", lambda f, seeds, dumps=False: [unsat] * len(seeds))
+        assert self.classes([GOLDEN, formula(1, [[1], [-1]])]) == [
+            ("unsat", "sat", "unsound_unsat"),
+        ]
+
+
 class TestEmission:
     def test_write_discrepancies(self, tmp_path, ignore_incompatible):
         f = formula(5, [[3, 4, 5], [1, 2], [1, -2]])
@@ -344,6 +409,7 @@ class TestEmission:
         meta = json.loads(sidecar.read_text())
         assert meta["reproduce"].startswith("x1scan solve --json")
         assert meta["oracle_status"] == "unsat"
+        assert meta["class"] == "fixpoint_on_unsat"
 
     def test_report_dict_shape(self):
         d = differential_corpus([GOLDEN], permutations=1, no_timing=True)
