@@ -15,10 +15,8 @@ from pathlib import Path
 from .formula import (
     DEFAULT_STATE_BUDGET,
     BudgetError,
-    ConversionUnsat,
     Formula,
     ParseError,
-    VarLimitError,
     convert_special,
     parse_x1cnf,
     signed_literals,
@@ -87,9 +85,9 @@ def _value_line(assignment: dict[int, bool]) -> str:
 
 
 def _conversion_line(c: dict) -> str:
-    """The comment line on a special input's conversion ``c``, a dict shaped
-    like the scan trace's ``conversion`` entry."""
-    if c.get("contradiction_var") is not None:
+    """The comment line on a special input's conversion ``c``, the scan
+    trace's ``conversion`` entry."""
+    if c["contradiction_var"] is not None:
         return f"c conversion contradiction on variable {c['contradiction_var']}"
     return f"c converted special formula: forced={c['forced']} removed={c['removed_clauses']}"
 
@@ -215,18 +213,14 @@ def cmd_net(args) -> int:
     if args.dot and args.check_reach:
         # the DOT text has no place for the verdict the search would reach
         raise ValueError("--dot and --check-reach are mutually exclusive")
-    f = _load_formula(args.path)
-    try:
-        conv = convert_special(f)
-    except ConversionUnsat as e:
+    conv = convert_special(_load_formula(args.path))
+    entry = conv.trace_entry()
+    if entry is not None:  # the input was special
+        print(_conversion_line(entry), file=sys.stderr)
+    if conv.formula is None:
         # the input has no model, so there is no net to emit
-        print(_conversion_line({"contradiction_var": e.var}), file=sys.stderr)
         print(_STATUS_LINE["unsat"])
         return EXIT_UNSAT
-    notice = None
-    if conv.removed_clauses:  # the input was special
-        notice = {"forced": list(conv.forced), "removed_clauses": list(conv.removed_clauses)}
-        print(_conversion_line(notice), file=sys.stderr)
 
     build = build_forward_net if args.forward else build_inverse_net
     net = build(conv.formula)
@@ -240,8 +234,8 @@ def cmd_net(args) -> int:
         doc = net_as_dict(net)
         if reached is not None:
             doc["target_reachable"] = reached
-        if notice is not None:
-            doc["conversion_notice"] = notice
+        if entry is not None:
+            doc["conversion_notice"] = {k: entry[k] for k in ("forced", "removed_clauses")}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         cset = root_conflicts(net)
@@ -298,7 +292,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetError, VarLimitError) as e:
+    except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -8,7 +8,8 @@ under a total assignment. A one-literal clause is a conjunct: it pins its litera
 Formulas are *general* when no clause contains both polarities of a variable, and
 *special* otherwise. :func:`convert_special` rewrites any formula into the
 general formula to scan: the surviving clauses followed by one unit clause per
-forced literal. The rewrite preserves exactly-1 satisfiability.
+forced literal, or none when the rewrite forces both polarities of a variable.
+The rewrite preserves exactly-1 satisfiability.
 
 The X-DIMACS file format::
 
@@ -61,13 +62,9 @@ class ParseError(FormulaError):
         self.line_no = line_no
 
 
-class VarLimitError(RuntimeError):
-    """The header declares more than MAX_VARS variables (a budget error, not
-    malformed input)."""
-
-
 class BudgetError(RuntimeError):
-    """An exact search spent its step budget: not a verdict."""
+    """An exact search spent its step budget, or a header declares more than
+    MAX_VARS variables: not a verdict, and not malformed input."""
 
 
 class Budget:
@@ -244,7 +241,7 @@ def parse_x1cnf(text: str) -> Formula:
             if n < 0 or m < 0:
                 raise ParseError(line_no, "header counts must be nonnegative")
             if n > MAX_VARS:
-                raise VarLimitError(
+                raise BudgetError(
                     f"line {line_no}: header declares {n} variables, "
                     f"above the limit MAX_VARS={MAX_VARS}"
                 )
@@ -329,25 +326,28 @@ def failed_clauses(f: Formula, a: Assignment) -> list[int]:
 # --- special-clause rewriting --------------------------------------------------
 
 
-class ConversionUnsat(Exception):
-    """The rewrite forced both polarities of some variable."""
-
-    def __init__(self, var: int):
-        super().__init__(f"conversion forced both polarities of variable {var}")
-        self.var = var
-
-
 class Conversion(Record):
     """The rewrite of a formula. ``formula`` is the formula to scan: the
     surviving clauses, then one unit clause per forced literal, numbered past
-    the original clause ids. The input was special iff ``removed_clauses`` is
-    non-empty."""
+    the original clause ids. A rewrite that forces both polarities of a
+    variable has proved the input unsat: ``formula`` is None,
+    ``contradiction_var`` names the variable, and ``forced`` and
+    ``removed_clauses`` are empty. Otherwise the input was special iff
+    ``removed_clauses`` is non-empty."""
 
-    def __init__(self, formula: Formula, forced: tuple[int, ...],
-                 removed_clauses: tuple[int, ...] = ()) -> None:
+    def __init__(self, formula: Formula | None, forced: tuple[int, ...],
+                 removed_clauses: tuple[int, ...], contradiction_var: int | None) -> None:
         self.formula = formula
         self.forced = forced  # literals pinned true, in derivation order
         self.removed_clauses = removed_clauses  # original ids dropped as tautologies
+        self.contradiction_var = contradiction_var
+
+    def trace_entry(self) -> dict | None:
+        """The scan trace's ``conversion`` entry: None for a general input."""
+        if not self.removed_clauses and self.contradiction_var is None:
+            return None
+        return {"forced": list(self.forced), "removed_clauses": list(self.removed_clauses),
+                "contradiction_var": self.contradiction_var}
 
 
 def convert_special(f: Formula) -> Conversion:
@@ -356,7 +356,7 @@ def convert_special(f: Formula) -> Conversion:
     A clause {z, x, -x} admits exactly one true literal among {x, -x} already,
     so z must be false: -z is forced, z is deleted from every clause, and the
     clause itself drops as a tautology. A bare {x, -x} clause likewise drops.
-    Forcing both polarities raises ConversionUnsat.
+    Forcing both polarities ends the rewrite with a contradiction.
 
     Deleting a literal never creates a both-polarity pair, so only the
     clauses in ``f.special`` can be rewritten: one pass over them in ascending
@@ -371,7 +371,7 @@ def convert_special(f: Formula) -> Conversion:
     comes back as it is.
     """
     if not f.special:
-        return Conversion(f, ())
+        return Conversion(f, (), (), None)
     rows: dict[int, list[int]] = {c.id: list(c.lits) for c in f.clauses}
     holding: dict[int, list[int]] = {}  # literal -> ascending ids of clauses with it
     for cid, lits in rows.items():
@@ -388,7 +388,7 @@ def convert_special(f: Formula) -> Conversion:
         rest = [l for l in lits if abs(l) != v]
         for z in rest:
             if z in forced_set:
-                raise ConversionUnsat(abs(z))
+                return Conversion(None, (), (), abs(z))
             if -z not in forced_set:
                 forced_set.add(-z)
                 forced.append(-z)
@@ -402,9 +402,9 @@ def convert_special(f: Formula) -> Conversion:
                     olits.remove(z)
                     if not olits:
                         # clause demanded z true while z is forced false
-                        raise ConversionUnsat(abs(z))
+                        return Conversion(None, (), (), abs(z))
 
     kept = [Clause(cid, tuple(lits)) for cid, lits in rows.items()]
     last = f.clauses[-1].id
     kept += [Clause(last + 1 + i, (lit,)) for i, lit in enumerate(forced)]
-    return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed))
+    return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed), None)

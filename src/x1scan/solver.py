@@ -45,7 +45,6 @@ from collections import defaultdict
 from collections.abc import KeysView
 
 from .formula import (
-    ConversionUnsat,
     Formula,
     Record,
     convert_special,
@@ -254,21 +253,11 @@ def scans(f: Formula, seeds: list[int | None], dumps: bool = False) -> list[Verd
     literals, it splits, and each new group but the first goes on from a copy
     of the state."""
     runs = [_Order(seed) for seed in seeds]
-    try:
-        conv = convert_special(f)
-    except ConversionUnsat as e:
-        conv, conversion = None, {
-            "forced": [], "removed_clauses": [], "contradiction_var": e.var
-        }
-    else:
-        conversion = None if not conv.removed_clauses else {  # the input was special
-            "forced": list(conv.forced),
-            "removed_clauses": list(conv.removed_clauses),
-            "contradiction_var": None,
-        }
+    conv = convert_special(f)
+    conversion = conv.trace_entry()
     for run in runs:
         run.trace["conversion"] = conversion
-    if conv is None:
+    if conv.formula is None:
         return [Verdict("unsat", None, 0, run.trace, None) for run in runs]
 
     # a group: its state, its carried verdicts, its orders and the literal

@@ -20,7 +20,6 @@ from x1scan.formula import (
     DEFAULT_STATE_BUDGET,
     Clause,
     Conversion,
-    ConversionUnsat,
     Formula,
     convert_special,
     failed_clauses,
@@ -234,10 +233,10 @@ def replay_monotonicity(f: Formula, discards: list[dict]) -> tuple[int, list[dic
 
     Returns the number of re-judgments and one {"literal", "round", "became"}
     entry per re-judgment that was not incompatible."""
-    try:
-        state = init_state(convert_special(f).formula)
-    except ConversionUnsat:
+    g = convert_special(f).formula
+    if g is None:
         return 0, []
+    state = init_state(g)
     remembered: list[int] = []
     checked = 0
     violations: list[dict] = []
@@ -271,16 +270,10 @@ def reprobe_scan(f: Formula, seed: int | None = None) -> Verdict:
     with ``scan`` on everything but ``trace["scopes"]``."""
     trace: dict = {"conversion": None, "events": [], "discards": [], "scopes": [],
                    "completion": []}
-    try:
-        conv = convert_special(f)
-    except ConversionUnsat as e:
-        trace["conversion"] = {"forced": [], "removed_clauses": [],
-                               "contradiction_var": e.var}
+    conv = convert_special(f)
+    trace["conversion"] = conv.trace_entry()
+    if conv.formula is None:
         return Verdict("unsat", None, 0, trace, None)
-    if conv.removed_clauses:
-        trace["conversion"] = {"forced": list(conv.forced),
-                               "removed_clauses": list(conv.removed_clauses),
-                               "contradiction_var": None}
     state = init_state(conv.formula)
     rng = None if seed is None else random.Random(seed)
     tainted = False
@@ -337,16 +330,7 @@ def reference_convert_special(f: Formula) -> Conversion:
     scanning every clause."""
     rows: dict[int, list[int]] = {c.id: list(c.lits) for c in f.clauses}
     forced: list[int] = []
-    forced_set: set[int] = set()
     removed: list[int] = []
-
-    def force(lit: int) -> None:
-        if -lit in forced_set:
-            raise ConversionUnsat(abs(lit))
-        if lit not in forced_set:
-            forced_set.add(lit)
-            forced.append(lit)
-
     changed = True
     while changed:
         changed = False
@@ -361,7 +345,10 @@ def reference_convert_special(f: Formula) -> Conversion:
                 continue
             rest = [l for l in lits if abs(l) != pair_var]
             for z in rest:
-                force(-z)
+                if z in forced:  # -z is forced too
+                    return Conversion(None, (), (), abs(z))
+                if -z not in forced:
+                    forced.append(-z)
             del rows[cid]
             removed.append(cid)
             changed = True
@@ -371,13 +358,13 @@ def reference_convert_special(f: Formula) -> Conversion:
                     if z in olits:
                         olits.remove(z)
                         if not olits:
-                            raise ConversionUnsat(abs(z))
+                            return Conversion(None, (), (), abs(z))
             break
 
     kept = [Clause(cid, tuple(rows[cid])) for cid in sorted(rows)]
     last = max((c.id for c in f.clauses), default=0)
     kept += [Clause(last + 1 + i, (lit,)) for i, lit in enumerate(forced)]
-    return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed))
+    return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed), None)
 
 
 # --- token game: prescribed firing sequences ------------------------------------

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from math import log
 from pathlib import Path
 from random import Random
@@ -28,7 +29,6 @@ from test_petri import reference_net
 from x1scan.cli import main
 from x1scan.formula import (
     DEFAULT_STATE_BUDGET,
-    ConversionUnsat,
     convert_special,
     emit_x1cnf,
     failed_clauses,
@@ -40,6 +40,7 @@ from x1scan.oracle import (
     find_model,
     generate_campaign,
     generate_random,
+    minimize_counterexample,
     write_discrepancies,
 )
 from x1scan.petri import build_inverse_net, target_reachable
@@ -170,9 +171,8 @@ def test_5_conversion(criterion):
     for f in exhaustive_special(4, 2):
         checked += 1
         orig_sat = brute_force_sat(f) is not None
-        try:
-            rewritten = convert_special(f).formula
-        except ConversionUnsat:
+        rewritten = convert_special(f).formula
+        if rewritten is None:
             preserved += not orig_sat
             continue
         preserved += (brute_force_sat(rewritten) is not None) == orig_sat
@@ -449,4 +449,54 @@ def test_11_fixpoint_does_not_prove_satisfiability(criterion):
         f"{[p['var'] for p in picks]}; exact search unsat in {t_exact * 1000:.1f} ms "
         f"< 1 s; brute force unsat in {t_brute:.1f} s; "
         f"inverse-net target unreachable in {t_reach:.1f} s (budget 20,000,000)",
+    )
+
+
+# the smallest known formula the scan gets wrong, from seeded draws in which
+# every variable occurs in exactly two clauses
+DEGREE_TWO_COUNTEREXAMPLE = formula(18, [
+    [6, -9, 15], [5, 11, -15], [2, -6, -18], [-4, 5, 16], [-3, 8, 16], [-1, 2, 13],
+    [10, 11, -17], [-1, -3, -14], [-9, 12, -13], [7, 8, -18], [-4, 7, 10], [12, 14, 17],
+])
+
+
+def test_12_degree_two_fixpoint_on_unsat(criterion):
+    # each variable sits in exactly two clauses, so the formula is a
+    # perfect-matching instance, decided in polynomial time (Edmonds 1965);
+    # the scan still claims satisfiability on it, in every check order, and
+    # the minimizer cannot drop a clause without losing the disagreement
+    f = DEGREE_TWO_COUNTEREXAMPLE
+    occurrences = Counter(abs(l) for c in f.clauses for l in c.lits)
+    degree_two = sorted(occurrences) == list(range(1, 19)) and set(occurrences.values()) == {2}
+    t0 = time.perf_counter()
+    report = differential_corpus([f], permutations=10, no_timing=True)
+    t_diff = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    minimize_counterexample(f)
+    t_min = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    model = brute_force_sat(f)
+    t_brute = time.perf_counter() - t0
+    exact = find_model(f, DEFAULT_STATE_BUDGET)
+    classes = [d["class"] for d in report["disagreements"]]
+    kept = [len(d["minimized"]["clauses"]) for d in report["disagreements"]]
+    order = report["order_invariance"]
+    ok = (
+        degree_two
+        and classes == ["fixpoint_on_unsat"]
+        and report["statuses"] == "c"
+        and order["invariant"] == order["instances"] == 1
+        and kept == [12]
+        and exact is None
+        and model is None
+        and t_diff < 5.0
+    )
+    criterion(
+        "12 degree-two fixpoint-on-unsat",
+        ok,
+        f"12 clauses (n=18, every variable in exactly 2 clauses): diff with 10 "
+        f"orders reports {classes}, statuses {report['statuses']!r}, "
+        f"{order['invariant']}/{order['instances']} order-invariant, minimized to "
+        f"{kept} clauses, in {t_diff:.2f} s < 5 s (minimizer alone {t_min:.2f} s); "
+        f"exact search and brute force ({t_brute:.1f} s) unsat",
     )

@@ -10,10 +10,17 @@ import time
 import pytest
 
 from helpers import load_schema, validate
-from test_acceptance import COUNTEREXAMPLE
+from test_acceptance import COUNTEREXAMPLE, DEGREE_TWO_COUNTEREXAMPLE
 from test_formula import MALFORMED
 
-from x1scan.cli import EXIT_INTERNAL, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
+from x1scan.cli import (
+    EXIT_INTERNAL,
+    EXIT_SAT,
+    EXIT_UNSAT,
+    EXIT_UNVERIFIED,
+    EXIT_USAGE,
+    main,
+)
 from x1scan.formula import emit_x1cnf, failed_clauses, formula, parse_x1cnf
 from x1scan.oracle import PROFILES, find_model, generate_campaign, generate_random
 from x1scan.solver import scan, verdict_as_dict
@@ -135,7 +142,30 @@ def test_solve_rejects_huge_declared_n(tmp_path, capsys):
     rc = main(["solve", path])
     err = capsys.readouterr().err
     assert rc == EXIT_INTERNAL
-    assert "1000000000" in err and "MAX_VARS=1000000" in err
+    assert err == (
+        "error: line 1: header declares 1000000000 variables, "
+        "above the limit MAX_VARS=1000000\n"
+    )
+
+
+def test_solve_claimed_sat_unverified_exits_30(tmp_path, capsys):
+    # the scan's fixpoint claims satisfiability on an unsat formula, and the
+    # completion pick dead-ends; the oracle proves it unsat
+    path = write_cnf(tmp_path, "degree2.cnf", emit_x1cnf(DEGREE_TWO_COUNTEREXAMPLE))
+    rc = main(["solve", path, "--no-timing"])
+    assert rc == EXIT_UNVERIFIED
+    assert capsys.readouterr().out.splitlines() == [
+        "c completion picks (procedure gave no verdict): [1]",
+        "c rounds 18",
+        "s CLAIMED-SAT-UNVERIFIED",
+    ]
+    rc = main(["solve", path, "--json", "--no-timing"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_UNVERIFIED
+    assert validate(doc, load_schema("verdict")) == []
+    assert doc["status"] == "claimed_sat_unverified"
+    assert doc["assignment"] is None and doc["verification"] is None
+    assert main(["oracle", path]) == EXIT_UNSAT
 
 
 def test_solve_parallel_flag_is_gone(golden_path, capsys):

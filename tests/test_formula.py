@@ -13,7 +13,7 @@ from helpers import (
 from x1scan.formula import (
     DEFAULT_STATE_BUDGET,
     Clause,
-    ConversionUnsat,
+    Conversion,
     Formula,
     FormulaError,
     IncompleteAssignmentError,
@@ -239,16 +239,23 @@ def test_convert_three_literal_special_clause():
 
 def test_convert_contradictory_forcings_unsat():
     f = formula(3, [[1, 2, -2], [-1, 3, -3]])
-    with pytest.raises(ConversionUnsat) as exc:
-        convert_special(f)
-    assert exc.value.var == 1
+    assert convert_special(f) == Conversion(None, (), (), 1)
 
 
 def test_convert_emptied_clause_unsat():
     f = formula(2, [[-1], [-1, 2, -2]])
-    with pytest.raises(ConversionUnsat) as exc:
-        convert_special(f)
-    assert exc.value.var == 1
+    assert convert_special(f) == Conversion(None, (), (), 1)
+
+
+def test_conversion_trace_entry():
+    # a general input has no entry; a special one lists what the rewrite did
+    assert convert_special(GOLDEN).trace_entry() is None
+    assert convert_special(formula(2, [[2, 1, -1], [2, -1]])).trace_entry() == {
+        "forced": [-2], "removed_clauses": [1], "contradiction_var": None
+    }
+    assert convert_special(formula(2, [[-1], [-1, 2, -2]])).trace_entry() == {
+        "forced": [], "removed_clauses": [], "contradiction_var": 1
+    }
 
 
 def test_convert_pure_pair_clause_dropped():
@@ -302,28 +309,18 @@ def test_conversion_preserves_satisfiability(rows):
 )
 def test_conversion_unsat_cases_really_unsat(rows):
     n = max(abs(l) for row in rows for l in row)
-    with pytest.raises(ConversionUnsat):
-        convert_special(formula(n, rows))
+    conv = convert_special(formula(n, rows))
+    assert conv.formula is None and conv.contradiction_var is not None
     assert brute_force_sat(formula(n, rows)) is None
 
 
 # --- the one-pass rewrite against the restarting reference --------------------
 
 
-def conversion_outcome(convert, f: Formula):
-    try:
-        conv = convert(f)
-    except ConversionUnsat as e:
-        return ("unsat", e.var)
-    return conv.forced, conv.removed_clauses, conv.formula
-
-
 def test_convert_matches_reference_on_exhaustive_special_corpus():
     checked = 0
     for f in exhaustive_special(4, 2):
-        assert conversion_outcome(convert_special, f) == conversion_outcome(
-            reference_convert_special, f
-        )
+        assert convert_special(f) == reference_convert_special(f)
         checked += 1
     assert checked == 2226
 
@@ -348,6 +345,4 @@ def special_formulas(max_n=10, max_m=12):
 @given(special_formulas())
 def test_convert_matches_reference_on_special_formulas(f):
     assert f.special
-    assert conversion_outcome(convert_special, f) == conversion_outcome(
-        reference_convert_special, f
-    )
+    assert convert_special(f) == reference_convert_special(f)

@@ -360,6 +360,59 @@ def test_carried_verdicts_match_reference_on_seeded_formulas():
         probe_along_random_discards(formula(n, rows), rng)
 
 
+# --- the root-level decision against the assembled scope -------------------
+
+
+def satisfiable_along_random_discards(f, rng) -> tuple[int, int, int]:
+    """Expand every open literal in random order, discard a random one,
+    repeat; each ``Built`` must decide its scope as the assembled scope's XOR
+    decision does. Returns the expansions checked, those with no 3-literal
+    residue left and those made against an inconsistent pair index."""
+    state = init_state(f)
+    checked = no_residue = inconsistent = 0
+    while True:
+        zs = open_literals(state)
+        if not zs:
+            break
+        rng.shuffle(zs)
+        index = PairIndex(state)
+        for z in zs:
+            built = build_scope(state, z, index)
+            if not isinstance(built, Built):
+                continue
+            assert built.satisfiable() == isinstance(xor2sat_satisfiable(built.scope), XorSat)
+            checked += 1
+            no_residue += built.three_left == 0
+            inconsistent += not index.consistent
+        if discard(state, rng.choice(zs)) is not None:
+            break
+    return checked, no_residue, inconsistent
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_formulas(), st.randoms(use_true_random=False))
+def test_scope_satisfiable_matches_xor_decision(f, rng):
+    satisfiable_along_random_discards(f, rng)
+
+
+def test_scope_satisfiable_matches_xor_decision_on_seeded_formulas():
+    """Mostly 3-literal clauses and some pairs: the walks meet scopes with
+    and without residue left, and pair indexes with no model."""
+    totals = [0, 0, 0]
+    for seed in range(1000):
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        rows = [
+            [v if rng.random() < 0.5 else -v
+             for v in rng.sample(range(1, n + 1), rng.choice((2, 3, 3)))]
+            for _ in range(rng.randint(2, 12))
+        ]
+        for i, k in enumerate(satisfiable_along_random_discards(formula(n, rows), rng)):
+            totals[i] += k
+    checked, no_residue, inconsistent = totals
+    assert checked > no_residue > 0 and inconsistent > 0
+
+
 def test_verdicts_compare_and_print_without_their_scope():
     f = formula(3, [[1, 2, 3], [-1, 2]])
     state = init_state(f)
