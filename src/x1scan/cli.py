@@ -19,7 +19,6 @@ from .formula import (
     ParseError,
     convert_special,
     parse_x1cnf,
-    signed_literals,
 )
 from .oracle import (
     PROFILES,
@@ -78,10 +77,17 @@ def _load_formula(path: str) -> Formula:
     return parse_x1cnf(text)
 
 
-def _value_line(assignment: dict[int, bool]) -> str:
+def _value_line(assignment: list[int]) -> str:
     # the list's repr writes its literals without a str object for each one,
     # which at n = MAX_VARS would double the line's peak memory
-    return "v " + repr(signed_literals(assignment) + [0])[1:-1].replace(",", "")
+    return "v " + repr(assignment + [0])[1:-1].replace(",", "")
+
+
+def _print_json(doc: dict) -> None:
+    # written as it is encoded: the whole text of a header-sized assignment,
+    # and the pieces it is joined from, would take several times its memory
+    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _conversion_line(c: dict) -> str:
@@ -167,7 +173,7 @@ def cmd_solve(args) -> int:
         doc = verdict_as_dict(v, include_trace=args.trace)
         if not args.no_timing:
             doc["timing_ms"] = elapsed_ms
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(doc)
     else:
         if v.trace["conversion"] is not None:
             print(_conversion_line(v.trace["conversion"]))
@@ -193,13 +199,10 @@ def cmd_oracle(args) -> int:
 
     status = "sat" if model is not None else "unsat"
     if args.json:
-        doc = {
-            "status": status,
-            "assignment": None if model is None else signed_literals(model),
-        }
+        doc = {"status": status, "assignment": model}
         if not args.no_timing:
             doc["timing_ms"] = elapsed_ms
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(doc)
     else:
         print(_STATUS_LINE[status])
         if model is not None:
@@ -236,7 +239,7 @@ def cmd_net(args) -> int:
             doc["target_reachable"] = reached
         if entry is not None:
             doc["conversion_notice"] = {k: entry[k] for k in ("forced", "removed_clauses")}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(doc)
     else:
         cset = root_conflicts(net)
         print(f"c {net.name}: {len(net.places)} places, {len(net.transitions)} "
@@ -272,7 +275,7 @@ def cmd_diff(args) -> int:
     if args.out:
         written = write_discrepancies(report, args.out)
         print(f"c wrote {len(written)} discrepancy files to {args.out}", file=sys.stderr)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_json(report)
     return 0
 
 

@@ -4,6 +4,8 @@ A literal is a nonzero signed int in DIMACS convention: ``v`` means variable ``v
 is true, ``-v`` means it is false. Variables are numbered from 1. A clause holds
 one to three distinct literals and is satisfied when *exactly one* of them is true
 under a total assignment. A one-literal clause is a conjunct: it pins its literal.
+A total assignment over variables 1..n is the list of its n true literals in
+variable order: ``v`` or ``-v`` at index ``v - 1``, as a v line prints it.
 
 Formulas are *general* when no clause contains both polarities of a variable, and
 *special* otherwise. :func:`convert_special` rewrites any formula into the
@@ -33,12 +35,13 @@ pass. The parser checks only the text and names the line of every error.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_CLAUSE_LITERALS = 3
 # largest n a header may declare; assignments (and the v line) and nets are
 # sized by the declared n, so a larger one is refused before anything is
-# allocated. The solver state is sized by the variables the clauses use.
+# allocated (nets have a tighter limit, petri.MAX_NET_NODES). The solver
+# state is sized by the variables the clauses use.
 MAX_VARS = 10**6
 # the step budget of an exact search (the oracle's, and reachability in a
 # net) when none is given
@@ -63,8 +66,9 @@ class ParseError(FormulaError):
 
 
 class BudgetError(RuntimeError):
-    """An exact search spent its step budget, or a header declares more than
-    MAX_VARS variables: not a verdict, and not malformed input."""
+    """An exact search spent its step budget, a header declares more than
+    MAX_VARS variables, or a net would have more than petri.MAX_NET_NODES
+    nodes: not a verdict, and not malformed input."""
 
 
 class Budget:
@@ -291,32 +295,25 @@ def emit_x1cnf(f: Formula) -> str:
 
 # --- evaluation --------------------------------------------------------------
 
-Assignment = Mapping[int, bool]
-
-
-def signed_literals(a: Assignment) -> list[int]:
-    """A total assignment over variables 1..n as its n true literals, in
-    variable order."""
-    return [v if a[v] else -v for v in range(1, len(a) + 1)]
-
-
-def failed_clauses(f: Formula, a: Assignment) -> list[int]:
+def failed_clauses(f: Formula, a: list[int]) -> list[int]:
     """Ids of the clauses without exactly one true literal under ``a``, in
     clause order; an empty list means ``a`` is a model.
 
-    ``a`` must cover every variable mentioned in ``f`` (a partial map over
-    unmentioned variables is fine). Missing mentioned vars raise.
+    ``a`` is an assignment as its true literals in variable order: ``a[v - 1]``
+    is ``v`` or ``-v``. It must reach every variable mentioned in ``f``; a
+    mentioned variable past ``len(a)`` raises.
     """
     failed = []
+    n = len(a)
     for c in f.clauses:
         count = 0
         for lit in c.lits:
             v = abs(lit)
-            if v not in a:
+            if v > n:
                 raise IncompleteAssignmentError(
                     f"clause {c.id}: variable {v} unassigned"
                 )
-            if a[v] == (lit > 0):
+            if a[v - 1] == lit:
                 count += 1
         if count != 1:
             failed.append(c.id)

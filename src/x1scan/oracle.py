@@ -135,18 +135,18 @@ def _component_sat(rows: list[tuple[int, ...]], val: dict[int, bool], steps: Bud
     return first is None
 
 
-def find_model(f: Formula, budget: int) -> dict[int, bool] | None:
-    """A model of ``f``, or None, by exact search: each connected component
-    is searched depth first, branching on an undecided clause with the
-    fewest open literals, with exactly-one propagation after every choice.
-    A variable in no clause reads false. Raises BudgetError after ``budget``
-    steps."""
+def find_model(f: Formula, budget: int) -> list[int] | None:
+    """A model of ``f`` as its true literals in variable order, or None, by
+    exact search: each connected component is searched depth first,
+    branching on an undecided clause with the fewest open literals, with
+    exactly-one propagation after every choice. A variable in no clause
+    reads false. Raises BudgetError after ``budget`` steps."""
     steps = Budget(budget, "exact search")
     val: dict[int, bool] = {}
     for comp in _components([c.lits for c in f.clauses]):
         if not _component_sat(comp, val, steps):
             return None
-    return {v: val.get(v, False) for v in range(1, f.n_vars + 1)}
+    return [v if val.get(v) else -v for v in range(1, f.n_vars + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .formula import Budget, Formula, Record
+from .formula import Budget, BudgetError, Formula, Record
 
 Marking = frozenset
+
+# the most nodes (places and transitions) a net may have; a larger one is
+# refused before any node is made. At the limit the net's text, JSON and DOT
+# outputs each peak below 160 MB.
+MAX_NET_NODES = 150_000
 
 
 class NetError(ValueError):
@@ -121,14 +126,24 @@ def _lit_name(lit: int) -> str:
 
 
 class _NetBuilder:
-    """A net for the general formula ``f``: its nodes in the order they are
-    added, with their levels; the transitions are the keys of ``pre``."""
+    """The net ``name`` for the general formula ``f``: its nodes in the
+    order they are added, with their levels; the transitions are the keys of
+    ``pre``. The construction makes ``per_var`` nodes per variable,
+    ``per_clause`` per clause, two per literal occurrence (its buffer and
+    occurrence transition) and two more (``top`` and ``collect``); above
+    MAX_NET_NODES it raises BudgetError before it makes any."""
 
-    def __init__(self, f: Formula) -> None:
+    def __init__(self, f: Formula, name: str, per_var: int, per_clause: int) -> None:
         if f.special:
             raise NetError(
                 f"net construction needs a general formula; special witnesses: {f.special}"
             )
+        nodes = (per_var * f.n_vars + per_clause * f.n_clauses
+                 + 2 * sum(len(c.lits) for c in f.clauses) + 2)
+        if nodes > MAX_NET_NODES:
+            raise BudgetError(f"the {name} net would have {nodes} nodes, "
+                              f"above the limit MAX_NET_NODES={MAX_NET_NODES}")
+        self.name = name
         self.places: list[str] = []
         self.level: dict[str, int] = {}
         self.pre: dict[str, frozenset[str]] = {}
@@ -143,17 +158,17 @@ class _NetBuilder:
         self.pre[t] = frozenset(pre)
         self.post[t] = frozenset(post)
 
-    def finish(self, name: str, collected) -> Net:
+    def finish(self, collected) -> Net:
         """The net, ended by the sink ``top`` and the level-2 ``collect``
         that consumes the places ``collected`` and marks it."""
         self.places.append("top")
         self.transition("collect", 2, collected, ("top",))
-        return Net(name, tuple(self.places), tuple(self.pre), self.pre, self.post,
+        return Net(self.name, tuple(self.places), tuple(self.pre), self.pre, self.post,
                    self.level, frozenset({"top"}))
 
 
 def build_forward_net(f: Formula) -> Net:
-    net = _NetBuilder(f)
+    net = _NetBuilder(f, "forward", per_var=3, per_clause=2)
     for i in range(1, f.n_vars + 1):
         net.place(f"l{i}", 0)
     for c in f.clauses:
@@ -174,11 +189,11 @@ def build_forward_net(f: Formula) -> Net:
         for lit in c.lits:
             net.transition(f"z{c.id}_{lit}", 1, (f"b{c.id}_{lit}", f"g{c.id}"), (f"c{c.id}",))
 
-    return net.finish("forward", [f"c{c.id}" for c in f.clauses])
+    return net.finish([f"c{c.id}" for c in f.clauses])
 
 
 def build_inverse_net(f: Formula) -> Net:
-    net = _NetBuilder(f)
+    net = _NetBuilder(f, "inverse", per_var=4, per_clause=1)
     for c in f.clauses:
         net.place(f"c{c.id}", 0)
     buffers: dict[int, list[str]] = {}
@@ -196,7 +211,7 @@ def build_inverse_net(f: Formula) -> Net:
         for lit in (i, -i):
             net.transition(_lit_name(lit), 1, (g, *buffers.get(lit, ())), (l,))
 
-    return net.finish("inverse", [f"l{i}" for i in range(1, f.n_vars + 1)])
+    return net.finish([f"l{i}" for i in range(1, f.n_vars + 1)])
 
 
 # --- reachability ------------------------------------------------------------

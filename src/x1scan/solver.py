@@ -49,7 +49,6 @@ from .formula import (
     Record,
     convert_special,
     failed_clauses,
-    signed_literals,
 )
 from .reduction import (
     SolverState,
@@ -69,25 +68,26 @@ from .scope import (
 
 
 class Verdict(Record):
-    def __init__(self, status: str, assignment: dict[int, bool] | None, rounds: int,
+    def __init__(self, status: str, assignment: list[int] | None, rounds: int,
                  trace: dict, verification: dict | None) -> None:
         self.status = status  # "sat" | "unsat" | "claimed_sat_unverified"
-        self.assignment = assignment
+        self.assignment = assignment  # true literals in variable order
         self.rounds = rounds
         self.trace = trace
         self.verification = verification  # {"passed": bool, "failed": [clause ids]}
 
 
-def extract_assignment(state: SolverState, base: dict[int, bool] | None = None) -> dict[int, bool]:
-    """Read the assignment off the state: variables in ``base`` (a covering
-    scope's model) keep its value, settled variables take their single
-    eligible polarity, and everything else reads false. This is the only
-    place that completes a model."""
-    a = dict(base) if base else {}
-    for v in range(1, state.base.n_vars + 1):
-        if v not in a:
-            pols = state.live_literals.get(v, ())
-            a[v] = len(pols) == 1 and pols[0] > 0
+def extract_assignment(state: SolverState, base: dict[int, bool] | None = None) -> list[int]:
+    """Read the assignment off the state, as its true literals in variable
+    order: variables in ``base`` (a covering scope's model) keep its value,
+    settled variables take their single eligible polarity, and everything
+    else reads false. This is the only place that completes a model."""
+    a = list(range(-1, -state.base.n_vars - 1, -1))
+    for v, pols in state.live_literals.items():
+        if len(pols) == 1 and pols[0] > 0:
+            a[v - 1] = v
+    for v, value in (base or {}).items():
+        a[v - 1] = v if value else -v
     return a
 
 
@@ -218,12 +218,12 @@ class _Order:
         self.verdict: Verdict | None = None
 
     def end(self, f: Formula, state: SolverState, status: str,
-            assignment: dict[int, bool] | None = None, verification: dict | None = None) -> None:
+            assignment: list[int] | None = None, verification: dict | None = None) -> None:
         self.trace["events"] = list(state.events)
         assert state.scan_round <= f.n_vars + 1, "more discards than variables"
         self.verdict = Verdict(status, assignment, state.scan_round, self.trace, verification)
 
-    def end_sat(self, f: Formula, state: SolverState, assignment: dict[int, bool]) -> None:
+    def end_sat(self, f: Formula, state: SolverState, assignment: list[int]) -> None:
         failed = failed_clauses(f, assignment)
         self.end(f, state, "claimed_sat_unverified" if failed else "sat", assignment,
                  {"passed": not failed, "failed": failed})
@@ -353,10 +353,10 @@ def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
 
 
 def verdict_as_dict(v: Verdict, include_trace: bool = True) -> dict:
-    """JSON-ready verdict; assignment rendered as signed literals in variable order."""
+    """JSON-ready verdict."""
     out = {
         "status": v.status,
-        "assignment": None if v.assignment is None else signed_literals(v.assignment),
+        "assignment": v.assignment,
         "rounds": v.rounds,
         "verification": v.verification,
     }

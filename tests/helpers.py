@@ -278,7 +278,7 @@ def reprobe_scan(f: Formula, seed: int | None = None) -> Verdict:
     rng = None if seed is None else random.Random(seed)
     tainted = False
 
-    def finish(status: str, assignment: dict[int, bool] | None) -> Verdict:
+    def finish(status: str, assignment: list[int] | None) -> Verdict:
         verification = None
         if assignment is not None:
             failed = failed_clauses(f, assignment)
@@ -454,9 +454,9 @@ def net_cross_check(f: Formula, oracle_sat: bool) -> list[str]:
 # --- reference oracle -----------------------------------------------------------
 
 
-def brute_force_sat(f: Formula) -> dict[int, bool] | None:
+def brute_force_sat(f: Formula) -> list[int] | None:
     """First satisfying assignment in lexicographic order (all-false first),
-    or None, by enumerating all 2^n assignments: the reference the package's
+    as its true literals in variable order, or None, by enumerating all 2^n assignments: the reference the package's
     exact search is compared against. Meant for small n."""
     rows = [c.lits for c in f.clauses]
     for bits in itertools.product((False, True), repeat=f.n_vars):
@@ -472,7 +472,7 @@ def brute_force_sat(f: Formula) -> dict[int, bool] | None:
                 ok = False
                 break
         if ok:
-            return {v: bits[v - 1] for v in range(1, f.n_vars + 1)}
+            return [v if bits[v - 1] else -v for v in range(1, f.n_vars + 1)]
     return None
 
 

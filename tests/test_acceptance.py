@@ -55,7 +55,7 @@ from x1scan.scope import (
     incompatible,
     xor2sat_satisfiable,
 )
-from x1scan.solver import scan
+from x1scan.solver import extract_assignment, scan
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -86,7 +86,7 @@ def test_1_golden_trace(criterion):
     ok = (
         v.trace["events"] == GOLDEN_EVENTS
         and v.status == "sat"
-        and v.assignment == {1: False, 2: False, 3: False}
+        and v.assignment == [-1, -2, -3]
         and v.verification == {"passed": True, "failed": []}
         and first_scope["literal"] == 1
         and first_scope["verdict"] == "incompatible"
@@ -113,7 +113,7 @@ def test_2_golden_covering_scope(criterion):
         and built.residual3 == ()
         and isinstance(xor2sat_satisfiable(built.scope), XorSat)
         and isinstance(res, CoversSatisfiable)
-        and failed_clauses(GOLDEN, res.model) == []
+        and failed_clauses(GOLDEN, extract_assignment(state, base=res.model)) == []
     )
     criterion(
         "2 golden-scope",

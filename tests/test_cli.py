@@ -148,6 +148,45 @@ def test_solve_rejects_huge_declared_n(tmp_path, capsys):
     )
 
 
+HEADER_SIZED = "p x1cnf 1000000 0\n"
+
+# runs one x1scan child with its output to a file, then prints the child's
+# exit code and peak RSS in KB; a fresh process, since RUSAGE_CHILDREN would
+# report the largest of the test process's earlier children
+PEAK_PROBE = (
+    "import resource, subprocess, sys\n"
+    "with open(sys.argv[1], 'w') as out:\n"
+    "    argv = [sys.executable, '-m', 'x1scan.cli', *sys.argv[2:]]\n"
+    "    rc = subprocess.run(argv, stdout=out).returncode\n"
+    "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+# peaks measured on CPython 3.11, x86-64 Linux: 71 MB for the v line, 54 MB
+# for the JSON document (140 and 205 MB when a model was a dict and the
+# document was built as one string)
+@pytest.mark.parametrize("argv, peak_mb", [
+    (["solve"], 85),
+    (["solve", "--json"], 65),
+    (["oracle"], 85),
+    (["oracle", "--json"], 65),
+])
+def test_a_header_sized_model_is_printed_in_bounded_memory(tmp_path, argv, peak_mb):
+    path = write_cnf(tmp_path, "header.cnf", HEADER_SIZED)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, str(out), *argv, path,
+                           "--no-timing"], capture_output=True, text=True, timeout=60)
+    rc, peak_kb = map(int, proc.stdout.split())
+    assert rc == EXIT_SAT, proc.stderr
+    if "--json" in argv:
+        lits = json.loads(out.read_text())["assignment"]
+        assert (len(lits), lits[0], lits[-1]) == (10**6, -1, -10**6)
+    else:
+        v_line = out.read_text().splitlines()[-1]
+        assert v_line.startswith("v -1 -2 ") and v_line.endswith(" -1000000 0")
+    assert peak_kb / 1024 < peak_mb
+
+
 def test_solve_claimed_sat_unverified_exits_30(tmp_path, capsys):
     # the scan's fixpoint claims satisfiability on an unsat formula, and the
     # completion pick dead-ends; the oracle proves it unsat
@@ -258,8 +297,7 @@ def test_oracle_prints_the_model_its_search_found(tmp_path, capsys):
     path = write_cnf(tmp_path, "sparse.cnf", emit_x1cnf(f))
     assert main(["oracle", path, "--budget-states", "10000"]) == EXIT_SAT
     v_line = capsys.readouterr().out.splitlines()[-1]
-    lits = [int(t) for t in v_line.split()[1:-1]]
-    assert failed_clauses(f, {abs(l): l > 0 for l in lits}) == []
+    assert failed_clauses(f, [int(t) for t in v_line.split()[1:-1]]) == []
 
 
 def test_oracle_on_a_large_instance_ends_without_a_traceback(tmp_path):
@@ -307,8 +345,8 @@ def test_a_variable_of_no_clause_reads_false(tmp_path, capsys):
 
 # --- one assignment, printed three ways -----------------------------------------
 
-# the covering scope of x1 leaves out x2 and x4, so the scan's verdict lists
-# x1 and x3 first and then completes x2 and x4 from the state
+# the covering scope of x1 leaves out x2 and x4, which the scan completes
+# from the state; the verdict still lists every variable in order
 COVERED = formula(4, [[3, 1], [4]])
 
 
@@ -323,7 +361,7 @@ def printed_assignments(command, path, capsys):
 
 
 def test_v_line_and_json_print_the_same_assignment_in_variable_order(tmp_path, capsys):
-    assert list(scan(COVERED).assignment) == [1, 3, 2, 4]
+    assert scan(COVERED).assignment == [1, -2, -3, 4]
     corpus = [parse_x1cnf(GOLDEN), COVERED, formula(3, [])]
     corpus += generate_campaign(24, (4, 12), (1, 5), PROFILES, 5)
     models = 0
@@ -331,12 +369,11 @@ def test_v_line_and_json_print_the_same_assignment_in_variable_order(tmp_path, c
         path = write_cnf(tmp_path, f"{i}.cnf", emit_x1cnf(f))
         for command, assignment in (("solve", scan(f).assignment),
                                     ("oracle", find_model(f, 10**6))):
-            want = None
             if assignment is not None:
-                want = [v if assignment[v] else -v for v in sorted(assignment)]
-                assert [abs(l) for l in want] == list(range(1, f.n_vars + 1))
+                assert [abs(l) for l in assignment] == list(range(1, f.n_vars + 1))
                 models += 1
-            assert printed_assignments(command, path, capsys) == (want, want), (command, i)
+            assert printed_assignments(command, path, capsys) == (assignment, assignment), \
+                (command, i)
     assert models > len(corpus)
 
 
@@ -440,6 +477,25 @@ def test_net_dot_check_reach_conflict(golden_path, capsys):
         assert rc == EXIT_USAGE
         assert captured.out == ""
         assert captured.err == "error: --dot and --check-reach are mutually exclusive\n"
+
+
+@pytest.mark.parametrize("argv, name, nodes", [
+    ([], "inverse", 4_000_002),
+    (["--json"], "inverse", 4_000_002),
+    (["--forward", "--dot"], "forward", 3_000_002),
+])
+def test_net_refuses_a_header_sized_net_before_building_it(tmp_path, golden_path, capsys,
+                                                           argv, name, nodes):
+    path = write_cnf(tmp_path, "header.cnf", HEADER_SIZED)
+    t0 = time.perf_counter()
+    rc = main(["net", path, *argv])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == EXIT_INTERNAL and elapsed < 1.0
+    assert captured.out == ""
+    assert captured.err == (f"error: the {name} net would have {nodes} nodes, "
+                            "above the limit MAX_NET_NODES=150000\n")
+    assert main(["net", golden_path, *argv]) == 0
 
 
 def test_net_reach_budget_exhaustion(golden_path, capsys):

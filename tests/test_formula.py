@@ -199,17 +199,17 @@ def test_emit_is_deterministic(f):
 
 
 def test_evaluate_golden_all_false_is_model():
-    assert failed_clauses(GOLDEN, {1: False, 2: False, 3: False}) == []
+    assert failed_clauses(GOLDEN, [-1, -2, -3]) == []
 
 
 def test_evaluate_rejects_two_true_literals():
     # clause 1 gets both x1 and -x3 true, clause 2 both x1 and -x2
-    assert failed_clauses(GOLDEN, {1: True, 2: False, 3: False}) == [1, 2]
+    assert failed_clauses(GOLDEN, [1, -2, -3]) == [1, 2]
 
 
 def test_evaluate_incomplete_assignment():
     with pytest.raises(IncompleteAssignmentError) as exc:
-        failed_clauses(GOLDEN, {1: False, 2: False})
+        failed_clauses(GOLDEN, [-1, -2])
     assert "variable 3" in str(exc.value)
     assert "clause 1" in str(exc.value)
 

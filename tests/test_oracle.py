@@ -41,7 +41,7 @@ GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
 class TestBruteForce:
     def test_golden_first_model_is_all_false(self):
-        assert brute_force_sat(GOLDEN) == {1: False, 2: False, 3: False}
+        assert brute_force_sat(GOLDEN) == [-1, -2, -3]
 
     def test_contradiction(self):
         assert brute_force_sat(formula(1, [[1], [-1]])) is None
@@ -51,7 +51,7 @@ class TestBruteForce:
 
     def test_lexicographic_order(self):
         # all-false fails here; the first model flips the last variable
-        assert brute_force_sat(formula(2, [[1, 2]])) == {1: False, 2: True}
+        assert brute_force_sat(formula(2, [[1, 2]])) == [-1, 2]
 
 
 def same_as_brute_force(f) -> bool:
@@ -61,7 +61,8 @@ def same_as_brute_force(f) -> bool:
     model = find_model(f, DEFAULT_STATE_BUDGET)
     if model is None:
         return brute_force_sat(f) is None
-    return (brute_force_sat(f) is not None and sorted(model) == list(range(1, f.n_vars + 1))
+    return (brute_force_sat(f) is not None
+            and [abs(l) for l in model] == list(range(1, f.n_vars + 1))
             and failed_clauses(f, model) == [])
 
 
@@ -86,8 +87,8 @@ class TestExactSearch:
         assert [f for f in corpus if not same_as_brute_force(f)] == []
 
     def test_free_variables_read_false(self):
-        assert find_model(formula(4, [[-3]]), 10) == {v: False for v in range(1, 5)}
-        assert find_model(formula(3, []), 10) == {1: False, 2: False, 3: False}
+        assert find_model(formula(4, [[-3]]), 10) == [-1, -2, -3, -4]
+        assert find_model(formula(3, []), 10) == [-1, -2, -3]
 
     def test_components_are_decided_apart(self):
         # a satisfiable block next to an unsatisfiable pair on other variables

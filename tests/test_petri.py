@@ -11,6 +11,7 @@ from helpers import (
     search_reachable,
 )
 
+from x1scan import petri
 from x1scan.formula import DEFAULT_STATE_BUDGET, BudgetError, formula
 from x1scan.petri import (
     Net,
@@ -227,6 +228,21 @@ def test_forward_net_matches_reference_up_to_renaming():
         assert {pmap[p] for p in ref.post[t_ref]} == set(built.post[t_built])
         assert ref.level[t_ref] == built.level[t_built]
     assert {pmap[p] for p in ref.initial} == set(built.initial)
+
+
+@pytest.mark.parametrize("build", [build_forward_net, build_inverse_net])
+def test_a_net_past_the_node_limit_is_refused_before_it_is_built(monkeypatch, build):
+    # x5 is in no clause and still gets its nodes
+    f = formula(5, [[1, -3], [1, -2, 3], [4]])
+    net = build(f)
+    nodes = len(net.places) + len(net.transitions)
+    monkeypatch.setattr(petri, "MAX_NET_NODES", nodes)
+    assert build(f) == net
+    monkeypatch.setattr(petri, "MAX_NET_NODES", nodes - 1)
+    with pytest.raises(BudgetError) as exc:
+        build(f)
+    assert str(exc.value) == (f"the {net.name} net would have {nodes} nodes, "
+                              f"above the limit MAX_NET_NODES={nodes - 1}")
 
 
 def test_inverse_net_structure():

@@ -232,7 +232,7 @@ def test_random_discard_walks_keep_invariants(f, rng):
 def models(f, n):
     out = set()
     for bits in range(1 << n):
-        a = {v: bool(bits >> (v - 1) & 1) for v in range(1, n + 1)}
+        a = [v if bits >> (v - 1) & 1 else -v for v in range(1, n + 1)]
         if not failed_clauses(f, a):
             out.add(bits)
     return out

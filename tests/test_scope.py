@@ -255,7 +255,7 @@ def test_covering_model_extends_with_settled_facts():
     res = incompatible(state, 3, PairIndex(state))
     assert isinstance(res, CoversSatisfiable)
     assert res.model == {1: False, 3: True}  # the scope's variables only
-    assert extract_assignment(state, base=res.model) == {1: False, 2: False, 3: True, 4: True}
+    assert extract_assignment(state, base=res.model) == [-1, -2, 3, 4]
 
 
 def test_scope_as_dict_shapes():

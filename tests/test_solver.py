@@ -42,7 +42,7 @@ class TestGoldenRun:
     def test_verdict(self):
         v = scan(GOLDEN)
         assert v.status == "sat"
-        assert v.assignment == {1: False, 2: False, 3: False}
+        assert v.assignment == [-1, -2, -3]
         assert v.rounds == 4
         assert v.verification == {"passed": True, "failed": []}
 
@@ -160,7 +160,7 @@ class TestUnsat:
         v = scan(f)
         assert v.trace["conversion"]["forced"] == [-2]
         assert v.status == "sat"
-        assert v.assignment == {1: False, 2: False}
+        assert v.assignment == [-1, -2]
         assert v.verification["passed"]
 
 
@@ -170,7 +170,7 @@ class TestCompletion:
         v = scan(f)
         assert v.status == "sat"
         assert v.trace["completion"] == [{"var": 1, "picked": 1}]
-        assert v.assignment == {1: True, 2: False, 3: False, 4: True, 5: False, 6: False}
+        assert v.assignment == [1, -2, -3, 4, -5, -6]
         assert failed_clauses(f, v.assignment) == []
 
     def test_tainted_dead_end_reports_unverified(self, ignore_incompatible):
@@ -191,17 +191,17 @@ class TestExtraction:
         state = init_state(formula(4, [[1, 2, 3]]))
         discard(state, 2)
         a = extract_assignment(state)
-        assert a == {1: False, 2: False, 3: False, 4: False}
+        assert a == [-1, -2, -3, -4]
 
     def test_base_model_wins(self):
         state = init_state(formula(2, [[1, 2]]))
         a = extract_assignment(state, base={1: True})
-        assert a == {1: True, 2: False}
+        assert a == [1, -2]
 
     def test_empty_formula(self):
         v = scan(formula(0, []))
         assert v.status == "sat"
-        assert v.assignment == {}
+        assert v.assignment == []
 
 
 def lits(n):
