@@ -7,6 +7,7 @@ Exit codes follow SAT-solver convention: 10 satisfiable, 20 unsatisfiable,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -20,23 +21,6 @@ from .formula import (
     convert_special,
     parse_x1cnf,
 )
-from .oracle import (
-    PROFILES,
-    check_profiles,
-    differential_corpus,
-    find_model,
-    generate_campaign,
-    write_discrepancies,
-)
-from .petri import (
-    build_forward_net,
-    build_inverse_net,
-    export_dot,
-    net_as_dict,
-    root_conflicts,
-    target_reachable,
-)
-from .solver import scan, verdict_as_dict
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -83,11 +67,24 @@ def _value_line(assignment: list[int]) -> str:
     return "v " + repr(assignment + [0])[1:-1].replace(",", "")
 
 
+# characters of encoded JSON joined into one write
+_JSON_BATCH = 1 << 16
+
+
 def _print_json(doc: dict) -> None:
-    # written as it is encoded: the whole text of a header-sized assignment,
-    # and the pieces it is joined from, would take several times its memory
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # written in bounded batches as it is encoded: the whole text of a
+    # header-sized assignment, and the pieces it is joined from, would take
+    # several times its memory, and one write per piece is slow
+    batch: list[str] = []
+    size = 0
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _JSON_BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    batch.append("\n")
+    sys.stdout.write("".join(batch))
 
 
 def _conversion_line(c: dict) -> str:
@@ -151,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--m-min", type=_at_least(0), default=None)
     diff.add_argument("--m-max", type=_at_least(0), default=None)
     diff.add_argument("--profiles", default="mixed",
-                      help=f"comma-separated: {','.join(PROFILES)}")
+                      help="comma-separated generator profiles (default: mixed)")
     diff.add_argument("--permutations", type=_at_least(0), default=10,
                       help="random check orders per instance")
     diff.add_argument("--out", default=None, metavar="DIR",
@@ -161,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args) -> int:
+    from .solver import scan, verdict_as_dict
+
     if args.trace and not args.json:
         # the text output has no place for the trace
         raise ValueError("--trace needs --json")
@@ -192,6 +191,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import find_model
+
     f = _load_formula(args.path)
     t0 = time.perf_counter()
     model = find_model(f, args.budget_states)
@@ -211,6 +212,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_net(args) -> int:
+    from .petri import (
+        build_forward_net,
+        build_inverse_net,
+        export_dot,
+        net_as_dict,
+        root_conflicts,
+        target_reachable,
+    )
+
     if args.dot and args.json:
         raise ValueError("--dot and --json are mutually exclusive")
     if args.dot and args.check_reach:
@@ -252,6 +262,8 @@ def cmd_net(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    from .oracle import check_profiles, differential_corpus, generate_campaign, write_discrepancies
+
     if (args.m_min is None) != (args.m_max is None):
         raise ValueError("--m-min and --m-max must be given together")
     if args.n_min > args.n_max:
@@ -288,6 +300,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # This process runs one command and exits. Every object alive now
+        # (modules, classes, functions) lives until then, so the collector's
+        # full passes, most of them at interpreter exit, need not traverse
+        # them again. A caller's list of arguments means an in-process call,
+        # whose heap is the caller's to manage.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -169,7 +169,7 @@ def check_profiles(profiles: Iterable[str], n_min: int, m_max: int) -> None:
     the smallest n it draws: ``n_min``, raised to 3 for the 3-literal profiles."""
     for name in profiles:
         if name not in PROFILES:
-            raise ValueError(f"unknown profile {name!r}")
+            raise ValueError(f"unknown profile {name!r} (choose from {', '.join(PROFILES)})")
         n = n_min if name == "mixed" else max(n_min, 3)
         if m_max > distinct_clauses(n, name):
             raise ValueError(

@@ -40,7 +40,6 @@ both-polarity clauses.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from collections.abc import KeysView
 
@@ -205,8 +204,13 @@ class _Order:
     shuffle, its taint, its trace and, once it ends, its verdict."""
 
     def __init__(self, seed: int | None) -> None:
-        # a fixed order draws nothing, so it seeds no generator
-        self.rng = None if seed is None else random.Random(seed)
+        # a fixed order draws nothing, so it seeds no generator and a run
+        # of fixed orders alone never imports random
+        self.rng = None
+        if seed is not None:
+            from random import Random
+
+            self.rng = Random(seed)
         self.tainted = False
         self.trace: dict = {
             "conversion": None,

@@ -2,6 +2,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -51,13 +52,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             f"cold start: `import x1scan.cli` in {ms:.1f} ms (median of 5 processes), "
             f"adding {added} modules outside x1scan (recorded, not gated)"
         )
+        terminalreporter.write_line(
+            f"whole solve: `python -m x1scan.cli solve --json --no-timing` on the golden "
+            f"file in {whole_solve(src):.1f} ms, start to exit (median of 5 processes; "
+            f"recorded, not gated)"
+        )
+
+
+def _child_env(src: Path) -> dict:
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def cold_start(src: Path) -> tuple[float, int]:
     """Median wall time of 5 fresh interpreters that only import x1scan.cli
     from ``src``, and the number of modules outside x1scan that import adds."""
-    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = _child_env(src)
     times = []
     for _ in range(5):
         t0 = time.perf_counter()
@@ -70,3 +80,21 @@ def cold_start(src: Path) -> tuple[float, int]:
     out = subprocess.run([sys.executable, "-c", count], env=env, check=True,
                          capture_output=True, text=True).stdout
     return statistics.median(times), int(out)
+
+
+def whole_solve(src: Path) -> float:
+    """Median wall time of 5 fresh `x1scan solve` processes on the golden
+    formula, from start to exit, which an import-only probe cannot see: the
+    collection at interpreter exit is part of it."""
+    env = _child_env(src)
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = Path(tmp) / "golden.cnf"
+        golden.write_text("p x1cnf 3 3\n1 -3 0\n1 -2 3 0\n2 -3 0\n")
+        argv = [sys.executable, "-m", "x1scan.cli", "solve", "--json", "--no-timing", str(golden)]
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            code = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL).returncode
+            times.append((time.perf_counter() - t0) * 1000.0)
+            assert code == 10, f"solve on the golden formula exited {code}"
+    return statistics.median(times)

@@ -1,5 +1,6 @@
 """Exit codes, output contracts, and schema validity of the x1scan CLI."""
 
+import gc
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from helpers import load_schema, validate
 from test_acceptance import COUNTEREXAMPLE, DEGREE_TWO_COUNTEREXAMPLE
 from test_formula import MALFORMED
 
+from x1scan import cli
 from x1scan.cli import (
     EXIT_INTERNAL,
     EXIT_SAT,
@@ -640,7 +642,9 @@ def test_diff_unknown_profile_is_refused_before_any_draw(capsys, argv):
     assert main(["diff", *argv]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: unknown profile 'bogus'\n"
+    assert captured.err == (
+        "error: unknown profile 'bogus' (choose from uniform3, mixed, adversarial)\n"
+    )
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
@@ -738,9 +742,51 @@ def test_module_entry_point_subprocess(golden_path):
     assert "s SATISFIABLE" in proc.stdout
 
 
+def test_process_entry_freezes_the_import_time_heap(golden_path):
+    # main() reading the process's own command line is what `python -m
+    # x1scan.cli` and the installed `x1scan` script both run
+    probe = (
+        "import gc, sys\n"
+        "from x1scan.cli import main\n"
+        f"sys.argv = ['x1scan', 'solve', {golden_path!r}]\n"
+        "rc = main()\n"
+        "print(gc.get_freeze_count(), file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == EXIT_SAT, proc.stderr
+    assert int(proc.stderr.split()[-1]) > 0
+
+
+def test_in_process_main_leaves_the_collector_alone(golden_path, capsys):
+    before = gc.get_freeze_count()
+    assert main(["solve", golden_path]) == EXIT_SAT
+    assert gc.get_freeze_count() == before
+
+
+def test_json_larger_than_two_batches_is_written_in_bounded_writes(monkeypatch):
+    class Stdout:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    doc = {"assignment": list(range(-20000, 20000)), "status": "sat"}
+    stdout = Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._print_json(doc)
+    text = "".join(stdout.writes)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert len(text) > 2 * cli._JSON_BATCH
+    assert len(stdout.writes) <= -(-len(text) // cli._JSON_BATCH) + 1
+
+
 # modules a cold `solve` has no use for: dataclasses and statistics, and what
-# they pull in (inspect, ast, dis; fractions, decimal)
-COLD_START_UNUSED = ("dataclasses", "inspect", "ast", "dis", "statistics", "fractions", "decimal")
+# they pull in (inspect, ast, dis; fractions, decimal); the other subcommands'
+# modules; random, which only a seeded order draws from, and math
+COLD_START_UNUSED = ("dataclasses", "inspect", "ast", "dis", "statistics", "fractions", "decimal",
+                     "x1scan.oracle", "x1scan.petri", "random", "math")
 
 
 def test_solve_loads_no_unused_stdlib_module(golden_path):
