@@ -2,16 +2,19 @@
 
 Exit codes follow SAT-solver convention: 10 satisfiable, 20 unsatisfiable,
 30 claimed-but-unverified, 1 usage or parse error, 2 internal/budget error.
+
+The command line is read from one table, ``_COMMANDS``: each subcommand's
+flags with their defaults, value checks and help. Flags are matched in full.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
+import os
 import sys
 import time
-from pathlib import Path
+from types import SimpleNamespace
 
 from .formula import (
     DEFAULT_STATE_BUDGET,
@@ -36,28 +39,12 @@ _STATUS_LINE = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems are exit code 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
-
-    def parse(raw: str) -> int:
-        value = int(raw)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {raw}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in its own errors
-    return parse
-
-
 def _load_formula(path: str) -> Formula:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as f:
+            text = f.read()
     return parse_x1cnf(text)
 
 
@@ -93,68 +80,6 @@ def _conversion_line(c: dict) -> str:
     if c["contradiction_var"] is not None:
         return f"c conversion contradiction on variable {c['contradiction_var']}"
     return f"c converted special formula: forced={c['forced']} removed={c['removed_clauses']}"
-
-
-_FLAGS = {
-    "--json": dict(action="store_true", help="machine-readable output"),
-    "--budget-states": dict(type=_at_least(1), default=DEFAULT_STATE_BUDGET, metavar="N",
-                            help="search budget in steps, one per choice tried plus, for "
-                                 "net reachability, one per marking met between two levels "
-                                 "and one per token in it, or, for the oracle, one per "
-                                 f"clause examined (default: {DEFAULT_STATE_BUDGET})"),
-    "--no-timing": dict(action="store_true", help="omit timing fields"),
-}
-
-
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Give a subcommand the common flags it reads, and only those."""
-    g = parser.add_argument_group("common")
-    for name in names:
-        g.add_argument(name, **_FLAGS[name])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="x1scan", description="Exactly-1 3SAT scan solver and checking harness")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="run the scan procedure")
-    solve.add_argument("path", help="X-DIMACS file, or - for stdin")
-    _add_common(solve, "--json", "--no-timing")
-    solve.add_argument("--trace", action="store_true",
-                       help="include the full event trace (needs --json)")
-    solve.add_argument("--seed", type=int, default=None,
-                       help="shuffle the literal check order with this seed "
-                            "(default: the fixed order)")
-
-    oracle = sub.add_parser("oracle", help="exact-search ground truth")
-    oracle.add_argument("path", help="X-DIMACS file, or - for stdin")
-    _add_common(oracle, "--json", "--budget-states", "--no-timing")
-
-    net = sub.add_parser("net", help="emit a Petri net construction")
-    net.add_argument("path", help="X-DIMACS file, or - for stdin")
-    _add_common(net, "--json", "--budget-states")
-    net.add_argument("--forward", action="store_true",
-                     help="clause-checking net (default: the solver-side inverse net)")
-    net.add_argument("--dot", action="store_true", help="Graphviz output")
-    net.add_argument("--check-reach", action="store_true",
-                     help="also decide target reachability")
-
-    diff = sub.add_parser("diff", help="differential campaign vs oracle")
-    _add_common(diff, "--no-timing")
-    diff.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    diff.add_argument("--count", type=_at_least(0), default=1000)
-    diff.add_argument("--n-min", type=_at_least(1), default=2)
-    diff.add_argument("--n-max", type=_at_least(1), default=8)
-    diff.add_argument("--m-min", type=_at_least(0), default=None)
-    diff.add_argument("--m-max", type=_at_least(0), default=None)
-    diff.add_argument("--profiles", default="mixed",
-                      help="comma-separated generator profiles (default: mixed)")
-    diff.add_argument("--permutations", type=_at_least(0), default=10,
-                      help="random check orders per instance")
-    diff.add_argument("--out", default=None, metavar="DIR",
-                      help="write the discrepancy corpus here")
-
-    return p
 
 
 def cmd_solve(args) -> int:
@@ -291,26 +216,233 @@ def cmd_diff(args) -> int:
     return 0
 
 
+# --- the command line ------------------------------------------------------------
+
+
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"invalid int value: {raw!r}") from None
+
+
+def _at_least(low: int):
+    """The check of an integer flag no smaller than ``low``."""
+
+    def check(raw: str) -> int:
+        value = _integer(raw)
+        if value < low:
+            raise ValueError(f"must be an integer >= {low}, got {raw}")
+        return value
+
+    return check
+
+
+# A flag is (metavar, check, default, help). A switch has no metavar and no
+# check and is False unless given; any other flag takes one value, which its
+# check turns into the flag's value or refuses with a ValueError.
+_JSON = (None, None, False, "machine-readable output")
+_NO_TIMING = (None, None, False, "omit timing fields")
+_BUDGET = ("N", _at_least(1), DEFAULT_STATE_BUDGET,
+           "search budget in steps, one per choice tried plus, for net reachability, one per "
+           "marking met between two levels and one per token in it, or, for the oracle, one "
+           f"per clause examined (default: {DEFAULT_STATE_BUDGET})")
+_PATH_HELP = "X-DIMACS file, or - for stdin"
+
+# command -> (its function, its help, whether it reads a path, its flags)
 _COMMANDS = {
-    "solve": cmd_solve,
-    "oracle": cmd_oracle,
-    "net": cmd_net,
-    "diff": cmd_diff,
+    "solve": (cmd_solve, "run the scan procedure", True, {
+        "--json": _JSON,
+        "--no-timing": _NO_TIMING,
+        "--trace": (None, None, False, "include the full event trace (needs --json)"),
+        "--seed": ("N", _integer, None,
+                   "shuffle the literal check order with this seed (default: the fixed order)"),
+    }),
+    "oracle": (cmd_oracle, "exact-search ground truth", True, {
+        "--json": _JSON,
+        "--budget-states": _BUDGET,
+        "--no-timing": _NO_TIMING,
+    }),
+    "net": (cmd_net, "emit a Petri net construction", True, {
+        "--json": _JSON,
+        "--budget-states": _BUDGET,
+        "--forward": (None, None, False,
+                      "clause-checking net (default: the solver-side inverse net)"),
+        "--dot": (None, None, False, "Graphviz output"),
+        "--check-reach": (None, None, False, "also decide target reachability"),
+    }),
+    "diff": (cmd_diff, "differential campaign vs oracle", False, {
+        "--no-timing": _NO_TIMING,
+        "--seed": ("N", _integer, 0, "RNG seed (default: 0)"),
+        "--count": ("N", _at_least(0), 1000, ""),
+        "--n-min": ("N", _at_least(1), 2, ""),
+        "--n-max": ("N", _at_least(1), 8, ""),
+        "--m-min": ("N", _at_least(0), None, ""),
+        "--m-max": ("N", _at_least(0), None, ""),
+        "--profiles": ("P,..", str, "mixed",
+                       "comma-separated generator profiles (default: mixed)"),
+        "--permutations": ("K", _at_least(0), 10, "random check orders per instance"),
+        "--out": ("DIR", str, None, "write the discrepancy corpus here"),
+    }),
 }
 
+_HELP = ("-h", "--help")
 
-def main(argv=None) -> int:
-    if argv is None:
-        # This process runs one command and exits. Every object alive now
-        # (modules, classes, functions) lives until then, so the collector's
-        # full passes, most of them at interpreter exit, need not traverse
-        # them again. A caller's list of arguments means an in-process call,
-        # whose heap is the caller's to manage.
-        gc.freeze()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+
+def _wrap(words: list[str], indent: str) -> str:
+    """``words`` joined by spaces into lines of at most 79 characters where
+    they fit, each line after the first starting with ``indent``."""
+    lines = [words[0]]
+    for word in words[1:]:
+        if len(lines[-1]) + 1 + len(word) > 79:
+            lines.append(indent + word)
+        else:
+            lines[-1] += " " + word
+    return "\n".join(lines)
+
+
+def _synopsis(command: str) -> list[str]:
+    _, _, takes_path, flags = _COMMANDS[command]
+    words = ["x1scan", command, "[-h]"]
+    words += [f"[{flag}]" if metavar is None else f"[{flag} {metavar}]"
+              for flag, (metavar, *_) in flags.items()]
+    return words + ["path"] if takes_path else words
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: x1scan [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = _synopsis(command)
+    return _wrap(["usage: " + words[0], *words[1:]], " " * len(f"usage: x1scan {command} "))
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = [_usage(None), "", "Exactly-1 3SAT scan solver and checking harness", ""]
+        for name, (_, about, _, _) in _COMMANDS.items():
+            lines += [_wrap(_synopsis(name), " " * len(f"x1scan {name} ")), "    " + about]
+        lines += ["", "x1scan COMMAND -h describes each flag of COMMAND."]
+        return "\n".join(lines)
+    _, about, takes_path, flags = _COMMANDS[command]
+    rows = [("path", _PATH_HELP)] if takes_path else []
+    rows.append(("-h, --help", "show this help message and exit"))
+    rows += [(flag if metavar is None else f"{flag} {metavar}", text)
+             for flag, (metavar, _, _, text) in flags.items()]
+    lines = [_usage(command), "", about, ""]
+    lines += [_wrap([f"  {name:<19}", *text.split()], " " * 22) if text else f"  {name}"
+              for name, text in rows]
+    return "\n".join(lines)
+
+
+def _refuse(command: str | None, message: str):
+    """A usage error: the usage, then the error, and exit code 1."""
+    prog = "x1scan" if command is None else f"x1scan {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _show_help(command: str | None):
+    sys.stdout.write(_help(command) + "\n")
+    raise SystemExit(0)
+
+
+def _negative_number(arg: str) -> bool:
+    """Whether ``arg``, which starts with -, is a negative number: -5, -.5, -1.5."""
+    whole, dot, frac = arg[1:].partition(".")
+    if dot:
+        return (whole == "" or whole.isdecimal()) and frac.isdecimal()
+    return whole.isdecimal()
+
+
+def _is_value(arg: str, flags: dict) -> bool:
+    """Whether ``arg`` is read as a value, not as a flag: anything not
+    starting with -, the - of stdin, a negative number, or, unless it names
+    a flag (before any =), an argument holding a space."""
+    if arg[:1] != "-" or arg == "-":
+        return True
+    name = arg.partition("=")[0]
+    if name in flags or name in _HELP:
+        return False
+    return _negative_number(arg) or " " in arg
+
+
+def _dest(flag: str) -> str:
+    """The attribute that holds ``flag``'s value: --no-timing is no_timing."""
+    return flag[2:].replace("-", "_")
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command ``argv`` names and the value of each of its flags (and
+    its ``path``), by the table ``_COMMANDS``. A flag's value may follow it
+    as the next argument or after =; flags may come before or after the
+    path; -- ends the flags; the last of a repeated flag wins. -h or --help
+    prints the help and raises SystemExit(0); a usage error prints the
+    usage and the error and raises SystemExit(1)."""
+    if not argv:
+        _refuse(None, "the following arguments are required: command")
+    command = argv[0]
+    if command in _HELP:
+        _show_help(None)
+    if command not in _COMMANDS:
+        choices = ", ".join(repr(name) for name in _COMMANDS)
+        _refuse(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, _, takes_path, flags = _COMMANDS[command]
+    values = {"command": command}
+    for flag, (_, _, default, _) in flags.items():
+        values[_dest(flag)] = default
+    path, extras, flags_ended = None, [], False
+    i = 1
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if flags_ended or _is_value(arg, flags):
+            if takes_path and path is None:
+                path = arg
+            else:
+                extras.append(arg)
+            continue
+        if arg == "--":
+            flags_ended = True
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag in _HELP:
+            if eq:
+                _refuse(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            _show_help(command)
+        if flag not in flags:
+            extras.append(arg)
+            continue
+        check = flags[flag][1]
+        if check is None:  # a switch
+            if eq:
+                _refuse(command, f"argument {flag}: ignored explicit argument {value!r}")
+            values[_dest(flag)] = True
+            continue
+        if not eq:
+            if i == len(argv) or not _is_value(argv[i], flags):
+                _refuse(command, f"argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        try:
+            values[_dest(flag)] = check(value)
+        except ValueError as e:
+            _refuse(command, f"argument {flag}: {e}")
+    if takes_path:
+        if path is None:
+            _refuse(command, "the following arguments are required: path")
+        values["path"] = path
+    if extras:
+        _refuse(command, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+def main(argv: list[str]) -> int:
+    """Run the command ``argv`` names in this process and return its exit
+    code. The heap and the process are the caller's: the tests and the
+    benchmark's traced run call this."""
+    args = parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -319,5 +451,32 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """The process entry point, of `python -m x1scan.cli` and the installed
+    `x1scan` script: run the process's own command line, flush its output,
+    and end the process with the command's exit code.
+
+    Every object alive at entry (modules, classes, functions) lives until
+    the end, so ``gc.freeze()`` spares the collector traversing them again.
+    Once the last byte is flushed nothing is left to do, so ``os._exit``
+    ends the process without tearing down the module namespaces. A usage
+    error or ``--help`` (SystemExit) and an uncaught exception end the
+    process the usual way."""
+    gc.freeze()
+    code = main(sys.argv[1:])
+    try:
+        try:
+            sys.stdout.flush()
+        except OSError as e:  # say, a reader that closed the pipe
+            # main returns 1 only after printing its own error line
+            if code != EXIT_USAGE:
+                print(f"error: {e}", file=sys.stderr)
+            code = EXIT_USAGE
+        sys.stderr.flush()
+    except OSError:
+        code = EXIT_USAGE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

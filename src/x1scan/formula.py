@@ -35,7 +35,7 @@ pass. The parser checks only the text and names the line of every error.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 MAX_CLAUSE_LITERALS = 3
 # largest n a header may declare; assignments (and the v line) and nets are

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterable, Iterator
 from math import comb
 from pathlib import Path
 from random import Random
-from typing import Iterable, Iterator
 
 from .formula import DEFAULT_STATE_BUDGET, Budget, Formula, emit_x1cnf, formula
 from .solver import scan, scans

@@ -85,7 +85,7 @@ def cold_start(src: Path) -> tuple[float, int]:
 def whole_solve(src: Path) -> float:
     """Median wall time of 5 fresh `x1scan solve` processes on the golden
     formula, from start to exit, which an import-only probe cannot see: the
-    collection at interpreter exit is part of it."""
+    command line, the command and the end of the process are part of it."""
     env = _child_env(src)
     with tempfile.TemporaryDirectory() as tmp:
         golden = Path(tmp) / "golden.cnf"

@@ -7,15 +7,19 @@ rewrite; the token game and the reference reachability search that the
 package's net engine is compared against, and the check of both net
 constructions against an oracle verdict; the brute-force oracle that the
 package's exact search is compared against; the exhaustive formula corpora;
-and a structural checker for the shipped JSON schemas."""
+a structural checker for the shipped JSON schemas; and the argparse parser
+that the package's command line is compared against."""
 
+import argparse
 import itertools
 import json
 import random
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator
 
+from x1scan.cli import EXIT_USAGE
 from x1scan.formula import (
     DEFAULT_STATE_BUDGET,
     Clause,
@@ -582,3 +586,90 @@ def load_schema(name: str) -> dict:
     """One of the JSON schemas shipped as package data."""
     root = resources.files("x1scan").joinpath("schemas")
     return json.loads(root.joinpath(f"{name}.json").read_text())
+
+
+# --- the reference command line -------------------------------------------------
+# the argparse parser that the package's table-driven command line replaced;
+# the parity test reads every command line of its corpus with both
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    # usage problems are exit code 1, not argparse's default 2
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {raw}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its own errors
+    return parse
+
+
+_REFERENCE_FLAGS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--budget-states": dict(type=_at_least(1), default=DEFAULT_STATE_BUDGET, metavar="N",
+                            help="search budget in steps, one per choice tried plus, for "
+                                 "net reachability, one per marking met between two levels "
+                                 "and one per token in it, or, for the oracle, one per "
+                                 f"clause examined (default: {DEFAULT_STATE_BUDGET})"),
+    "--no-timing": dict(action="store_true", help="omit timing fields"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Give a subcommand the common flags it reads, and only those."""
+    g = parser.add_argument_group("common")
+    for name in names:
+        g.add_argument(name, **_REFERENCE_FLAGS[name])
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    p = _ReferenceParser(prog="x1scan", description="Exactly-1 3SAT scan solver and checking harness")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    solve = sub.add_parser("solve", help="run the scan procedure")
+    solve.add_argument("path", help="X-DIMACS file, or - for stdin")
+    _add_common(solve, "--json", "--no-timing")
+    solve.add_argument("--trace", action="store_true",
+                       help="include the full event trace (needs --json)")
+    solve.add_argument("--seed", type=int, default=None,
+                       help="shuffle the literal check order with this seed "
+                            "(default: the fixed order)")
+
+    oracle = sub.add_parser("oracle", help="exact-search ground truth")
+    oracle.add_argument("path", help="X-DIMACS file, or - for stdin")
+    _add_common(oracle, "--json", "--budget-states", "--no-timing")
+
+    net = sub.add_parser("net", help="emit a Petri net construction")
+    net.add_argument("path", help="X-DIMACS file, or - for stdin")
+    _add_common(net, "--json", "--budget-states")
+    net.add_argument("--forward", action="store_true",
+                     help="clause-checking net (default: the solver-side inverse net)")
+    net.add_argument("--dot", action="store_true", help="Graphviz output")
+    net.add_argument("--check-reach", action="store_true",
+                     help="also decide target reachability")
+
+    diff = sub.add_parser("diff", help="differential campaign vs oracle")
+    _add_common(diff, "--no-timing")
+    diff.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    diff.add_argument("--count", type=_at_least(0), default=1000)
+    diff.add_argument("--n-min", type=_at_least(1), default=2)
+    diff.add_argument("--n-max", type=_at_least(1), default=8)
+    diff.add_argument("--m-min", type=_at_least(0), default=None)
+    diff.add_argument("--m-max", type=_at_least(0), default=None)
+    diff.add_argument("--profiles", default="mixed",
+                      help="comma-separated generator profiles (default: mixed)")
+    diff.add_argument("--permutations", type=_at_least(0), default=10,
+                      help="random check orders per instance")
+    diff.add_argument("--out", default=None, metavar="DIR",
+                      help="write the discrepancy corpus here")
+
+    return p

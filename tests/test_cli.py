@@ -4,13 +4,16 @@ import gc
 import hashlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from helpers import load_schema, validate
+from helpers import load_schema, reference_parser, validate
 from test_acceptance import COUNTEREXAMPLE, DEGREE_TWO_COUNTEREXAMPLE
 from test_formula import MALFORMED
 
@@ -743,19 +746,37 @@ def test_module_entry_point_subprocess(golden_path):
 
 
 def test_process_entry_freezes_the_import_time_heap(golden_path):
-    # main() reading the process's own command line is what `python -m
-    # x1scan.cli` and the installed `x1scan` script both run
+    # run() is what `python -m x1scan.cli` and the installed `x1scan` script
+    # both call; it ends with os._exit, so the probe reports from there
     probe = (
-        "import gc, sys\n"
-        "from x1scan.cli import main\n"
+        "import gc, os, sys\n"
+        "from x1scan.cli import run\n"
         f"sys.argv = ['x1scan', 'solve', {golden_path!r}]\n"
-        "rc = main()\n"
-        "print(gc.get_freeze_count(), file=sys.stderr)\n"
-        "sys.exit(rc)\n"
+        "end = os._exit\n"
+        "def report(code):\n"
+        "    print(gc.get_freeze_count(), file=sys.stderr, flush=True)\n"
+        "    end(code)\n"
+        "os._exit = report\n"
+        "run()\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == EXIT_SAT, proc.stderr
     assert int(proc.stderr.split()[-1]) > 0
+
+
+def test_process_entry_skips_interpreter_teardown(golden_path):
+    # an exit handler would run at teardown; os._exit ends the process first
+    probe = (
+        "import atexit, sys\n"
+        "from x1scan.cli import run\n"
+        "atexit.register(print, 'teardown', file=sys.stderr)\n"
+        f"sys.argv = ['x1scan', 'solve', {golden_path!r}]\n"
+        "run()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == EXIT_SAT
+    assert proc.stdout.splitlines()[-1] == "v -1 -2 -3 0"
+    assert proc.stderr == ""
 
 
 def test_in_process_main_leaves_the_collector_alone(golden_path, capsys):
@@ -784,9 +805,11 @@ def test_json_larger_than_two_batches_is_written_in_bounded_writes(monkeypatch):
 
 # modules a cold `solve` has no use for: dataclasses and statistics, and what
 # they pull in (inspect, ast, dis; fractions, decimal); the other subcommands'
-# modules; random, which only a seeded order draws from, and math
+# modules; random, which only a seeded order draws from, and math; argparse,
+# and the gettext, locale and shutil it loads
 COLD_START_UNUSED = ("dataclasses", "inspect", "ast", "dis", "statistics", "fractions", "decimal",
-                     "x1scan.oracle", "x1scan.petri", "random", "math")
+                     "x1scan.oracle", "x1scan.petri", "random", "math",
+                     "argparse", "gettext", "locale", "shutil")
 
 
 def test_solve_loads_no_unused_stdlib_module(golden_path):
@@ -804,3 +827,240 @@ def test_solve_loads_no_unused_stdlib_module(golden_path):
     added = set(proc.stdout.splitlines()[-1].split())
     assert "x1scan.solver" in added
     assert sorted(added.intersection(COLD_START_UNUSED)) == []
+
+
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def child_env(unbuffered: bool = True) -> dict:
+    """The environment of an x1scan child that imports this checkout's
+    package from any directory, with Python's output unbuffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def test_a_bare_interpreter_loads_no_dead_weight(golden_path):
+    # with no site hooks, whatever the probe finds loaded was loaded by x1scan;
+    # typing and pathlib come with most sites, so only here can they show
+    probe = (
+        "import sys\n"
+        "import x1scan.cli\n"
+        f"x1scan.cli.main(['solve', '--json', '--no-timing', {golden_path!r}])\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "x1scan.solver" in loaded
+    assert sorted(loaded.intersection(COLD_START_UNUSED + ("typing", "pathlib"))) == []
+
+
+# --- the process and the function -------------------------------------------------
+
+# each command runs as `python -m x1scan.cli` and as main(argv) in this
+# process, from a directory of its own that holds the golden formula and a
+# malformed one
+IN_PROCESS_AND_CHILD = [
+    ["solve", "golden.cnf", "--no-timing"],
+    ["solve", "golden.cnf", "--json", "--no-timing"],
+    ["solve", "golden.cnf", "--json", "--trace", "--no-timing"],
+    ["solve", "golden.cnf", "--seed", "11", "--json", "--no-timing"],
+    ["oracle", "golden.cnf", "--no-timing"],
+    ["net", "golden.cnf", "--json"],
+    ["net", "golden.cnf", "--dot"],
+    ["net", "golden.cnf", "--check-reach"],
+    ["diff", "--count", "5", "--permutations", "2", "--no-timing", "--out", "corpus"],
+    ["solve", "golden.cnf", "--seed", "x"],
+    ["solve", "bad.cnf"],
+    ["solve", "missing.cnf"],
+    ["oracle", "golden.cnf", "--budget-states", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", IN_PROCESS_AND_CHILD, ids=" ".join)
+def test_a_process_ends_as_main_returns(tmp_path, monkeypatch, capsys, argv):
+    ends = []
+    for side in ("child", "main"):
+        work = tmp_path / side
+        work.mkdir()
+        (work / "golden.cnf").write_text(GOLDEN)
+        (work / "bad.cnf").write_text("p x1cnf 2 1\n1 2\n")
+        if side == "child":
+            proc = subprocess.run([sys.executable, "-m", "x1scan.cli", *argv], cwd=work,
+                                  capture_output=True, text=True, env=child_env())
+            end = [proc.returncode, proc.stdout, proc.stderr]
+        else:
+            monkeypatch.chdir(work)
+            try:
+                code = main(argv)
+            except SystemExit as e:  # a usage error
+                code = e.code
+            captured = capsys.readouterr()
+            end = [code, captured.out, captured.err]
+        corpus = work / "corpus"
+        if corpus.exists():
+            end.append(sorted((p.name, p.read_bytes()) for p in corpus.iterdir()))
+        ends.append(end)
+    assert ends[0] == ends[1]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_the_pipe_after_one_byte(tmp_path, unbuffered):
+    # the JSON document is far larger than a pipe holds, so the child is still
+    # writing when the reader goes
+    path = write_cnf(tmp_path, "wide.cnf", "p x1cnf 100000 0\n")
+    proc = subprocess.Popen([sys.executable, "-m", "x1scan.cli", "solve", path, "--json",
+                             "--no-timing"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=child_env(unbuffered))
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_pipe_closed_before_the_first_byte(golden_path, unbuffered):
+    # buffered, the whole answer waits for the flush at the end, which fails
+    proc = subprocess.Popen([sys.executable, "-m", "x1scan.cli", "solve", golden_path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=child_env(unbuffered))
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# --- the command line -------------------------------------------------------------
+
+# one value each flag of the table takes, as a command line spells it
+SAMPLE_VALUES = {"--seed": "3", "--profiles": "mixed,uniform3", "--out": "corpus",
+                 "--budget-states": "7", "--count": "5", "--n-min": "2", "--n-max": "4",
+                 "--m-min": "1", "--m-max": "3", "--permutations": "2"}
+
+
+def flag_spellings():
+    """Each flag of each subcommand, as --f v and --f=v (a switch alone),
+    before and after the path."""
+    lines = []
+    for command, (_, _, takes_path, flags) in cli._COMMANDS.items():
+        path = ["FILE"] if takes_path else []
+        for flag, (metavar, *_) in flags.items():
+            forms = ([[flag]] if metavar is None else
+                     [[flag, SAMPLE_VALUES[flag]], [f"{flag}={SAMPLE_VALUES[flag]}"]])
+            for form in forms:
+                lines += [[command, *form, *path], [command, *path, *form]]
+    return lines
+
+
+PARSER_CORPUS = [
+    # the README's synopsis lines, every flag given
+    ["solve", "FILE", "--json", "--trace", "--seed", "3", "--no-timing"],
+    ["oracle", "FILE", "--json", "--no-timing", "--budget-states", "100"],
+    ["net", "FILE", "--forward", "--dot", "--check-reach", "--budget-states", "100"],
+    ["net", "FILE", "--json", "--check-reach"],
+    ["diff", "--count", "5", "--n-min", "2", "--n-max", "4", "--m-min", "1", "--m-max", "3",
+     "--profiles", "mixed,uniform3", "--permutations", "2", "--out", "DIR", "--seed", "9",
+     "--no-timing"],
+    # stdin, negative values, a repeated flag, the end of the flags
+    ["solve", "-"],
+    ["solve", "-", "--json"],
+    ["solve", "FILE", "--seed", "-5"],
+    ["solve", "FILE", "--seed=-5"],
+    ["diff", "--seed", "-5"],
+    ["solve", "FILE", "--seed", "1", "--seed", "2"],
+    ["diff", "--count", "3", "--count", "4", "--no-timing", "--no-timing"],
+    ["solve", "--json", "--", "FILE"],
+    ["solve", "--", "FILE"],
+    ["solve", "FILE", "--", "--json"],
+    # out of range or not an integer
+    ["net", "FILE", "--check-reach", "--budget-states", "0"],
+    ["oracle", "FILE", "--budget-states", "-5"],
+    ["oracle", "FILE", "--budget-states", "inf"],
+    ["oracle", "FILE", "--budget-states=1.5"],
+    ["diff", "--count", "-1"],
+    ["diff", "--permutations", "inf"],
+    ["diff", "--n-min", "0"],
+    ["diff", "--n-max", "-4"],
+    ["diff", "--m-min", "-5"],
+    ["diff", "--m-max", "-1"],
+    ["diff", "--count", ""],
+    ["solve", "FILE", "--seed", "x"],
+    ["solve", "FILE", "--seed", "-1.5"],
+    ["diff", "--seed=0x10"],
+    # a flag without its value, a switch with one
+    ["solve", "FILE", "--seed"],
+    ["diff", "--count", "--no-timing"],
+    ["solve", "FILE", "--json=1"],
+    # unknown flags, another subcommand's flags, paths missing or extra
+    ["solve", "FILE", "--parallel"],
+    ["oracle", "FILE", "--seed", "1"],
+    ["solve", "FILE", "--order", "random"],
+    ["net", "FILE", "--seed", "1"],
+    ["diff", "--json"],
+    ["diff", "--budget-states", "5"],
+    ["solve"],
+    ["solve", "--json"],
+    ["solve", "FILE", "OTHER"],
+    ["diff", "FILE"],
+    # commands
+    ["frobnicate"],
+    [],
+    # help at both levels
+    ["-h"],
+    ["--help"],
+    ["solve", "-h"],
+    ["diff", "--help"],
+    ["solve", "FILE", "--json", "-h"],
+] + flag_spellings()
+
+
+def parse_outcome(parse, argv, capsys):
+    """The values ``parse`` reads from ``argv``, or how it exited: the code,
+    and the whole error when it names a flag (`argument --seed: ...`)."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as e:
+        captured = capsys.readouterr()
+        named = re.search(r"error: (argument --.*)", captured.err)
+        if e.code == 0:
+            assert captured.out and not captured.err
+        else:
+            assert captured.err.startswith("usage: ") and not captured.out
+        return e.code, named and named.group(1)
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_the_table_reads_a_command_line_as_argparse_did(capsys, argv):
+    reference = parse_outcome(reference_parser().parse_args, argv, capsys)
+    assert parse_outcome(cli.parse_args, argv, capsys) == reference
+    if isinstance(reference, tuple):
+        assert reference[0] in (0, EXIT_USAGE)
+
+
+def test_a_flag_is_matched_in_full(golden_path, capsys):
+    # argparse took --no-tim for --no-timing
+    assert vars(reference_parser().parse_args(["solve", golden_path, "--no-tim"]))["no_timing"]
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", golden_path, "--no-tim"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("x1scan solve: error: unrecognized arguments: --no-tim\n")
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_names_every_flag_of_the_table(capsys, command):
+    commands = cli._COMMANDS if command is None else [command]
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in commands:
+        assert f"x1scan {name} " in out
+        for flag in cli._COMMANDS[name][3]:
+            assert f"[{flag}" in out

@@ -119,11 +119,6 @@ def test_every_option_field_is_set_in_src():
     assert unset_options() == []
 
 
-# the program's entry point: the tests and the benchmark's traced run call it
-# with argv from outside, the way module dunders are read from outside
-ENTRY_POINTS = {"cli.main"}
-
-
 def _defaulted(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
     """(name, position or None if keyword-only) of each parameter with a default."""
     positional = [*fn.args.posonlyargs, *fn.args.args]
@@ -146,7 +141,7 @@ def unpassed_defaults() -> list[str]:
         (module, stmt)
         for module, tree in trees.items()
         for stmt in tree.body
-        if isinstance(stmt, ast.FunctionDef) and f"{module}.{stmt.name}" not in ENTRY_POINTS
+        if isinstance(stmt, ast.FunctionDef)
     ]
     # function name -> (call, the top-level statement it sits in); a
     # function's calls to itself pass nothing in from outside
