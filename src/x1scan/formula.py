@@ -24,18 +24,22 @@ Clause lines are 1..3 nonzero ints terminated by ``0``. Clause ids are assigned
 in input order starting at 1 and are stable: no operation in this package ever
 renumbers them.
 
-A :class:`Formula` checks its own facts once, when it is built, and nothing
-downstream checks them again: a :class:`Clause` holds one to three distinct
-nonzero literals; clause ids strictly ascend from 1; every variable is at most
-``n_vars``; and ``Formula.special`` lists the (clause id, variable) witnesses
-of the clauses holding both polarities of a variable, computed in that same
-pass. The parser checks only the text and names the line of every error.
+A :class:`Formula` holds its clauses as rows of literals with their ids, and
+checks its own facts once, when it is built; nothing downstream checks them
+again: each row holds one to three distinct nonzero literals; clause ids
+strictly ascend from 1; every variable is at most ``n_vars``; and
+``Formula.special`` lists the (clause id, variable) witnesses of the clauses
+holding both polarities of a variable. A :class:`Clause` record is made only
+when ``Formula.clauses`` is read, and checks nothing. The parser checks only
+the text and names the line of every error.
 """
 
 from __future__ import annotations
 
 import io
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, compress, repeat
+from operator import eq, lt
 
 MAX_CLAUSE_LITERALS = 3
 # largest n a header may declare; assignments (and the v line) and nets are
@@ -132,58 +136,116 @@ def _read_only(self: Record, name: str, *value: object) -> None:
 
 
 class Clause(Record, frozen=True):
-    """A clause with its stable id. Literal order is input order."""
+    """A clause with its stable id, as ``Formula.clauses`` yields it. Literal
+    order is input order; the formula it came from has checked it."""
 
     def __init__(self, id: int, lits: tuple[int, ...]) -> None:
-        if not 1 <= len(lits) <= MAX_CLAUSE_LITERALS:
-            raise FormulaError(
-                f"clause {id}: {len(lits)} literals (want 1..{MAX_CLAUSE_LITERALS})"
-            )
-        if 0 in lits:
-            raise FormulaError(f"clause {id}: literal 0")
-        if len(set(lits)) != len(lits):
-            raise FormulaError(f"clause {id}: duplicate literal")
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "lits", lits)
 
-    @property
-    def is_conjunct(self) -> bool:
-        return len(self.lits) == 1
-
 
 class Formula(Record, frozen=True):
-    def __init__(self, n_vars: int, clauses: tuple[Clause, ...]) -> None:
-        if n_vars < 0:
-            raise FormulaError("n_vars must be >= 0")
-        special = []
-        last = 0
-        for c in clauses:
-            cid, lits = c.id, c.lits
-            if cid <= last:
-                raise FormulaError(f"clause {cid}: id not above {last}; ids ascend from 1", cid)
-            last = cid
-            for l in lits:
-                if l > n_vars or -l > n_vars:
-                    raise FormulaError(
-                        f"clause {cid}: variable {abs(l)} exceeds n_vars={n_vars}", cid
-                    )
-            # of at most three literals, every pair holds the first or the last
-            if -lits[0] in lits or -lits[-1] in lits:
-                special.append((cid, next(abs(l) for l in lits if -l in lits)))
+    """``rows[i]`` is the tuple of literals of the clause whose id is
+    ``ids[i]``; ``ids`` defaults to 1, 2, ... in row order."""
+
+    def __init__(self, n_vars: int, rows: tuple[tuple[int, ...], ...],
+                 ids: tuple[int, ...] | None = None) -> None:
+        ascending = ids is None
+        if ascending:
+            ids = tuple(range(1, len(rows) + 1))
+        elif len(ids) != len(rows):
+            raise FormulaError(f"{len(ids)} clause ids for {len(rows)} clauses")
+        else:
+            ascending = all(map(lt, (0, *ids), ids))
+        # the common case costs no Python step per clause; anything else (a
+        # fault, a special clause, ids out of order) is found and named by the
+        # per-clause pass
+        if ascending and n_vars >= 0 and _plain_rows(n_vars, rows):
+            special = ()
+        else:
+            special = _check_rows(n_vars, rows, ids)
         object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ids", ids)
         # (clause id, variable) witnesses; derived, so not a field
-        object.__setattr__(self, "special", tuple(special))
+        object.__setattr__(self, "special", special)
 
     @property
     def n_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.rows)
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses as records, built on first use: the scan reads rows."""
+        made = self.__dict__.get("_clauses")
+        if made is None:
+            made = self.__dict__["_clauses"] = tuple(map(Clause, self.ids, self.rows))
+        return made
+
+
+def _plain_rows(n_vars: int, rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether every row holds one to MAX_CLAUSE_LITERALS literals, no 0, no
+    variable above ``n_vars`` and no variable twice, so no duplicate literal
+    and no special clause. No Python step runs per row or per literal: the
+    rows of each length k are read as k columns, and two columns compared
+    element by element."""
+    lens = set(map(len, rows))
+    vs = [*map(abs, chain.from_iterable(rows))]
+    if not (lens <= {*range(1, MAX_CLAUSE_LITERALS + 1)}
+            and (not vs or 0 < min(vs) and max(vs) <= n_vars)):
+        return False
+    for k in lens - {1}:
+        if len(lens) > 1:
+            vs = [*map(abs, chain.from_iterable(compress(rows, map(k.__eq__, map(len, rows)))))]
+        cols = [vs[j::k] for j in range(k)]
+        if any(any(map(eq, cols[i], cols[j])) for i in range(k) for j in range(i + 1, k)):
+            return False
+    return True
+
+
+def _check_clauses(rows: Iterable[tuple[int, ...]], ids: Iterable[int]) -> None:
+    """Raise the FormulaError of the first row that is not a clause: one to
+    MAX_CLAUSE_LITERALS distinct nonzero literals."""
+    for cid, lits in zip(ids, rows):
+        if not 1 <= len(lits) <= MAX_CLAUSE_LITERALS:
+            raise FormulaError(
+                f"clause {cid}: {len(lits)} literals (want 1..{MAX_CLAUSE_LITERALS})", cid
+            )
+        if 0 in lits:
+            raise FormulaError(f"clause {cid}: literal 0", cid)
+        if len(set(lits)) != len(lits):
+            raise FormulaError(f"clause {cid}: duplicate literal", cid)
+
+
+def _check_rows(n_vars: int, rows: tuple[tuple[int, ...], ...],
+                ids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The per-clause check: its errors win in this order, the first clause
+    at fault in each: a row that is not a clause, a negative ``n_vars``, then
+    ids not ascending from 1 or a variable above ``n_vars``. Returns the
+    (clause id, variable) witnesses of the special clauses."""
+    _check_clauses(rows, ids)
+    if n_vars < 0:
+        raise FormulaError("n_vars must be >= 0")
+    special = []
+    last = 0
+    for cid, lits in zip(ids, rows):
+        if cid <= last:
+            raise FormulaError(f"clause {cid}: id not above {last}; ids ascend from 1", cid)
+        last = cid
+        for l in lits:
+            if l > n_vars or -l > n_vars:
+                raise FormulaError(
+                    f"clause {cid}: variable {abs(l)} exceeds n_vars={n_vars}", cid
+                )
+        # of at most three literals, every pair holds the first or the last
+        if -lits[0] in lits or -lits[-1] in lits:
+            special.append((cid, next(abs(l) for l in lits if -l in lits)))
+    return tuple(special)
 
 
 def formula(n_vars: int, lit_rows: Iterable[Sequence[int]]) -> Formula:
     """Build a Formula from rows of literals, assigning ids 1.. in order."""
-    clauses = tuple(Clause(i + 1, tuple(row)) for i, row in enumerate(lit_rows))
-    return Formula(n_vars, clauses)
+    return Formula(n_vars, tuple(map(tuple, lit_rows)))
 
 
 # --- X-DIMACS ---------------------------------------------------------------
@@ -225,55 +287,89 @@ def _ints(raw: str, parts: list[str], line_no: int, what: str) -> list[int]:
     return nums
 
 
+def _header(raw: str, line_no: int) -> tuple[int, int]:
+    """The variable and clause counts of the header line ``raw``."""
+    parts = raw.split(None, 4)  # a header's four tokens, then any rest
+    if len(parts) != 4 or parts[:2] != ["p", "x1cnf"]:
+        wrong = [tok for tok, want in zip(parts, ("p", "x1cnf")) if tok != want]
+        if len(parts) > 4:
+            wrong.append(parts[4].split(None, 1)[0])
+        got = _quote(wrong[0]) if wrong else "end of line"
+        raise ParseError(
+            line_no, f"malformed header: want 'p x1cnf <vars> <clauses>', got {got}"
+        )
+    n, m = _ints(raw, parts[2:], line_no, "malformed header counts")
+    if n < 0 or m < 0:
+        raise ParseError(line_no, "header counts must be nonnegative")
+    if n > MAX_VARS:
+        raise BudgetError(
+            f"line {line_no}: header declares {n} variables, "
+            f"above the limit MAX_VARS={MAX_VARS}"
+        )
+    return n, m
+
+
+def _row(raw: str, line_no: int, k: int) -> tuple[int, ...]:
+    """The literals of clause line ``raw``, the line of clause ``k``, read
+    token by token; a ParseError names the fault of its text."""
+    # a clause line holds at most MAX_CLAUSE_LITERALS literals and its 0;
+    # a longer one is refused before any token is converted
+    parts = raw.split(None, MAX_CLAUSE_LITERALS + 1)
+    if len(parts) > MAX_CLAUSE_LITERALS + 1:
+        raise ParseError(
+            line_no,
+            f"clause {k}: more than {MAX_CLAUSE_LITERALS} literals "
+            f"(want 1..{MAX_CLAUSE_LITERALS})",
+        )
+    nums = _ints(raw, parts, line_no, "non-integer token")
+    if nums[-1] != 0:
+        raise ParseError(line_no, "clause line must end with 0")
+    if len(nums) == 1:
+        raise ParseError(line_no, "empty clause")
+    return tuple(nums[:-1])
+
+
 def parse_x1cnf(text: str) -> Formula:
-    """Parse X-DIMACS. Raises ParseError with the offending line number; a
-    FormulaError of Clause or Formula is re-raised with its clause's line."""
+    """Parse X-DIMACS. Raises ParseError with the offending line number.
+
+    The errors of a file with several faults win in this order: faults of
+    the text and of single clauses, in line order; then a variable above the
+    header's n; then the header's clause count.
+
+    Each clause line is split once; in a text of ASCII characters without an
+    underscore, a line of one to three tokens and a ``0`` is read by int()
+    alone. Any other line is read token by token (``_row``), which names its
+    fault."""
+    plain = text.isascii() and "_" not in text
+    lines = text.splitlines()
     header: tuple[int, int, int] | None = None  # n, m and the header's line
-    clauses: list[Clause] = []
-    for line_no, raw in _content_lines(text):
-        if header is None:
-            parts = raw.split(None, 4)  # a header's four tokens, then any rest
-            if len(parts) != 4 or parts[:2] != ["p", "x1cnf"]:
-                wrong = [tok for tok, want in zip(parts, ("p", "x1cnf")) if tok != want]
-                if len(parts) > 4:
-                    wrong.append(parts[4].split(None, 1)[0])
-                got = _quote(wrong[0]) if wrong else "end of line"
-                raise ParseError(
-                    line_no, f"malformed header: want 'p x1cnf <vars> <clauses>', got {got}"
-                )
-            n, m = _ints(raw, parts[2:], line_no, "malformed header counts")
-            if n < 0 or m < 0:
-                raise ParseError(line_no, "header counts must be nonnegative")
-            if n > MAX_VARS:
-                raise BudgetError(
-                    f"line {line_no}: header declares {n} variables, "
-                    f"above the limit MAX_VARS={MAX_VARS}"
-                )
-            header = (n, m, line_no)
-            continue
-        # a clause line holds at most MAX_CLAUSE_LITERALS literals and its 0;
-        # a longer one is refused before any token is converted
-        parts = raw.split(None, MAX_CLAUSE_LITERALS + 1)
-        if len(parts) > MAX_CLAUSE_LITERALS + 1:
-            raise ParseError(
-                line_no,
-                f"clause {len(clauses) + 1}: more than {MAX_CLAUSE_LITERALS} literals "
-                f"(want 1..{MAX_CLAUSE_LITERALS})",
-            )
-        nums = _ints(raw, parts, line_no, "non-integer token")
-        if nums[-1] != 0:
-            raise ParseError(line_no, "clause line must end with 0")
-        if len(nums) == 1:
-            raise ParseError(line_no, "empty clause")
-        try:
-            clauses.append(Clause(len(clauses) + 1, tuple(nums[:-1])))
-        except FormulaError as e:
-            raise ParseError(line_no, str(e)) from None
-    if header is None:
-        raise ParseError(1, "missing header")
-    n, m, header_line = header
+    rows: list[tuple[int, ...]] = []
     try:
-        f = Formula(n, tuple(clauses))
+        for line_no, parts in enumerate(map(str.split, lines, repeat(None),
+                                            repeat(MAX_CLAUSE_LITERALS + 1)), start=1):
+            if not parts or parts[0][0] == "c":  # a blank line or a comment
+                continue
+            if header is None:
+                header = (*_header(lines[line_no - 1], line_no), line_no)
+                continue
+            if plain and parts.pop() == "0" and 0 < len(parts) <= MAX_CLAUSE_LITERALS:
+                try:
+                    rows.append(tuple(map(int, parts)))
+                    continue
+                except ValueError:
+                    pass
+            try:
+                rows.append(_row(lines[line_no - 1], line_no, len(rows) + 1))
+            except ParseError:
+                # a clause at fault on an earlier line wins
+                _check_clauses(rows, range(1, len(rows) + 1))
+                raise
+        if header is None:
+            raise ParseError(1, "missing header")
+        n, m, header_line = header
+        f = Formula(n, tuple(rows))
+    except ParseError:
+        raise
     except FormulaError as e:
         # clause k sits on the k-th content line after the header
         line_no = list(_content_lines(text))[e.clause][0]
@@ -287,8 +383,8 @@ def emit_x1cnf(f: Formula) -> str:
     """Canonical byte-deterministic emission: header then clauses in id order."""
     out = io.StringIO()
     out.write(f"p x1cnf {f.n_vars} {f.n_clauses}\n")
-    for c in f.clauses:
-        out.write(" ".join(str(l) for l in c.lits))
+    for lits in f.rows:
+        out.write(" ".join(map(str, lits)))
         out.write(" 0\n")
     return out.getvalue()
 
@@ -305,18 +401,18 @@ def failed_clauses(f: Formula, a: list[int]) -> list[int]:
     """
     failed = []
     n = len(a)
-    for c in f.clauses:
+    for cid, lits in zip(f.ids, f.rows):
         count = 0
-        for lit in c.lits:
+        for lit in lits:
             v = abs(lit)
             if v > n:
                 raise IncompleteAssignmentError(
-                    f"clause {c.id}: variable {v} unassigned"
+                    f"clause {cid}: variable {v} unassigned"
                 )
             if a[v - 1] == lit:
                 count += 1
         if count != 1:
-            failed.append(c.id)
+            failed.append(cid)
     return failed
 
 
@@ -369,7 +465,7 @@ def convert_special(f: Formula) -> Conversion:
     """
     if not f.special:
         return Conversion(f, (), (), None)
-    rows: dict[int, list[int]] = {c.id: list(c.lits) for c in f.clauses}
+    rows: dict[int, list[int]] = dict(zip(f.ids, map(list, f.rows)))
     holding: dict[int, list[int]] = {}  # literal -> ascending ids of clauses with it
     for cid, lits in rows.items():
         for lit in lits:
@@ -401,7 +497,7 @@ def convert_special(f: Formula) -> Conversion:
                         # clause demanded z true while z is forced false
                         return Conversion(None, (), (), abs(z))
 
-    kept = [Clause(cid, tuple(lits)) for cid, lits in rows.items()]
-    last = f.clauses[-1].id
-    kept += [Clause(last + 1 + i, (lit,)) for i, lit in enumerate(forced)]
-    return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed), None)
+    last = f.ids[-1]
+    ids = (*rows, *range(last + 1, last + 1 + len(forced)))
+    kept = (*map(tuple, rows.values()), *((lit,) for lit in forced))
+    return Conversion(Formula(f.n_vars, kept, ids), tuple(forced), tuple(removed), None)

@@ -16,7 +16,7 @@ from math import comb
 from pathlib import Path
 from random import Random
 
-from .formula import DEFAULT_STATE_BUDGET, Budget, Formula, emit_x1cnf, formula
+from .formula import DEFAULT_STATE_BUDGET, Budget, BudgetError, Formula, emit_x1cnf, formula
 from .solver import scan, scans
 
 
@@ -143,7 +143,7 @@ def find_model(f: Formula, budget: int) -> list[int] | None:
     reads false. Raises BudgetError after ``budget`` steps."""
     steps = Budget(budget, "exact search")
     val: dict[int, bool] = {}
-    for comp in _components([c.lits for c in f.clauses]):
+    for comp in _components(list(f.rows)):
         if not _component_sat(comp, val, steps):
             return None
     return [v if val.get(v) else -v for v in range(1, f.n_vars + 1)]
@@ -259,7 +259,7 @@ def _percentiles(xs: list[float]) -> dict:
 
 
 def _formula_rows(f: Formula) -> dict:
-    return {"n": f.n_vars, "clauses": [list(c.lits) for c in f.clauses]}
+    return {"n": f.n_vars, "clauses": [list(lits) for lits in f.rows]}
 
 
 def differential_corpus(
@@ -358,19 +358,25 @@ def generate_campaign(count: int, n_range: tuple[int, int], m_range: tuple[int, 
 def _same_class(rows: list[tuple[int, ...]], n_vars: int, target: tuple[str, bool]) -> bool:
     """Whether the formula on ``rows`` has the class ``target``, a pair (scan
     status, oracle satisfiable). The exact search runs only when the scan
-    status matches."""
+    status matches; a formula it cannot decide within its budget is not of
+    the class."""
     f = formula(n_vars, rows)
     status, oracle_sat = target
-    return (scan(f).status == status
-            and (find_model(f, DEFAULT_STATE_BUDGET) is not None) == oracle_sat)
+    if scan(f).status != status:
+        return False
+    try:
+        return (find_model(f, DEFAULT_STATE_BUDGET) is not None) == oracle_sat
+    except BudgetError:
+        return False
 
 
 def minimize_counterexample(f: Formula) -> Formula:
     """Greedy delta debugging: drop whole clauses, then drop literals from
     3-literal clauses, keeping every step whose scan status and oracle verdict
     both match the input's, so the disagreement keeps its class; repeats to a
-    fixpoint. The result is clause-minimal under single drops."""
-    rows = [tuple(c.lits) for c in f.clauses]
+    fixpoint. The result is clause-minimal under single drops, among the
+    candidates the exact search decides within its budget."""
+    rows = list(f.rows)
     start = formula(f.n_vars, rows)
     target = (scan(start).status, find_model(start, DEFAULT_STATE_BUDGET) is not None)
     if _agrees(*target):

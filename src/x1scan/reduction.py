@@ -27,7 +27,7 @@ Every change to a clause is logged with its id, as ``clause_to_conjunction``,
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from .formula import Formula, Record
 
@@ -77,22 +77,23 @@ def init_state(f: Formula) -> SolverState:
         raise ReductionError(
             f"reduction needs a general formula; special witnesses: {f.special}"
         )
-    occurrence: dict[int, list[int]] = {}  # ids ascend, as the clauses do
-    for c in f.clauses:
-        for lit in c.lits:
-            occurrence.setdefault(lit, []).append(c.id)
+    ids, rows = f.ids, f.rows
+    occurrence: defaultdict[int, list[int]] = defaultdict(list)  # ids ascend, as the rows do
+    for k, lits in zip(ids, rows):
+        for lit in lits:
+            occurrence[lit].append(k)
     state = SolverState(
         base=f,
-        live={c.id: list(c.lits) for c in f.clauses},
-        occurrence=occurrence,
-        live_literals={v: (v, -v) for v in sorted({abs(l) for l in occurrence})},
+        live=dict(zip(ids, map(list, rows))),
+        occurrence=dict(occurrence),
+        live_literals={v: (v, -v) for v in sorted(set(map(abs, occurrence)))},
         conjuncts=set(),
         pending=OrderedDict(),
     )
-    for c in f.clauses:
-        if c.is_conjunct:
-            _add_conjunct(state, c.lits[0], source=c.id)
-            _empty_clause(state, c.id)
+    for k, lits in zip(ids, rows):
+        if len(lits) == 1:
+            _add_conjunct(state, lits[0], source=k)
+            _empty_clause(state, k)
     return state
 
 

@@ -302,10 +302,11 @@ def _pass(f: Formula, state: SolverState, carried: CarriedVerdicts,
         for run in group:
             run.log_discard(state, -lit, "necessary", source)
         return {-lit: group}
-    # the open variables: those of the live clauses; discard strips its
-    # variable from every live clause, so each of them has both polarities
-    # eligible
-    open_vars = sorted({abs(l) for ls in state.live.values() for l in ls})
+    # the open variables: those of the live clauses, read off the occurrence
+    # index (k is in occurrence[l] exactly when l is in live[k]); discard
+    # strips its variable from every live clause, so each of them has both
+    # polarities eligible
+    open_vars = sorted({abs(l) for l, ks in state.occurrence.items() if ks})
     if not open_vars:
         assert state.n_conflict is None, "unreported conjunct contradiction"
         for run in group:

@@ -3,8 +3,9 @@ rendering; the reference probe and the literal-node XOR-SAT checker that the
 package's incompatibility check and XOR decision are compared against; the
 monotonicity audit, replayed from a scan's discards; the reference scan loop
 that probes every open literal on every pass; the reference special-clause
-rewrite; the token game and the reference reachability search that the
-package's net engine is compared against, and the check of both net
+rewrite; the token-by-token X-DIMACS parser that the package's parser is
+compared against; the token game and the reference reachability search that
+the package's net engine is compared against, and the check of both net
 constructions against an oracle verdict; the brute-force oracle that the
 package's exact search is compared against; the exhaustive formula corpora;
 a structural checker for the shipped JSON schemas; and the argparse parser
@@ -22,9 +23,13 @@ from typing import Iterable, Iterator
 from x1scan.cli import EXIT_USAGE
 from x1scan.formula import (
     DEFAULT_STATE_BUDGET,
+    MAX_VARS,
+    QUOTE_LIMIT,
+    BudgetError,
     Clause,
     Conversion,
     Formula,
+    ParseError,
     convert_special,
     failed_clauses,
     formula,
@@ -365,10 +370,97 @@ def reference_convert_special(f: Formula) -> Conversion:
                             return Conversion(None, (), (), abs(z))
             break
 
-    kept = [Clause(cid, tuple(rows[cid])) for cid in sorted(rows)]
+    ids = sorted(rows)
+    kept = [tuple(rows[cid]) for cid in ids]
     last = max((c.id for c in f.clauses), default=0)
-    kept += [Clause(last + 1 + i, (lit,)) for i, lit in enumerate(forced)]
-    return Conversion(Formula(f.n_vars, tuple(kept)), tuple(forced), tuple(removed), None)
+    ids += [last + 1 + i for i in range(len(forced))]
+    kept += [(lit,) for lit in forced]
+    return Conversion(Formula(f.n_vars, tuple(kept), tuple(ids)), tuple(forced), tuple(removed),
+                      None)
+
+
+# --- reference X-DIMACS parser: token by token, one record per clause --------
+
+
+def reference_parse(text: str) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``parse_x1cnf`` as it read a file before it read rows: every token
+    converted in a Python loop, each clause checked as its line is read (as
+    a Clause record checked itself), then the formula's own pass over the
+    ids and variables. Returns (n_vars, rows, ids), or raises the
+    ParseError or BudgetError that ``parse_x1cnf`` must raise."""
+
+    def content_lines():
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("c"):
+                yield line_no, raw
+
+    def quote(token: str) -> str:
+        if len(token) > QUOTE_LIMIT:
+            return f"{token[:QUOTE_LIMIT]!r}... ({len(token)} characters)"
+        return repr(token)
+
+    def ints(raw: str, parts: list[str], line_no: int, what: str) -> list[int]:
+        plain = raw.isascii() and "_" not in raw
+        nums = []
+        for tok in parts:
+            try:
+                if not (plain or tok.isascii() and "_" not in tok):
+                    raise ValueError(tok)
+                nums.append(int(tok))
+            except ValueError:
+                raise ParseError(line_no, f"{what}: {quote(tok)}") from None
+        return nums
+
+    header = None
+    rows: list[tuple[int, ...]] = []
+    for line_no, raw in content_lines():
+        if header is None:
+            parts = raw.split(None, 4)
+            if len(parts) != 4 or parts[:2] != ["p", "x1cnf"]:
+                wrong = [tok for tok, want in zip(parts, ("p", "x1cnf")) if tok != want]
+                if len(parts) > 4:
+                    wrong.append(parts[4].split(None, 1)[0])
+                got = quote(wrong[0]) if wrong else "end of line"
+                raise ParseError(
+                    line_no, f"malformed header: want 'p x1cnf <vars> <clauses>', got {got}"
+                )
+            n, m = ints(raw, parts[2:], line_no, "malformed header counts")
+            if n < 0 or m < 0:
+                raise ParseError(line_no, "header counts must be nonnegative")
+            if n > MAX_VARS:
+                raise BudgetError(
+                    f"line {line_no}: header declares {n} variables, "
+                    f"above the limit MAX_VARS={MAX_VARS}"
+                )
+            header = (n, m, line_no)
+            continue
+        k = len(rows) + 1
+        parts = raw.split(None, 4)
+        if len(parts) > 4:
+            raise ParseError(line_no, f"clause {k}: more than 3 literals (want 1..3)")
+        nums = ints(raw, parts, line_no, "non-integer token")
+        if nums[-1] != 0:
+            raise ParseError(line_no, "clause line must end with 0")
+        if len(nums) == 1:
+            raise ParseError(line_no, "empty clause")
+        lits = tuple(nums[:-1])
+        if 0 in lits:
+            raise ParseError(line_no, f"clause {k}: literal 0")
+        if len(set(lits)) != len(lits):
+            raise ParseError(line_no, f"clause {k}: duplicate literal")
+        rows.append(lits)
+    if header is None:
+        raise ParseError(1, "missing header")
+    n, m, header_line = header
+    for k, lits in enumerate(rows, start=1):
+        for l in lits:
+            if abs(l) > n:
+                line_no = list(content_lines())[k][0]
+                raise ParseError(line_no, f"clause {k}: variable {abs(l)} exceeds n_vars={n}")
+    if len(rows) != m:
+        raise ParseError(header_line, f"header declares {m} clauses, file has {len(rows)}")
+    return n, tuple(rows), tuple(range(1, len(rows) + 1))
 
 
 # --- token game: prescribed firing sequences ------------------------------------

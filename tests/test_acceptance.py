@@ -500,3 +500,45 @@ def test_12_degree_two_fixpoint_on_unsat(criterion):
         f"{kept} clauses, in {t_diff:.2f} s < 5 s (minimizer alone {t_min:.2f} s); "
         f"exact search and brute force ({t_brute:.1f} s) unsat",
     )
+
+
+def colouring(n_vertices: int, edges: list[tuple[int, int]], colours: int = 3):
+    """The graph's k-colouring as exactly-one clauses: ``(v_1 .. v_k)`` per
+    vertex, and ``(u_c w_c s)`` per edge uw and colour c, with a fresh slack
+    variable s, so at most one end of an edge takes each colour."""
+    def var(v: int, c: int) -> int:
+        return colours * (v - 1) + c
+
+    rows = [[var(v, c) for c in range(1, colours + 1)] for v in range(1, n_vertices + 1)]
+    slack = colours * n_vertices
+    for u, w in edges:
+        for c in range(1, colours + 1):
+            slack += 1
+            rows.append([var(u, c), var(w, c), slack])
+    return formula(slack, rows)
+
+
+def test_12_k4_colouring_fixpoint_on_unsat(criterion):
+    # K4 has no 3-colouring. Every clause is positive and the colour
+    # variables sit in four clauses each, so this failure lies outside the
+    # degree-two class of the formula above; K3 is coloured correctly
+    k4 = colouring(4, list(itertools.combinations(range(1, 5), 2)))
+    statuses = {scan(k4, seed).status for seed in [None, *range(10)]}
+    t0 = time.perf_counter()
+    exact = find_model(k4, DEFAULT_STATE_BUDGET)
+    t_exact = time.perf_counter() - t0
+    k3 = colouring(3, [(1, 2), (1, 3), (2, 3)])
+    ok = (
+        (k4.n_vars, k4.n_clauses) == (30, 22)
+        and all(l > 0 for lits in k4.rows for l in lits)
+        and statuses == {"claimed_sat_unverified"}
+        and exact is None
+        and scan(k3).status == "sat"
+    )
+    criterion(
+        "12 K4 3-colouring fixpoint-on-unsat",
+        ok,
+        f"22 positive clauses (n=30): scan {sorted(statuses)} in the fixed order and "
+        f"seeded orders 0-9; exact search unsat in {t_exact * 1000:.1f} ms; K3 "
+        f"{scan(k3).status}",
+    )

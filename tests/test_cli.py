@@ -18,6 +18,7 @@ from test_acceptance import COUNTEREXAMPLE, DEGREE_TWO_COUNTEREXAMPLE
 from test_formula import MALFORMED
 
 from x1scan import cli
+from x1scan import formula as formula_module
 from x1scan.cli import (
     EXIT_INTERNAL,
     EXIT_SAT,
@@ -87,6 +88,35 @@ def test_solve_unsat_exit(tmp_path, capsys):
     rc = main(["solve", path])
     assert rc == EXIT_UNSAT
     assert "s UNSATISFIABLE" in capsys.readouterr().out
+
+
+def test_a_well_formed_file_is_solved_from_rows_alone(tmp_path, monkeypatch, capsys):
+    # from the text to the verdict, a well-formed file makes no Clause record
+    # and converts no token in a Python loop: only the header's two counts
+    f = generate_random(200, 800, seed=0)
+    path = tmp_path / "u.cnf"
+    made, read = [], []
+    real_init, real_ints = formula_module.Clause.__init__, formula_module._ints
+
+    def init(self, id, lits):
+        made.append(id)
+        real_init(self, id, lits)
+
+    def ints(raw, parts, line_no, what):
+        read.append(line_no)
+        return real_ints(raw, parts, line_no, what)
+
+    monkeypatch.setattr(formula_module.Clause, "__init__", init)
+    monkeypatch.setattr(formula_module, "_ints", ints)
+    for text, code in ((emit_x1cnf(f), EXIT_UNSAT), (GOLDEN, EXIT_SAT)):
+        path.write_text(text)
+        assert main(["solve", "--json", "--no-timing", str(path)]) == code
+        assert made == [] and read == [1]
+        read.clear()
+    capsys.readouterr()
+    # a reader of the records still gets them, with their ids and literals
+    assert [(c.id, c.lits) for c in f.clauses] == list(zip(f.ids, f.rows))
+    assert made == list(range(1, 801))
 
 
 def test_solve_random_order_seeded_deterministic(golden_path, capsys):

@@ -8,6 +8,7 @@ from helpers import (
     clause_by_id,
     exhaustive_special,
     reference_convert_special,
+    reference_parse,
 )
 
 from x1scan.formula import (
@@ -31,15 +32,10 @@ GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
 
 def test_clause_validation():
-    with pytest.raises(FormulaError):
-        Clause(1, ())
-    with pytest.raises(FormulaError):
-        Clause(1, (1, 2, 3, 4))
-    with pytest.raises(FormulaError):
-        Clause(1, (1, 0))
-    with pytest.raises(FormulaError):
-        Clause(1, (2, 2))
-    assert Clause(3, (4,)).is_conjunct
+    # a formula checks its rows; a Clause record checks nothing
+    for rows in ([()], [(1, 2, 3, 4)], [(1, 0)], [(2, 2)]):
+        with pytest.raises(FormulaError):
+            formula(4, rows)
 
 
 def test_formula_rejects_out_of_range_var():
@@ -51,17 +47,20 @@ def test_formula_rejects_out_of_range_var():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Clause(1, ()), "clause 1: 0 literals (want 1..3)"),
-        (lambda: Clause(2, (1, 2, 3, 4)), "clause 2: 4 literals (want 1..3)"),
-        (lambda: Clause(3, (1, 0)), "clause 3: literal 0"),
-        (lambda: Clause(4, (2, 2)), "clause 4: duplicate literal"),
+        (lambda: formula(1, [()]), "clause 1: 0 literals (want 1..3)"),
+        (lambda: formula(4, [(1,), (1, 2, 3, 4)]), "clause 2: 4 literals (want 1..3)"),
+        (lambda: formula(2, [(1,), (2,), (1, 0)]), "clause 3: literal 0"),
+        (lambda: formula(2, [(1,), (2,), (-1,), (2, 2)]), "clause 4: duplicate literal"),
         (lambda: Formula(-1, ()), "n_vars must be >= 0"),
         (lambda: formula(2, [[1], [1, -3]]), "clause 2: variable 3 exceeds n_vars=2"),
         # duplicate ids: a rewrite keyed by id would drop one of the clauses
-        (lambda: Formula(2, (Clause(1, (1,)), Clause(1, (-1,)))),
+        (lambda: Formula(2, ((1,), (-1,)), (1, 1)),
          "clause 1: id not above 1; ids ascend from 1"),
-        (lambda: Formula(3, (Clause(2, (1, 2)), Clause(1, (3,)))),
+        (lambda: Formula(3, ((1, 2), (3,)), (2, 1)),
          "clause 1: id not above 2; ids ascend from 1"),
+        (lambda: Formula(3, ((1, 2), (3,)), (1,)), "1 clause ids for 2 clauses"),
+        # a clause at fault wins over a variable out of range in an earlier one
+        (lambda: formula(2, [(1, 3), (2, 2)]), "clause 2: duplicate literal"),
     ],
 )
 def test_formula_error_messages(build, message):
@@ -75,13 +74,16 @@ def test_records_compare_print_and_hash_by_their_fields():
     assert a == b and hash(a) == hash(b) and a is not b
     assert a != Clause(2, (1, -2)) and a != Clause(1, (-2, 1))
     assert repr(a) == "Clause(id=1, lits=(1, -2))"
-    assert formula(2, [[1, -2]]) == Formula(2, (b,))
-    assert hash(formula(2, [[1, -2]])) == hash(Formula(2, (b,)))
-    # the derived witnesses stay out of equality, repr and hash
+    assert formula(2, [[1, -2]]) == Formula(2, ((1, -2),), (1,))
+    assert hash(formula(2, [[1, -2]])) == hash(Formula(2, ((1, -2),)))
+    assert formula(2, [[1, -2]]).clauses == (b,)
+    # the derived witnesses and the clause records stay out of equality, repr
+    # and hash
     pair = formula(1, [[1, -1]])
     assert pair.special == ((1, 1),)
-    assert repr(pair) == "Formula(n_vars=1, clauses=(Clause(id=1, lits=(1, -1)),))"
-    assert pair == Formula(1, (Clause(1, (1, -1)),))
+    assert pair.clauses == (Clause(1, (1, -1)),)
+    assert repr(pair) == "Formula(n_vars=1, rows=((1, -1),), ids=(1,))"
+    assert pair == Formula(1, ((1, -1),)) and hash(pair) == hash(Formula(1, ((1, -1),)))
     # mutable records compare by their fields too, and have no hash
     v = Verdict("sat", {1: True}, 2, {}, None)
     assert v == Verdict("sat", {1: True}, 2, {}, None) != Verdict("sat", {1: False}, 2, {}, None)
@@ -170,6 +172,112 @@ def test_parse_refuses_a_long_clause_line_before_converting_it():
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(text)
+
+
+# --- the row parser against the token-by-token reference -----------------------
+
+
+def parse_outcome(parse, text):
+    """What a parser makes of ``text``: (n_vars, rows, ids), or the type,
+    text and line of the error it raises."""
+    try:
+        if parse is parse_x1cnf:
+            f = parse_x1cnf(text)
+            return f.n_vars, f.rows, f.ids
+        return reference_parse(text)
+    except Exception as e:
+        return type(e).__name__, str(e), getattr(e, "line_no", None)
+
+
+HEADER = "p x1cnf 5 2\n"
+PARITY = [text for text, _, _ in MALFORMED] + [
+    "c a\n\np x1cnf 3 3\nc b\n1 -3 0\n\n  c c\n1 -2 3 0\n2 -3 0\nc d\n\n",
+    "p\tx1cnf\t3\t2\r\n1\t-3 0\r\n\r\n1 -2\t3\t0\r\n",
+    "p x1cnf 3 1\r2 3 0\r",
+    "p x1cnf 3 1\n" + "1 " * 1_000_000 + "0\n",
+    "p x1cnf 3 1\n  1 2   0  \n",
+    HEADER + "+5 -4 0\n1 2 -0\n",
+    HEADER + "007 -004 0\n3 0\n",
+    HEADER + "1_0 2 0\n3 0\n",
+    HEADER + "\u0663 2 0\n3 0\n",
+    "p x1cnf 5 1\nc \u00e9\n1 -2 0\n",
+    "p x1cnf 5 1\n1\u00a0-2 0\n",
+    HEADER + "1 " + "7" * 5_000_000 + " 0\n3 0\n",
+    HEADER + "1 " + "x" * 5_000_000 + " 0\n3 0\n",
+    HEADER + "-" + "9" * 40 + " 0\n3 0\n",
+    HEADER + "1 2 3 4 0\n3 0\n",
+    HEADER + "1 2 3 4 5 6 7 0\n3 0\n",
+    HEADER + "1 2 3 4\n3 0\n",
+    HEADER + "1 2\n3 0\n",
+    HEADER + "0\n3 0\n",
+    HEADER + "-0\n3 0\n",
+    HEADER + "3 0\n",
+    HEADER + "1 0\n2 0\n3 0\n",
+    HEADER + "1 -1 2 0\n3 -3 0\n",
+    HEADER + "1 0 2 0\n3 0\n",
+    HEADER + "1 -0 0\n3 0\n",
+    HEADER + "2 -2 2 0\n3 0\n",
+    "p x1cnf 5 0\n",
+    "p x1cnf 0 0\n",
+    "c only a comment\n",
+    "",
+    "p x1cnf 1000001 0\n",
+    "p x1cnf -1 0\n",
+    "p x1cnf 3 1 9\n1 0\n",
+    "p x1cnf\n1 0\n",
+    # two faults of different kinds: the earlier line wins, and a variable
+    # out of range or a wrong clause count loses to any fault of a line
+    HEADER + "1 9 0\n2 2 0\n",
+    HEADER + "2 2 0\n1 x 0\n",
+    HEADER + "1 x 0\n2 2 0\n",
+    HEADER + "1 9 0\n1 x 0\n",
+    HEADER + "1 2 0\n3 0 4 0\n1 2 3 4 5 0\n",
+    HEADER + "1 9 0\n",
+    HEADER + "1 9 0\n2 0\n3 0\n",
+    HEADER + "1 1 0\n2 0\n3 0\n",
+    HEADER + "c x\n1 2 0\n1 9 0\n\n1 -9 0\n",
+    HEADER + "1 2 0\n1 9\n",
+    "p x1cnf 1_0 1\n1 1 0\n",
+    HEADER + "1 0\np x1cnf 5 2\n",
+]
+
+
+@pytest.mark.parametrize("text", PARITY, ids=range(len(PARITY)))
+def test_parser_matches_the_token_by_token_reference(text):
+    assert parse_outcome(parse_x1cnf, text) == parse_outcome(reference_parse, text)
+
+
+TOKENS = ["p", "x1cnf", "c", "0", "0", "0", "1", "-1", "2", "-2", "3", "+3", "-0", "007",
+          "1_0", "\u0663", "x", "4", "-5", "9"]
+LINES = st.one_of(
+    st.just("p x1cnf 5 3"),
+    st.lists(st.sampled_from(TOKENS), max_size=6).flatmap(
+        lambda toks: st.lists(st.sampled_from([" ", "\t", "  ", "\u00a0"]),
+                              min_size=len(toks) + 1, max_size=len(toks) + 1).map(
+            lambda gaps: "".join(g + t for g, t in zip(gaps, toks + [""])))
+    ),
+)
+TEXTS = st.tuples(
+    st.lists(LINES, max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+).map(lambda t: t[1].join(t[0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(TEXTS)
+def test_parser_matches_the_reference_on_drawn_text(text):
+    assert parse_outcome(parse_x1cnf, text) == parse_outcome(reference_parse, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-n - 1, n + 1), min_size=0, max_size=5),
+                       max_size=6).map(lambda rows: (n, rows))))
+def test_parser_matches_the_reference_on_drawn_clause_lines(case):
+    n, rows = case
+    text = f"p x1cnf {n} {len(rows)}\n" + "".join(
+        " ".join(map(str, row + [0])) + "\n" for row in rows)
+    assert parse_outcome(parse_x1cnf, text) == parse_outcome(reference_parse, text)
 
 
 def literals(n):
@@ -268,7 +376,7 @@ def test_convert_pure_pair_clause_dropped():
 
 def test_convert_numbers_units_past_the_last_clause_id():
     # with a gap in the ids, the unit for -2 must not take id 3 from a kept clause
-    f = Formula(4, (Clause(1, (2, 1, -1)), Clause(3, (2, 3, 4))))
+    f = Formula(4, ((2, 1, -1), (2, 3, 4)), (1, 3))
     conv = convert_special(f)
     assert [(c.id, c.lits) for c in conv.formula.clauses] == [(3, (3, 4)), (4, (-2,))]
     assert target_reachable(build_inverse_net(conv.formula), DEFAULT_STATE_BUDGET)

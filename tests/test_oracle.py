@@ -292,6 +292,30 @@ class TestDifferential:
             "error": "BudgetError: exact search spent its budget of 100 steps",
         }]
 
+    def test_an_undecided_shrink_keeps_the_formula_unminimized(self, monkeypatch,
+                                                              ignore_incompatible):
+        # the exact search decides the instance, then spends its budget on
+        # every shrink the minimizer tries: the campaign still reports, and
+        # the disagreement keeps the formula as it was drawn
+        f = formula(5, [[3, 4, 5], [1, 2], [1, -2]])
+        real_search = oracle.find_model
+        shrinks = []
+
+        def search(g, budget):
+            if g.n_clauses < f.n_clauses or g.rows != f.rows:
+                shrinks.append(g)
+                raise BudgetError(f"exact search spent its budget of {budget} steps")
+            return real_search(g, budget)
+
+        monkeypatch.setattr(oracle, "find_model", search)
+        r = differential_corpus([f], permutations=0, no_timing=True)
+        assert shrinks
+        assert r["statuses"] == "c" and r["errors"] == []
+        assert validate(r, load_schema("diff_report")) == []
+        [d] = r["disagreements"]
+        assert d["class"] == "fixpoint_on_unsat"
+        assert d["minimized"] == d["formula"] == {"n": 5, "clauses": [[3, 4, 5], [1, 2], [1, -2]]}
+
     def test_timing_present_by_default(self):
         r = differential_corpus([GOLDEN], permutations=0)
         assert set(r["timing_ms"]) == {"p50", "p90", "p99", "max"}

@@ -269,7 +269,7 @@ def test_event_replay_reconstructs_state(f, rng):
 
     # replay the log against a fresh skeleton
     # a unit clause starts empty: init_state files its literal as a conjunct
-    live = {c.id: [] if c.is_conjunct else list(c.lits) for c in f.clauses}
+    live = {c.id: [] if len(c.lits) == 1 else list(c.lits) for c in f.clauses}
     live_literals = {v: (v, -v) for v in {abs(l) for c in f.clauses for l in c.lits}}
     conjuncts, order, pending = set(), [], {}
     rnd, conflict = 1, None
