@@ -336,10 +336,10 @@ def parse_x1cnf(text: str) -> Formula:
     the text and of single clauses, in line order; then a variable above the
     header's n; then the header's clause count.
 
-    Each clause line is split once; in a text of ASCII characters without an
-    underscore, a line of one to three tokens and a ``0`` is read by int()
-    alone. Any other line is read token by token (``_row``), which names its
-    fault."""
+    Each clause line is split once; a line of ASCII characters without an
+    underscore, of one to three tokens and a ``0``, is read by int() alone.
+    Any other line is read token by token (``_row``), which names its fault.
+    Only where the whole text is not plain is each line tested for it."""
     plain = text.isascii() and "_" not in text
     lines = text.splitlines()
     header: tuple[int, int, int] | None = None  # n, m and the header's line
@@ -352,7 +352,8 @@ def parse_x1cnf(text: str) -> Formula:
             if header is None:
                 header = (*_header(lines[line_no - 1], line_no), line_no)
                 continue
-            if plain and parts.pop() == "0" and 0 < len(parts) <= MAX_CLAUSE_LITERALS:
+            if ((plain or lines[line_no - 1].isascii() and "_" not in lines[line_no - 1])
+                    and parts.pop() == "0" and 0 < len(parts) <= MAX_CLAUSE_LITERALS):
                 try:
                     rows.append(tuple(map(int, parts)))
                     continue

@@ -152,25 +152,25 @@ def find_model(f: Formula, budget: int) -> list[int] | None:
 # ---------------------------------------------------------------------------
 # instance generation
 
-PROFILES = ("uniform3", "mixed", "adversarial")
+# profile -> (the least n it draws over, the lengths of its clauses); only
+# _draw_clause reads a profile's name
+PROFILES = {"uniform3": (3, (3,)), "mixed": (1, (1, 2, 3)), "adversarial": (3, (3,))}
 
 
 def distinct_clauses(n: int, profile: str) -> int:
     """How many distinct clauses ``profile`` can draw over n variables: 2^k
-    sign choices per k variables."""
-    if profile == "mixed":
-        return 8 * comb(n, 3) + 4 * comb(n, 2) + 2 * n
-    return 8 * comb(n, 3)
+    sign choices per k variables, for each clause length k it draws."""
+    return sum(2**k * comb(n, k) for k in PROFILES[profile][1])
 
 
 def check_profiles(profiles: Iterable[str], n_min: int, m_max: int) -> None:
     """Before anything is drawn, refuse any name outside PROFILES, and
     ``m_max`` clauses where a profile cannot draw that many distinct ones at
-    the smallest n it draws: ``n_min``, raised to 3 for the 3-literal profiles."""
+    the smallest n it draws: ``n_min``, raised to the profile's least n."""
     for name in profiles:
         if name not in PROFILES:
             raise ValueError(f"unknown profile {name!r} (choose from {', '.join(PROFILES)})")
-        n = n_min if name == "mixed" else max(n_min, 3)
+        n = max(n_min, PROFILES[name][0])
         if m_max > distinct_clauses(n, name):
             raise ValueError(
                 f"cannot draw {m_max} distinct {name} clauses over {n} variables "
@@ -207,8 +207,9 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if profile in ("uniform3", "adversarial") and n < 3:
-        raise ValueError(f"profile {profile} needs n >= 3")
+    least = PROFILES.get(profile, (1,))[0]  # check_profiles refuses an unknown name
+    if n < least:
+        raise ValueError(f"profile {profile} needs n >= {least}")
     check_profiles((profile,), n, m)
     rng = Random(f"{profile}:{n}:{m}:{seed}")
     rows: list[tuple[int, ...]] = []
@@ -340,15 +341,16 @@ def differential_corpus(
 def generate_campaign(count: int, n_range: tuple[int, int], m_range: tuple[int, int] | None,
                       profiles: tuple[str, ...], seed: int) -> Iterator[Formula]:
     """``count`` seeded instances with n drawn from ``n_range`` and m from
-    ``m_range`` (None: 1..2n per instance), cycling through ``profiles``."""
+    ``m_range`` (None: 1..2n per instance), cycling through ``profiles``;
+    each n is raised to its profile's least n."""
+    check_profiles(profiles, 1, 0)  # a name outside PROFILES, before any draw
     rng = Random(f"campaign:{seed}")
     for i in range(count):
         n = rng.randint(*n_range)
         lo, hi = m_range if m_range else (1, 2 * n)
         m = rng.randint(lo, hi)
         profile = profiles[i % len(profiles)]
-        if profile in ("uniform3", "adversarial"):
-            n = max(n, 3)
+        n = max(n, PROFILES[profile][0])
         yield generate_random(n, m, seed=seed * 1_000_003 + i, profile=profile)
 
 

@@ -139,7 +139,7 @@ class _NetBuilder:
                 f"net construction needs a general formula; special witnesses: {f.special}"
             )
         nodes = (per_var * f.n_vars + per_clause * f.n_clauses
-                 + 2 * sum(len(c.lits) for c in f.clauses) + 2)
+                 + 2 * sum(map(len, f.rows)) + 2)
         if nodes > MAX_NET_NODES:
             raise BudgetError(f"the {name} net would have {nodes} nodes, "
                               f"above the limit MAX_NET_NODES={MAX_NET_NODES}")
@@ -171,12 +171,12 @@ def build_forward_net(f: Formula) -> Net:
     net = _NetBuilder(f, "forward", per_var=3, per_clause=2)
     for i in range(1, f.n_vars + 1):
         net.place(f"l{i}", 0)
-    for c in f.clauses:
-        net.place(f"g{c.id}", 1)
+    for k in f.ids:
+        net.place(f"g{k}", 1)
     buffers: dict[int, list[str]] = {}  # literal -> its buffer places
-    for c in f.clauses:
-        for lit in c.lits:
-            b = f"b{c.id}_{lit}"
+    for k, lits in zip(f.ids, f.rows):
+        for lit in lits:
+            b = f"b{k}_{lit}"
             net.place(b, 1)
             buffers.setdefault(lit, []).append(b)
 
@@ -184,25 +184,25 @@ def build_forward_net(f: Formula) -> Net:
         for lit in (i, -i):
             net.transition(_lit_name(lit), 0, (f"l{i}",), buffers.get(lit, ()))
 
-    for c in f.clauses:
-        net.place(f"c{c.id}", 2)
-        for lit in c.lits:
-            net.transition(f"z{c.id}_{lit}", 1, (f"b{c.id}_{lit}", f"g{c.id}"), (f"c{c.id}",))
+    for k, lits in zip(f.ids, f.rows):
+        net.place(f"c{k}", 2)
+        for lit in lits:
+            net.transition(f"z{k}_{lit}", 1, (f"b{k}_{lit}", f"g{k}"), (f"c{k}",))
 
-    return net.finish([f"c{c.id}" for c in f.clauses])
+    return net.finish([f"c{k}" for k in f.ids])
 
 
 def build_inverse_net(f: Formula) -> Net:
     net = _NetBuilder(f, "inverse", per_var=4, per_clause=1)
-    for c in f.clauses:
-        net.place(f"c{c.id}", 0)
+    for k in f.ids:
+        net.place(f"c{k}", 0)
     buffers: dict[int, list[str]] = {}
-    for c in f.clauses:
-        for lit in c.lits:
-            b = f"b{c.id}_{lit}"
+    for k, lits in zip(f.ids, f.rows):
+        for lit in lits:
+            b = f"b{k}_{lit}"
             net.place(b, 1)
             buffers.setdefault(lit, []).append(b)
-            net.transition(f"z{c.id}_{lit}", 0, (f"c{c.id}",), (b,))
+            net.transition(f"z{k}_{lit}", 0, (f"c{k}",), (b,))
 
     for i in range(1, f.n_vars + 1):
         g, l = f"g{i}", f"l{i}"

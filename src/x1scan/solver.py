@@ -135,17 +135,6 @@ class CarriedVerdicts:
         self.by_consumed: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         self.read = 0  # events of the state's log that begin_pass has read
 
-    def copy(self) -> CarriedVerdicts:
-        """An independent copy, for a copy of the state it was read from."""
-        c = CarriedVerdicts()
-        c.kept = dict(self.kept)
-        c.serial = self.serial
-        for mine, theirs in ((self.by_clause, c.by_clause), (self.by_literal, c.by_literal),
-                             (self.by_consumed, c.by_consumed)):
-            theirs.update((k, list(entries)) for k, entries in mine.items())
-        c.read = self.read
-        return c
-
     def _drop(self, entries: list[tuple[int, int]]) -> None:
         kept = self.kept
         for z, serial in entries:
@@ -255,7 +244,8 @@ def scans(f: Formula, seeds: list[int | None], dumps: bool = False) -> list[Verd
     state and its carried verdicts, and each pass probes a literal at most
     once for the whole group. Where the orders of a group discard different
     literals, it splits, and each new group but the first goes on from a copy
-    of the state."""
+    of the state with no carried verdicts: those decide only which probes
+    run, never a verdict."""
     runs = [_Order(seed) for seed in seeds]
     conv = convert_special(f)
     conversion = conv.trace_entry()
@@ -281,7 +271,7 @@ def scans(f: Formula, seeds: list[int | None], dumps: bool = False) -> list[Verd
             if not picks:
                 break
             (z, group), *rest = picks.items()
-            groups += [(state.copy(), carried.copy(), g, lit) for lit, g in rest]
+            groups += [(state.copy(), CarriedVerdicts(), g, lit) for lit, g in rest]
     return [run.verdict for run in runs]
 
 

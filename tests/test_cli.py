@@ -91,8 +91,9 @@ def test_solve_unsat_exit(tmp_path, capsys):
 
 
 def test_a_well_formed_file_is_solved_from_rows_alone(tmp_path, monkeypatch, capsys):
-    # from the text to the verdict, a well-formed file makes no Clause record
-    # and converts no token in a Python loop: only the header's two counts
+    # from the text to the verdict or the net, a well-formed file makes no
+    # Clause record and converts no token in a Python loop: only the header's
+    # two counts, also where a comment holds a non-ASCII character
     f = generate_random(200, 800, seed=0)
     path = tmp_path / "u.cnf"
     made, read = [], []
@@ -108,11 +109,18 @@ def test_a_well_formed_file_is_solved_from_rows_alone(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(formula_module.Clause, "__init__", init)
     monkeypatch.setattr(formula_module, "_ints", ints)
-    for text, code in ((emit_x1cnf(f), EXIT_UNSAT), (GOLDEN, EXIT_SAT)):
+    for text, code, header in ((emit_x1cnf(f), EXIT_UNSAT, 1), (GOLDEN, EXIT_SAT, 1),
+                               ("c r\u00e9sum\u00e9\n" + emit_x1cnf(f), EXIT_UNSAT, 2)):
         path.write_text(text)
         assert main(["solve", "--json", "--no-timing", str(path)]) == code
-        assert made == [] and read == [1]
+        assert made == [] and read == [header]
         read.clear()
+    path.write_text(GOLDEN)
+    for direction in ([], ["--forward"]):
+        for output in (["--json", "--check-reach"], ["--dot"]):
+            assert main(["net", *direction, *output, str(path)]) == 0
+            assert made == [] and read == [1]
+            read.clear()
     capsys.readouterr()
     # a reader of the records still gets them, with their ids and literals
     assert [(c.id, c.lits) for c in f.clauses] == list(zip(f.ids, f.rows))
@@ -398,7 +406,7 @@ def printed_assignments(command, path, capsys):
 def test_v_line_and_json_print_the_same_assignment_in_variable_order(tmp_path, capsys):
     assert scan(COVERED).assignment == [1, -2, -3, 4]
     corpus = [parse_x1cnf(GOLDEN), COVERED, formula(3, [])]
-    corpus += generate_campaign(24, (4, 12), (1, 5), PROFILES, 5)
+    corpus += generate_campaign(24, (4, 12), (1, 5), tuple(PROFILES), 5)
     models = 0
     for i, f in enumerate(corpus):
         path = write_cnf(tmp_path, f"{i}.cnf", emit_x1cnf(f))

@@ -7,11 +7,14 @@ ending in `Options` or `Params`; its fields are its `__init__` parameters)
 must be set by `src/` itself: an option that only tests set is a test hook.
 And every parameter with a default, of a top-level function, must be passed by
 some call in `src/`: a parameter that no caller passes is a branch nothing
-takes.
+takes. And only `oracle._draw_clause` tests a generator profile's name: every
+other rule of a profile is read off its row of `oracle.PROFILES`.
 """
 
 import ast
 from pathlib import Path
+
+from x1scan.oracle import PROFILES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "x1scan"
 
@@ -174,3 +177,35 @@ def _passes(call: ast.Call, name: str, pos: int | None) -> bool:
 
 def test_every_default_parameter_is_passed_in_src():
     assert unpassed_defaults() == []
+
+
+def profile_name_tests(trees: dict[str, ast.Module], exempt: str = "_draw_clause") -> list[str]:
+    """`module.name`, for the top-level statement it sits in, of each
+    comparison (==, !=, in, not in) against a profile name written out,
+    outside the function ``exempt``."""
+    names = set(PROFILES)
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            where = getattr(stmt, "name", "<module>")
+            if where == exempt:
+                continue
+            for node in ast.walk(stmt):
+                if not (isinstance(node, ast.Compare) and any(
+                        isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                        for op in node.ops)):
+                    continue
+                operands = [node.left, *node.comparators]
+                if any(isinstance(c, ast.Constant) and c.value in names
+                       for operand in operands for c in ast.walk(operand)):
+                    found.append(f"{module}.{where}")
+    return found
+
+
+def test_only_the_draw_tests_a_profile_name():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert profile_name_tests(trees) == []
+    # the rule reads the draw's own tests, and any other
+    assert set(profile_name_tests(trees, exempt="")) == {"oracle._draw_clause"}
+    tree = ast.parse('def rule(p):\n    return 3 if p in ("uniform3", "adversarial") else 1\n')
+    assert profile_name_tests({"gen": tree}) == ["gen.rule"]

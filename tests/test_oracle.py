@@ -1,5 +1,6 @@
 """Oracle, generator, and differential-harness tests."""
 
+import hashlib
 import json
 import math
 import os
@@ -22,7 +23,14 @@ from helpers import (
 from test_acceptance import COUNTEREXAMPLE
 
 from x1scan import oracle
-from x1scan.formula import DEFAULT_STATE_BUDGET, BudgetError, failed_clauses, formula, parse_x1cnf
+from x1scan.formula import (
+    DEFAULT_STATE_BUDGET,
+    BudgetError,
+    emit_x1cnf,
+    failed_clauses,
+    formula,
+    parse_x1cnf,
+)
 from x1scan.oracle import (
     PROFILES,
     check_profiles,
@@ -159,6 +167,9 @@ class TestGenerator:
     def test_unknown_profile(self):
         with pytest.raises(ValueError, match="unknown profile 'bogus'"):
             generate_random(3, 1, seed=0, profile="bogus")
+        # a campaign refuses it before it draws the instances ahead of it
+        with pytest.raises(ValueError, match="unknown profile 'bogus'"):
+            next(generate_campaign(2, (3, 3), None, ("mixed", "bogus"), 0))
 
     @pytest.mark.parametrize("profile,n_min,smallest_n", [
         ("mixed", 1, 1), ("mixed", 3, 3), ("uniform3", 1, 3), ("adversarial", 4, 4),
@@ -175,9 +186,24 @@ class TestGenerator:
 
     def test_the_default_m_range_is_never_refused(self):
         # without an m range, a campaign draws m from 1..2n
-        for profile in PROFILES:
-            for n in range(1 if profile == "mixed" else 3, 60):
+        for profile, (least, _) in PROFILES.items():
+            for n in range(least, 60):
                 assert 2 * n <= distinct_clauses(n, profile)
+
+    @pytest.mark.parametrize("profile,least,digest", [
+        ("uniform3", 3, "4b6c729678c605f59b1b3754c043be965f125325b37a863f4c0220cfbeec358f"),
+        ("mixed", 1, "83f6634ecd39f0269005bfd562458455b769bdcd950173ec14118be6bf792168"),
+        ("adversarial", 3, "ed17fa679ff7a6472d6fb13f08df6b0cf138b87bf5deb16396b0fc8e987b7ea2"),
+    ])
+    def test_draws_are_pinned_from_the_least_n_up(self, profile, least, digest):
+        # sha256 of the X-DIMACS text of each profile's draws at its least n,
+        # one above it, 40 and 200, with m = n and 2n, seeds 0-2
+        text = hashlib.sha256()
+        for n in (least, least + 1, 40, 200):
+            for m in (n, 2 * n):
+                for seed in range(3):
+                    text.update(emit_x1cnf(generate_random(n, m, seed, profile)).encode())
+        assert text.hexdigest() == digest
 
 
 class TestExhaustiveCorpora:

@@ -337,7 +337,7 @@ class TestGroupScan:
     @pytest.mark.parametrize("corpus", [
         pytest.param(lambda: [f for n in (1, 2, 3) for f in helpers.exhaustive_general(n, 3)],
                      id="exhaustive"),
-        pytest.param(lambda: generate_campaign(600, (2, 40), None, PROFILES, 17), id="campaign"),
+        pytest.param(lambda: generate_campaign(600, (2, 40), None, tuple(PROFILES), 17), id="campaign"),
     ])
     def test_each_order_gives_its_own_verdict(self, corpus):
         branched = 0
