@@ -187,7 +187,7 @@ def cmd_net(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    from .oracle import check_profiles, differential_corpus, generate_campaign, write_discrepancies
+    from .oracle import differential_corpus, generate_campaign, write_discrepancies
 
     if (args.m_min is None) != (args.m_max is None):
         raise ValueError("--m-min and --m-max must be given together")
@@ -195,15 +195,12 @@ def cmd_diff(args) -> int:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.m_min is not None and args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
-    profiles = tuple(args.profiles.split(","))
-    # with no m range, m is drawn from 1..2n, which every profile can draw
-    check_profiles(profiles, args.n_min, args.m_max or 0)
     report = differential_corpus(
         generate_campaign(
             args.count,
             (args.n_min, args.n_max),
             None if args.m_min is None else (args.m_min, args.m_max),
-            profiles,
+            tuple(args.profiles.split(",")),
             args.seed,
         ),
         args.permutations,
@@ -246,8 +243,9 @@ _NO_TIMING = (None, None, False, "omit timing fields")
 _BUDGET = ("N", _at_least(1), DEFAULT_STATE_BUDGET,
            "search budget in steps, one per choice tried plus, for net reachability, one per "
            "marking met between two levels and one per token in it, or, for the oracle, one "
-           f"per clause examined (default: {DEFAULT_STATE_BUDGET})")
+           "per clause examined")
 _PATH_HELP = "X-DIMACS file, or - for stdin"
+_M_DEFAULT = " (without --m-min and --m-max, m is drawn from 1..2n per instance)"
 
 # command -> (its function, its help, whether it reads a path, its flags)
 _COMMANDS = {
@@ -273,14 +271,14 @@ _COMMANDS = {
     }),
     "diff": (cmd_diff, "differential campaign vs oracle", False, {
         "--no-timing": _NO_TIMING,
-        "--seed": ("N", _integer, 0, "RNG seed (default: 0)"),
-        "--count": ("N", _at_least(0), 1000, ""),
-        "--n-min": ("N", _at_least(1), 2, ""),
-        "--n-max": ("N", _at_least(1), 8, ""),
-        "--m-min": ("N", _at_least(0), None, ""),
-        "--m-max": ("N", _at_least(0), None, ""),
-        "--profiles": ("P,..", str, "mixed",
-                       "comma-separated generator profiles (default: mixed)"),
+        "--seed": ("N", _integer, 0,
+                   "seed of the drawn instances only; the check orders are seeds 0..K-1"),
+        "--count": ("N", _at_least(0), 1000, "instances to draw"),
+        "--n-min": ("N", _at_least(1), 2, "least variables per instance"),
+        "--n-max": ("N", _at_least(1), 8, "most variables per instance"),
+        "--m-min": ("N", _at_least(0), None, "least clauses per instance" + _M_DEFAULT),
+        "--m-max": ("N", _at_least(0), None, "most clauses per instance" + _M_DEFAULT),
+        "--profiles": ("P,..", str, "mixed", "comma-separated generator profiles"),
         "--permutations": ("K", _at_least(0), 10, "random check orders per instance"),
         "--out": ("DIR", str, None, "write the discrepancy corpus here"),
     }),
@@ -326,11 +324,12 @@ def _help(command: str | None) -> str:
     _, about, takes_path, flags = _COMMANDS[command]
     rows = [("path", _PATH_HELP)] if takes_path else []
     rows.append(("-h, --help", "show this help message and exit"))
-    rows += [(flag if metavar is None else f"{flag} {metavar}", text)
-             for flag, (metavar, _, _, text) in flags.items()]
+    for flag, (metavar, _, default, text) in flags.items():
+        if default is not None and default is not False:
+            text += f" (default: {default})"
+        rows.append((flag if metavar is None else f"{flag} {metavar}", text))
     lines = [_usage(command), "", about, ""]
-    lines += [_wrap([f"  {name:<19}", *text.split()], " " * 22) if text else f"  {name}"
-              for name, text in rows]
+    lines += [_wrap([f"  {name:<19}", *text.split()], " " * 22) for name, text in rows]
     return "\n".join(lines)
 
 

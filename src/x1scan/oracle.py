@@ -343,7 +343,8 @@ def generate_campaign(count: int, n_range: tuple[int, int], m_range: tuple[int, 
     """``count`` seeded instances with n drawn from ``n_range`` and m from
     ``m_range`` (None: 1..2n per instance), cycling through ``profiles``;
     each n is raised to its profile's least n."""
-    check_profiles(profiles, 1, 0)  # a name outside PROFILES, before any draw
+    # before the first draw; every profile can draw 1..2n clauses
+    check_profiles(profiles, n_range[0], m_range[1] if m_range else 0)
     rng = Random(f"campaign:{seed}")
     for i in range(count):
         n = rng.randint(*n_range)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,13 @@ from x1scan.cli import (
     main,
 )
 from x1scan.formula import emit_x1cnf, failed_clauses, formula, parse_x1cnf
-from x1scan.oracle import PROFILES, find_model, generate_campaign, generate_random
+from x1scan.oracle import (
+    PROFILES,
+    distinct_clauses,
+    find_model,
+    generate_campaign,
+    generate_random,
+)
 from x1scan.solver import scan, verdict_as_dict
 
 GOLDEN = "p x1cnf 3 3\n1 -3 0\n1 -2 3 0\n2 -3 0\n"
@@ -228,6 +235,19 @@ def test_a_header_sized_model_is_printed_in_bounded_memory(tmp_path, argv, peak_
         v_line = out.read_text().splitlines()[-1]
         assert v_line.startswith("v -1 -2 ") and v_line.endswith(" -1000000 0")
     assert peak_kb / 1024 < peak_mb
+
+
+def test_a_clause_heavy_file_is_refuted_in_bounded_memory(tmp_path):
+    # read as rows of literals, with no record per clause: peaks of 155-157 MB
+    # on CPython 3.10-3.13, x86-64 Linux (175-195 MB with a record per clause)
+    path = write_cnf(tmp_path, "heavy.cnf", emit_x1cnf(generate_random(75_000, 300_000, seed=0)))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, str(out), "solve", "--json",
+                           "--no-timing", path], capture_output=True, text=True, timeout=60)
+    rc, peak_kb = map(int, proc.stdout.split())
+    assert rc == EXIT_UNSAT, proc.stderr
+    assert json.loads(out.read_text())["status"] == "unsat"
+    assert peak_kb / 1024 < 170
 
 
 def test_solve_claimed_sat_unverified_exits_30(tmp_path, capsys):
@@ -472,11 +492,12 @@ def test_net_dot_deterministic(golden_path, capsys):
 
 
 def test_net_check_reach_verdict_lines(tmp_path, golden_path, capsys):
-    assert main(["net", golden_path, "--check-reach"]) == 0
-    assert "s REACHABLE" in capsys.readouterr().out
     unsat = write_cnf(tmp_path, "units.cnf", "p x1cnf 1 2\n1 0\n-1 0\n")
-    assert main(["net", unsat, "--check-reach"]) == 0
-    assert "s UNREACHABLE" in capsys.readouterr().out
+    for direction in ([], ["--forward"]):
+        assert main(["net", *direction, golden_path, "--check-reach"]) == 0
+        assert "s REACHABLE" in capsys.readouterr().out
+        assert main(["net", *direction, unsat, "--check-reach"]) == 0
+        assert "s UNREACHABLE" in capsys.readouterr().out
 
 
 def test_net_converts_special_with_notice(tmp_path, capsys):
@@ -701,6 +722,37 @@ def test_diff_m_range_past_the_distinct_clauses_is_refused_whatever_the_seed(cap
     )
 
 
+@pytest.mark.parametrize("profile", PROFILES)
+def test_diff_draws_every_distinct_clause_at_a_profiles_least_n(capsys, profile):
+    # one more clause than the profile can draw there is refused before any draw
+    n = PROFILES[profile][0]
+    most = distinct_clauses(n, profile)
+    for m, code in ((most, 0), (most + 1, EXIT_USAGE)):
+        argv = ["diff", "--no-timing", "--count", "1", "--n-min", str(n), "--n-max", str(n),
+                "--m-min", str(m), "--m-max", str(m), "--profiles", profile]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == (f"error: cannot draw {m} distinct {profile} clauses "
+                                    f"over {n} variables (at most {most})\n")
+        else:
+            assert json.loads(captured.out)["agreements"] == 1
+
+
+def test_diff_fixed_order_verdicts_do_not_depend_on_the_group(capsys):
+    # the benchmark's campaign batch alone and with its 10 random orders
+    docs = []
+    for orders in (["--permutations", "0"], []):
+        assert main(["diff", "--no-timing", "--count", "25", "--n-min", "2", "--n-max", "14",
+                     "--profiles", "mixed,uniform3,adversarial", "--seed", "0", *orders]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    alone, grouped = docs
+    assert (alone["statuses"], alone["agreements"]) == (grouped["statuses"],
+                                                        grouped["agreements"])
+    assert grouped["order_invariance"]["invariant"] == grouped["instance_count"] == 25
+
+
 def test_diff_without_random_orders_counts_every_instance_invariant(capsys):
     assert main(["diff", "--count", "3", "--permutations", "0", "--profiles", "mixed",
                  "--no-timing"]) == 0
@@ -821,6 +873,11 @@ def test_in_process_main_leaves_the_collector_alone(golden_path, capsys):
     before = gc.get_freeze_count()
     assert main(["solve", golden_path]) == EXIT_SAT
     assert gc.get_freeze_count() == before
+
+
+def test_the_package_ships_its_json_schemas():
+    names = sorted(p.name for p in resources.files("x1scan").joinpath("schemas").iterdir())
+    assert names == ["diff_report.json", "net.json", "oracle.json", "verdict.json"]
 
 
 def test_json_larger_than_two_batches_is_written_in_bounded_writes(monkeypatch):
@@ -1102,3 +1159,17 @@ def test_help_names_every_flag_of_the_table(capsys, command):
         assert f"x1scan {name} " in out
         for flag in cli._COMMANDS[name][3]:
             assert f"[{flag}" in out
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_help_gives_every_flag_a_text_and_its_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args([command, "-h"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for flag, (metavar, _, default, text) in cli._COMMANDS[command][3].items():
+        assert text, flag
+        if default is not None and default is not False:
+            text += f" (default: {default})"
+        name = flag if metavar is None else f"{flag} {metavar}"
+        assert f"{name} {' '.join(text.split())}" in out, flag
