@@ -28,6 +28,16 @@ from 3-literal residues. This is exact: every base pair the probe absorbed or
 shrank is implied by two units of E, so E, all base pairs and the new pairs
 have the same models as E and the pairs that survive.
 
+An expansion that ends with 3-literal residue left ran to its end: every
+literal of E was expanded, so no conflict-free E leaves a clause that holds a
+variable of E live. E is then closed under the index's pairs too: a pair on
+a variable of E was read, and made its other variable one of E, so E's
+variables fill whole index components and E's values satisfy every pair in
+them. E's units therefore pin only roots that no surviving pair reaches and
+clash with nothing, and such a scope has a model exactly when the probe's new
+pairs have one over the index's roots. An expansion that stopped on no
+residue may hold unexpanded units, and is decided with them.
+
 The full scope is assembled only when read: by a trace dump, or when the
 verdict needs the XOR witness or model (an unsatisfiable scope, or one that
 covers the formula). Then ``xor2sat_satisfiable`` decides the assembled scope,
@@ -179,11 +189,22 @@ class Built:
 
     def satisfiable(self) -> bool:
         """Whether the scope has a model: E and the probe's new pairs added over
-        the index's roots."""
+        the index's roots. An expansion with residue left ran to its end, so
+        E's units clash with nothing (see the module docstring) and only the
+        new pairs are decided; with none, or no root met twice, they are a
+        forest and have a model."""
         if not self.index.consistent:
             return False
-        new_pairs = (ls for ls in self.touched.values() if len(ls) == 2)
-        return not isinstance(_parity(self.units, new_pairs, self.index.root_parity), tuple)
+        rp = self.index.root_parity
+        new_pairs = [ls for ls in self.touched.values() if len(ls) == 2]
+        if not self.three_left:
+            return not isinstance(_parity(self.units, new_pairs, rp), tuple)
+        if not new_pairs:
+            return True
+        roots = {rp[v][0] if v in rp else v for a, b in new_pairs for v in (abs(a), abs(b))}
+        if len(roots) == 2 * len(new_pairs):
+            return True
+        return not isinstance(_parity((), new_pairs, rp), tuple)
 
 
 def build_scope(state: SolverState, z_v: int, index: PairIndex) -> Built | EarlyConflict:
@@ -210,27 +231,35 @@ def build_scope(state: SolverState, z_v: int, index: PairIndex) -> Built | Early
         emerged: list[int] = []
         # residues holding z collapse: their other literals are all false
         for k in occurrence.get(z, ()):
-            ls = touched.get(k, live[k])
-            if not ls:
-                continue
+            if k in touched:
+                ls = touched[k]
+                if not ls:
+                    continue
+            else:
+                ls = live[k]
             if len(ls) == 3:
                 three -= 1
-            emerged.extend(-l for l in ls if l != z)
+            for l in ls:
+                if l != z:
+                    emerged.append(-l)
             touched[k] = []
         # residues holding -z lose it; one left with a single literal emerges it
         nz = -z
         for k in occurrence.get(nz, ()):
-            ls = touched.get(k, live[k])
-            if not ls:
-                continue
-            rest = [l for l in ls if l != nz]
-            if len(rest) == 1:
-                emerged.append(rest[0])
+            if k in touched:
+                ls = touched[k]
+                if not ls:
+                    continue
+            else:
+                ls = live[k]
+            if len(ls) == 2:
+                a, b = ls
+                emerged.append(b if a == nz else a)
                 touched[k] = []
             else:
-                if len(rest) == 2:
+                if len(ls) == 3:
                     three -= 1
-                touched[k] = rest
+                touched[k] = [l for l in ls if l != nz]
         for lit in emerged:
             if lit in e_set:
                 continue

@@ -9,9 +9,10 @@ With none left, the pass probes both literals of each open variable, one that
 occurs in a live clause (ascending variable, positive polarity first), with
 the scope check, all against the one pair index the pass builds. A variable of
 no live clause is never probed, discarded or completed: unless already
-settled, it reads false in the model. A literal whose ``not_yet`` verdict from
-an earlier pass provably still holds is skipped (``CarriedVerdicts``); that
-changes no verdict, only which probes run. An incompatible literal is
+settled, it reads false in the model. A literal whose ``not_yet`` verdict
+provably holds, from an earlier pass or from the expansion of a ``not_yet``
+probe, is skipped (``CarriedVerdicts``); that changes no verdict, only which
+probes run. An incompatible literal is
 discarded and the round restarts; a covering satisfiable scope ends the run
 with its model. A full pass with neither means the procedure claims
 satisfiability. At that point the least open variable is settled by a
@@ -108,6 +109,17 @@ class CarriedVerdicts:
         removes constraints, and a component with an added pair but no probe
         variable is disjoint from the probe's constraints.
 
+    A verdict vouches for its whole expansion E, not z alone. A ``not_yet``
+    expansion ran to its end (it has residue left), and then every literal a
+    of E is ``not_yet`` in the same state: a's expansion is a part of z's
+    (E(a) is a subset of E(z), so it has no early conflict), it consumes no
+    more 3-literal residues than z's did, so residue is left, and each pair it
+    makes either survives in z's scope or was settled there by two units of
+    E(z), so a model of z's scope is one of a's. While (a)-(c) keep z's
+    verdict, z's expansion at S' is the one made at S and ran to its end, so
+    the same holds there: the literals of E are carried with z, under its
+    serial number, and dropped with it.
+
     ``begin_pass`` applies all three at the start of each probing pass. The
     state's event log names every clause a discard changes, so (a) reads the
     clauses logged since the previous probing pass, and (c) those of them
@@ -121,40 +133,49 @@ class CarriedVerdicts:
     one was read by the expansion. So (c) files only the literals of the new
     pairs. Each verdict is filed under every clause it read, those literals
     and the residues it consumed, so applying a rule costs what changed, not
-    what is carried. A verdict without a ``Built`` expansion has no read set
-    and is not carried."""
+    what is carried. A verdict without a ``Built`` expansion, or with no
+    residue left (``incompatible`` makes no such ``not_yet``), has no
+    closure to vouch for and is not carried."""
 
     def __init__(self) -> None:
-        # literal -> serial number of its verdict, while the verdict holds; the
-        # indexes below file (literal, serial), so a verdict that was dropped
-        # or replaced keeps no scope alive
+        # literal -> serial number of the verdict that holds it, and serial
+        # -> the literals it holds, while it holds: a literal is filed under
+        # one serial at a time. The indexes below file serials, so a verdict
+        # keeps no scope alive
         self.kept: dict[int, int] = {}
+        self.filed: dict[int, list[int]] = {}
         self.serial = 0
-        self.by_clause: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        self.by_literal: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        self.by_consumed: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        self.by_clause: defaultdict[int, list[int]] = defaultdict(list)
+        self.by_literal: defaultdict[int, list[int]] = defaultdict(list)
+        self.by_consumed: defaultdict[int, list[int]] = defaultdict(list)
         self.read = 0  # events of the state's log that begin_pass has read
 
-    def _drop(self, entries: list[tuple[int, int]]) -> None:
-        kept = self.kept
-        for z, serial in entries:
-            if kept.get(z) == serial:  # not since replaced by a newer verdict
+    def _drop(self, serials: list[int]) -> None:
+        kept, filed = self.kept, self.filed
+        for serial in serials:
+            for z in filed.pop(serial, ()):
                 del kept[z]
 
     def note(self, res: NotYet, index: PairIndex) -> None:
+        """Carry ``res`` and, with it, every literal of its expansion not
+        already carried."""
         built = res.built
-        if not isinstance(built, Built):
+        if not isinstance(built, Built) or not built.three_left:
             return
         self.serial += 1
-        entry = (res.literal, self.serial)
-        self.kept[res.literal] = self.serial
-        self.by_consumed[len(index.threes) - built.three_left].append(entry)
+        serial = self.serial
+        kept = self.kept
+        filed = [a for a in built.units if a not in kept]
+        for a in filed:
+            kept[a] = serial
+        self.filed[serial] = filed
+        self.by_consumed[len(index.threes) - built.three_left].append(serial)
         by_clause, by_literal = self.by_clause, self.by_literal
         for k, ls in built.touched.items():
-            by_clause[k].append(entry)
+            by_clause[k].append(serial)
             if len(ls) == 2:
-                for l in ls:
-                    by_literal[l].append(entry)
+                by_literal[ls[0]].append(serial)
+                by_literal[ls[1]].append(serial)
 
     def begin_pass(self, state: SolverState, index: PairIndex) -> KeysView[int]:
         """Start a probing pass on ``index``; returns the literals whose
@@ -162,6 +183,7 @@ class CarriedVerdicts:
         start, self.read = self.read, len(state.events)
         if not index.consistent:  # no probe of this pass can be not_yet
             self.kept.clear()
+            self.filed.clear()
         if not self.kept:
             return self.kept.keys()
         changed = {e["clause"] for e in state.events[start:]

@@ -305,8 +305,10 @@ def general_formulas(max_n=9, max_m=12):
 def probe_along_random_discards(f, rng):
     """Probe every open literal in random order, discard a random one, repeat;
     each probe must equal the reference and leave the state as it was. The
-    not_yet verdicts are carried as the scan carries them: each one the carry
-    rule keeps must equal the reference, and its expansion the fresh probe's.
+    not_yet verdicts are carried as the scan carries them: every literal the
+    carry holds must probe not_yet by the reference, and one held by its own
+    verdict, not through another's expansion, must equal the reference, with
+    the fresh probe's expansion.
     Some discards follow each other with no probing pass of the carry between
     them, as necessary discards do; the carry learns of them from the state's
     event log at its next pass."""
@@ -329,12 +331,15 @@ def probe_along_random_discards(f, rng):
             res = incompatible(state, z, index)
             assert_same_probe(res, ref)
             if z in held:
-                assert noted[z] == ref
-                assert noted[z].built.units == res.built.units
-                assert noted[z].built.touched == res.built.touched
+                assert isinstance(ref, NotYet)
+                own, serial = noted.get(z, (None, None))
+                if carried.kept[z] == serial:  # held by its own verdict
+                    assert own == ref
+                    assert own.built.units == res.built.units
+                    assert own.built.touched == res.built.touched
             elif probing and isinstance(res, NotYet):
                 carried.note(res, index)
-                noted[z] = res
+                noted[z] = (res, carried.kept[z])
         assert full_fingerprint(state) == before
         if discard(state, rng.choice(zs)) is not None:
             break
@@ -358,6 +363,62 @@ def test_carried_verdicts_match_reference_on_seeded_formulas():
             for _ in range(rng.randint(2, 12))
         ]
         probe_along_random_discards(formula(n, rows), rng)
+
+
+def closures_along_random_discards(f, rng) -> tuple[int, int]:
+    """Probe every open literal, discard a random one, repeat. A fresh carry
+    is offered each not_yet verdict, and, as if not_yet, each expansion that
+    stopped with no 3-literal residue left; every literal it then holds must
+    probe not_yet by the reference, with units inside the offered E. Returns
+    the literals held besides the probed one, and the offers the carry had
+    to refuse."""
+    state = init_state(f)
+    closed = refused = 0
+    while True:
+        zs = open_literals(state)
+        if not zs:
+            break
+        index = PairIndex(state)
+        for z in zs:
+            res = incompatible(state, z, index)
+            built = res.built
+            if not isinstance(built, Built) or not (
+                isinstance(res, NotYet) or built.three_left == 0
+            ):
+                continue
+            carried = CarriedVerdicts()
+            carried.note(NotYet(z, built), index)
+            for a in carried.kept:
+                ref = reference_incompatible(state, a)
+                assert isinstance(ref, NotYet), (z, a)
+                assert set(ref.built.scope.units) <= set(built.units)
+            if isinstance(res, NotYet):
+                closed += len(carried.kept) - 1
+            else:
+                assert not carried.kept
+                refused += 1
+        if discard(state, rng.choice(zs)) is not None:
+            break
+    return closed, refused
+
+
+def test_a_not_yet_verdict_holds_for_its_whole_expansion():
+    """A not_yet probe's expansion ran to its end, so each literal of its E
+    is not_yet in the same state; an expansion with no residue left vouches
+    for nothing, not even its own literal."""
+    closed = refused = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        rows = [
+            [v if rng.random() < 0.5 else -v
+             for v in rng.sample(range(1, n + 1), rng.choice((2, 3, 3, 3)))]
+            for _ in range(rng.randint(2, 12))
+        ]
+        c, r = closures_along_random_discards(formula(n, rows), rng)
+        closed += c
+        refused += r
+    assert closed > 200 and refused > 1000
 
 
 # --- the root-level decision against the assembled scope -------------------

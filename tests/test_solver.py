@@ -1,5 +1,6 @@
 """End-to-end scan loop tests: frozen golden traces plus safety properties."""
 
+import hashlib
 import json
 import random
 import weakref
@@ -274,6 +275,16 @@ CARRY_CORPUS = [
 ]
 
 
+VERDICT_CORPUS = [
+    generate_random(n, max(1, round(n * ratio)), seed=seed, profile=profile)
+    for profile in ("uniform3", "mixed", "adversarial")
+    for n in (3, 10, 40, 120)
+    for ratio in (0.3, 0.6, 1.5)
+    for seed in range(2)
+]
+VERDICT_DIGEST = "20f1e10966f6495621e5e5011084e609f9c4168b18bccb4f423660d905b380c1"
+
+
 def without_scopes(v) -> str:
     d = verdict_as_dict(v)
     del d["trace"]["scopes"]
@@ -321,6 +332,19 @@ class TestCarriedVerdicts:
         helpers.reprobe_scan(f)
         assert probed == [s["literal"] for s in v.trace["scopes"]]
         assert len(probed) < len(reprobed)
+
+    def test_verdicts_match_their_pinned_digest(self):
+        # which probes run is free to change, the verdicts are not: status,
+        # assignment, rounds, events, discards, completion and verification
+        # of every run here hash to the value pinned before closures were
+        # carried
+        runs = [
+            without_scopes(scan(f, order))
+            for f in [GOLDEN, *VERDICT_CORPUS]
+            for order in (None, 0, 1, 2)
+        ]
+        digest = hashlib.sha256("\n".join(runs).encode()).hexdigest()
+        assert digest == VERDICT_DIGEST
 
 
 # the orders `x1scan diff` runs as one group: the fixed order, then seeds 0-9
