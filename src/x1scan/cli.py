@@ -187,7 +187,7 @@ def cmd_net(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    from .oracle import differential_corpus, generate_campaign, write_discrepancies
+    from .oracle import WorkerLost, differential_corpus, generate_campaign, write_discrepancies
 
     if (args.m_min is None) != (args.m_max is None):
         raise ValueError("--m-min and --m-max must be given together")
@@ -195,17 +195,18 @@ def cmd_diff(args) -> int:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.m_min is not None and args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
-    report = differential_corpus(
-        generate_campaign(
-            args.count,
-            (args.n_min, args.n_max),
-            None if args.m_min is None else (args.m_min, args.m_max),
-            tuple(args.profiles.split(",")),
-            args.seed,
-        ),
-        args.permutations,
-        args.no_timing,
+    corpus = generate_campaign(
+        args.count,
+        (args.n_min, args.n_max),
+        None if args.m_min is None else (args.m_min, args.m_max),
+        tuple(args.profiles.split(",")),
+        args.seed,
     )
+    try:
+        report = differential_corpus(corpus, args.permutations, args.no_timing)
+    except WorkerLost as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.out:
         written = write_discrepancies(report, args.out)
         print(f"c wrote {len(written)} discrepancy files to {args.out}", file=sys.stderr)

@@ -4,14 +4,17 @@ counterexample minimization.
 The exact search is the ground truth everything else is judged against; it
 shares no code with the scan. The differential harness runs the scan loop
 against it over seeded corpora, re-verifies every claimed model, measures
-order robustness, and shrinks any disagreement to a small reproducer.
+order robustness, and shrinks any disagreement to a small reproducer. It
+judges a corpus on one forked worker per CPU, and its report does not depend
+on how many there are.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Sequence
 from math import comb
 from pathlib import Path
 from random import Random
@@ -263,8 +266,123 @@ def _formula_rows(f: Formula) -> dict:
     return {"n": f.n_vars, "clauses": [list(lits) for lits in f.rows]}
 
 
+def _judge(i: int, f: Formula, seeds: list) -> list:
+    """Instance ``i``'s part of a report, JSON-ready: its ``statuses``
+    mark, the milliseconds its group of scans took (None where the scans
+    raised), whether every order gave the fixed order's status, and its
+    entry: the error, the minimized disagreement, or None where the scan
+    and the oracle agree."""
+    ms = None
+    try:
+        t0 = time.perf_counter()
+        v, *others = scans(f, seeds)
+        ms = (time.perf_counter() - t0) * 1000.0
+        oracle_sat = find_model(f, DEFAULT_STATE_BUDGET) is not None
+    except Exception as e:  # recorded, never fatal to the campaign
+        return ["e", ms, False, {"instance_id": i, "error": f"{type(e).__name__}: {e}"}]
+    invariant = all(o.status == v.status for o in others)
+    if _agrees(v.status, oracle_sat):
+        return [_STATUS_MARK[v.status], ms, invariant, None]
+    return [_STATUS_MARK[v.status], ms, invariant, {
+        "instance_id": i,
+        "formula": _formula_rows(f),
+        "scan_status": v.status,
+        "oracle_status": "sat" if oracle_sat else "unsat",
+        "class": DISAGREEMENT_CLASS[v.status, oracle_sat],
+        "minimized": _formula_rows(minimize_counterexample(f)),
+    }]
+
+
+def _share(corpus: Sequence[Formula], w: int, workers: int, seeds: list,
+           parent: int | None = None) -> list[list]:
+    """Worker ``w``'s results, in corpus order: those of the instances
+    i = w (mod ``workers``), up to the first that raises outside the judge's
+    own catch, which the diff process judges again so that the exception is
+    raised there, in corpus order. A forked worker also stops once its diff
+    process, ``parent``, is gone."""
+    results = []
+    for i in range(w, len(corpus), workers):
+        if parent is not None and os.getppid() != parent:
+            break
+        try:
+            results.append(_judge(i, corpus[i], seeds))
+        except Exception:  # raised again where the diff process judges it
+            break
+    return results
+
+
+class WorkerLost(Exception):
+    """A forked worker of :func:`differential_corpus` ended without sending
+    its results."""
+
+
+def _worker(corpus: Sequence[Formula], w: int, workers: int, seeds: list, out: int,
+            inherited: list[int], parent: int) -> None:
+    """A forked worker's whole life, which never returns: judge its share
+    and send it to the diff process as JSON down the pipe ``out``."""
+    code = 1
+    try:
+        for fd in inherited:  # the read ends of the other workers' pipes
+            os.close(fd)
+        with open(out, "w") as pipe:
+            pipe.write(json.dumps(_share(corpus, w, workers, seeds, parent)))
+        code = 0
+    finally:
+        # never back into the code that forked it, and no traceback: the diff
+        # process reports a worker that ends without its results
+        os._exit(code)
+
+
+def _worker_count(instances: int) -> int:
+    """One worker per CPU this process may run on, and no more than there
+    are instances; one where the platform cannot fork or tell."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), instances))
+
+
+def _fan_out(corpus: Sequence[Formula], seeds: list, workers: int) -> list[list[list]]:
+    """Every worker's share of the results: worker 0's judged in this
+    process, the others' in forked workers, each of which is reaped before
+    this returns or raises."""
+    parent = os.getpid()
+    pipes: dict[int, int] = {}  # a worker's pid -> the read end of its pipe
+    try:
+        for w in range(1, workers):
+            r, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(out)
+                raise
+            if pid == 0:
+                _worker(corpus, w, workers, seeds, out, [r, *pipes.values()], parent)
+            os.close(out)
+            pipes[pid] = r
+        shares = [_share(corpus, 0, workers, seeds)]
+        for w, pid in enumerate(list(pipes), 1):
+            with open(pipes[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(pipes.pop(pid))
+            if status != 0:
+                raise WorkerLost(f"campaign worker {w} ended without its results "
+                                 f"(exit code {os.waitstatus_to_exitcode(status)})")
+            shares.append(json.loads(data))
+        return shares
+    finally:
+        if pipes:  # an error or an interrupt came first: stop the workers left
+            import signal  # here only: a campaign that ends well sends no signal
+
+            for pid, r in pipes.items():
+                os.close(r)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def differential_corpus(
-    corpus: Iterable[Formula],
+    corpus: Sequence[Formula],
     permutations: int = 10,
     no_timing: bool = False,
 ) -> dict:
@@ -281,7 +399,22 @@ def differential_corpus(
 
     ``statuses`` has one character per instance, in corpus order: the scan
     status (``s`` sat, ``u`` unsat, ``c`` claimed_sat_unverified), or ``e``
-    where the scan or the oracle raised."""
+    where the scan or the oracle raised.
+
+    The instances are judged on one worker per CPU this process may run on
+    (``os.sched_getaffinity``), up to one per instance: this process is
+    worker 0 and forks the others, and worker w judges, and reads from the
+    corpus, only the instances i = w (mod the worker count). The workers send
+    their results back as JSON, and they are merged in corpus order, so the
+    report is the same, byte for byte, for any worker count, ``timing_ms``
+    aside, which times each group in the worker that scanned it. A worker
+    that ends without its results raises WorkerLost. The caller runs no
+    other thread, as a fork copies only the one that calls it."""
+    # the fixed order, then the seeded shuffles; no scope dumps: only statuses are read
+    seeds = [None, *range(permutations)]
+    workers = _worker_count(len(corpus))
+    shares = _fan_out(corpus, seeds, workers)
+
     disagreements: list[dict] = []
     errors: list[dict] = []
     timings: list[float] = []
@@ -289,38 +422,23 @@ def differential_corpus(
     invariant = 0
     varied: list[int] = []
     agreements = 0
-
-    # the fixed order, then the seeded shuffles; no scope dumps: only statuses are read
-    seeds = [None, *range(permutations)]
-
-    for i, f in enumerate(corpus):
-        try:
-            t0 = time.perf_counter()
-            v, *others = scans(f, seeds)
-            timings.append((time.perf_counter() - t0) * 1000.0)
-            oracle_sat = find_model(f, DEFAULT_STATE_BUDGET) is not None
-        except Exception as e:  # recorded, never fatal to the campaign
-            errors.append({"instance_id": i, "error": f"{type(e).__name__}: {e}"})
-            marks.append("e")
+    for i in range(len(corpus)):
+        share, k = shares[i % workers], i // workers
+        mark, ms, same, entry = share[k] if k < len(share) else _judge(i, corpus[i], seeds)
+        marks.append(mark)
+        if ms is not None:
+            timings.append(ms)
+        if mark == "e":
+            errors.append(entry)
             continue
-        marks.append(_STATUS_MARK[v.status])
-
-        if all(o.status == v.status for o in others):
+        if same:
             invariant += 1
         elif len(varied) < 20:
             varied.append(i)
-
-        if _agrees(v.status, oracle_sat):
+        if entry is None:
             agreements += 1
-            continue
-        disagreements.append({
-            "instance_id": i,
-            "formula": _formula_rows(f),
-            "scan_status": v.status,
-            "oracle_status": "sat" if oracle_sat else "unsat",
-            "class": DISAGREEMENT_CLASS[v.status, oracle_sat],
-            "minimized": _formula_rows(minimize_counterexample(f)),
-        })
+        else:
+            disagreements.append(entry)
 
     return {
         "instance_count": len(marks),
@@ -338,21 +456,38 @@ def differential_corpus(
     }
 
 
+class Campaign(Sequence):
+    """A seeded campaign's instances, each drawn when it is read, so that a
+    forked worker draws only its own."""
+
+    def __init__(self, draws: list[tuple[int, int, int, str]]):
+        self.draws = draws  # per instance: n, m, the generator's seed, the profile
+
+    def __len__(self) -> int:
+        return len(self.draws)
+
+    def __getitem__(self, i: int) -> Formula:
+        n, m, seed, profile = self.draws[i]
+        return generate_random(n, m, seed=seed, profile=profile)
+
+
 def generate_campaign(count: int, n_range: tuple[int, int], m_range: tuple[int, int] | None,
-                      profiles: tuple[str, ...], seed: int) -> Iterator[Formula]:
+                      profiles: tuple[str, ...], seed: int) -> Campaign:
     """``count`` seeded instances with n drawn from ``n_range`` and m from
     ``m_range`` (None: 1..2n per instance), cycling through ``profiles``;
-    each n is raised to its profile's least n."""
-    # before the first draw; every profile can draw 1..2n clauses
+    each n is raised to its profile's least n. The profiles and ``m_range``
+    are checked here, before any instance is drawn."""
+    # every profile can draw 1..2n clauses
     check_profiles(profiles, n_range[0], m_range[1] if m_range else 0)
     rng = Random(f"campaign:{seed}")
+    draws = []
     for i in range(count):
         n = rng.randint(*n_range)
         lo, hi = m_range if m_range else (1, 2 * n)
         m = rng.randint(lo, hi)
         profile = profiles[i % len(profiles)]
-        n = max(n, PROFILES[profile][0])
-        yield generate_random(n, m, seed=seed * 1_000_003 + i, profile=profile)
+        draws.append((max(n, PROFILES[profile][0]), m, seed * 1_000_003 + i, profile))
+    return Campaign(draws)
 
 
 # ---------------------------------------------------------------------------

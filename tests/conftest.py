@@ -38,6 +38,18 @@ def ignore_incompatible(monkeypatch):
     monkeypatch.setattr(solver, "incompatible", probe)
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs this process may run on, as the campaign reads it
+    to count its workers; the process's real affinity is left alone."""
+
+    def pin(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    return pin
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

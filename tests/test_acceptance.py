@@ -36,6 +36,7 @@ from x1scan.formula import (
     parse_x1cnf,
 )
 from x1scan.oracle import (
+    _worker_count,
     differential_corpus,
     find_model,
     generate_campaign,
@@ -271,7 +272,7 @@ def test_8_differential_campaign(criterion, tmp_path):
         f"agreements, {len(disagreements)} disagreements minimized+written, "
         f"{len(errors)} errors, "
         f"{order['invariant']}/{order['instances']} "
-        f"order-invariant, {elapsed:.1f} s < 300 s",
+        f"order-invariant, {elapsed:.1f} s < 300 s on {_worker_count(10_000)} workers",
     )
 
 
@@ -297,7 +298,8 @@ def test_8_campaign_beyond_n8(criterion):
         ok,
         f"810 seeded instances (mixed, uniform3, adversarial; 10 orders): "
         f"{report['agreements']}/810 verified agreements, {len(report['errors'])} errors, "
-        f"{order['invariant']}/{order['instances']} order-invariant, {elapsed:.1f} s < 30 s",
+        f"{order['invariant']}/{order['instances']} order-invariant, {elapsed:.1f} s < 30 s "
+        f"on {_worker_count(810)} workers",
     )
 
 

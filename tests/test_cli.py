@@ -761,6 +761,27 @@ def test_diff_without_random_orders_counts_every_instance_invariant(capsys):
                    "varied_instances": []}
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="a campaign forks no worker on one CPU")
+@pytest.mark.parametrize("argv", [
+    ["--count", "25", "--n-min", "2", "--n-max", "14", "--profiles",
+     "mixed,uniform3,adversarial", "--seed", "0"],
+    ["--count", "9", "--n-min", "30", "--n-max", "60", "--permutations", "2", "--seed", "4"],
+], ids=["benchmark-batch", "n30-60"])
+def test_diff_prints_the_same_report_on_one_cpu_and_on_all(argv):
+    # the child pinned to one CPU judges every instance itself; unpinned, it
+    # forks a worker per CPU
+    cpu = min(os.sched_getaffinity(0))
+    ends = []
+    for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):
+        proc = subprocess.run([sys.executable, "-m", "x1scan.cli", "diff", "--no-timing", *argv],
+                              capture_output=True, text=True, env=child_env(), preexec_fn=pin)
+        ends.append((proc.returncode, proc.stdout))
+        assert proc.stderr == ""
+    assert ends[0] == ends[1]
+    assert ends[0][0] == 0 and json.loads(ends[0][1])["instance_count"] == int(argv[1])
+
+
 def test_diff_m_range_must_be_paired(capsys):
     rc = main(["diff", "--count", "1", "--m-min", "2"])
     assert rc == EXIT_USAGE

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,9 +22,10 @@ from helpers import (
     special_clause_types,
     validate,
 )
-from test_acceptance import COUNTEREXAMPLE
+from test_acceptance import COUNTEREXAMPLE, DEGREE_TWO_COUNTEREXAMPLE
 
 from x1scan import oracle
+from x1scan.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from x1scan.formula import (
     DEFAULT_STATE_BUDGET,
     BudgetError,
@@ -256,7 +259,7 @@ class TestDifferential:
         assert r["statuses"] == "s"
 
     def test_exhaustive_tiny_corpus(self):
-        r = differential_corpus(exhaustive_general(2, 2), permutations=2)
+        r = differential_corpus(list(exhaustive_general(2, 2)), permutations=2)
         assert r["instance_count"] == 44
         assert r["agreements"] + len(r["disagreements"]) + len(r["errors"]) == 44
         assert r["errors"] == []
@@ -269,7 +272,7 @@ class TestDifferential:
 
         for name in ("build_forward_net", "build_inverse_net", "target_reachable"):
             monkeypatch.setattr(f"x1scan.petri.{name}", planted)
-        r = differential_corpus(exhaustive_general(2, 2), permutations=2)
+        r = differential_corpus(list(exhaustive_general(2, 2)), permutations=2)
         assert r["instance_count"] == 44 and len(r["statuses"]) == 44
         assert r["agreements"] + len(r["disagreements"]) == 44
         assert r["errors"] == []
@@ -289,7 +292,9 @@ class TestDifferential:
 
         assert run() == run()
 
-    def test_orders_run_as_one_group_from_the_fixed_order(self, monkeypatch):
+    def test_orders_run_as_one_group_from_the_fixed_order(self, monkeypatch, cpus):
+        # calls are recorded in this process, so every instance is judged here
+        cpus(1)
         groups = []
         real = oracle.scans
 
@@ -345,6 +350,201 @@ class TestDifferential:
     def test_timing_present_by_default(self):
         r = differential_corpus([GOLDEN], permutations=0)
         assert set(r["timing_ms"]) == {"p50", "p90", "p99", "max"}
+
+
+# the benchmark's campaign batch, as test_cli pins its report
+CAMPAIGN_BATCH = (25, (2, 14), None, ("mixed", "uniform3", "adversarial"))
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or ended, left to reap."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestWorkers:
+    """A campaign is judged on one worker per CPU, and its report is the
+    same for any worker count."""
+
+    def reports(self, corpus, cpus) -> list[str]:
+        """The report on ``corpus`` at one worker, at one per CPU this
+        process may run on, and at three, checking that every worker was
+        reaped."""
+        every = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        out = []
+        for count in (1, every, 3):
+            cpus(count)
+            out.append(json.dumps(differential_corpus(corpus, no_timing=True),
+                                  indent=2, sort_keys=True))
+            assert no_child_left()
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_pinned_campaign_reads_the_same_on_any_worker_count(self, seed, cpus):
+        one, every, three = self.reports(generate_campaign(*CAMPAIGN_BATCH, seed), cpus)
+        assert one == every == three
+
+    def test_an_agreement_a_disagreement_and_an_error_read_the_same(self, monkeypatch, cpus):
+        # claim 12's degree-two formula is minimized in its worker; the last
+        # instance needs 415 steps of exact search, past the patched budget
+        spent = generate_random(200, 120, seed=0)
+        monkeypatch.setattr(oracle, "DEFAULT_STATE_BUDGET", 300)
+        one, every, three = self.reports([GOLDEN, DEGREE_TWO_COUNTEREXAMPLE, spent], cpus)
+        assert one == every == three
+        r = json.loads(one)
+        assert r["statuses"] == "sce"
+        assert [d["class"] for d in r["disagreements"]] == ["fixpoint_on_unsat"]
+        assert r["errors"] == [{
+            "instance_id": 2,
+            "error": "BudgetError: exact search spent its budget of 300 steps",
+        }]
+
+    def test_each_worker_times_its_own_instances(self, cpus):
+        cpus(3)
+        r = differential_corpus(list(generate_campaign(*CAMPAIGN_BATCH, 0)))
+        assert set(r["timing_ms"]) == {"p50", "p90", "p99", "max"}
+        assert 0 < r["timing_ms"]["p50"] <= r["timing_ms"]["max"]
+
+    @pytest.mark.parametrize("how", ["exit", "interrupt"])
+    def test_a_worker_that_ends_without_its_results(self, how, monkeypatch, cpus, capfd):
+        # the worker that judges instance 1 ends before it sends anything:
+        # one error line and exit 2, and no traceback, not even the worker's
+        cpus(2)
+        diff = os.getpid()
+        real = oracle._judge
+
+        def judge(i, f, seeds):
+            if os.getpid() != diff and i == 1:
+                if how == "exit":
+                    os._exit(3)
+                raise KeyboardInterrupt
+            return real(i, f, seeds)
+
+        monkeypatch.setattr(oracle, "_judge", judge)
+        assert main(["diff", "--count", "4", "--seed", "1", "--no-timing"]) == EXIT_INTERNAL
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == ("error: campaign worker 1 ended without its results "
+                       f"(exit code {3 if how == 'exit' else 1})\n")
+        assert no_child_left()
+
+    def test_an_exception_in_a_worker_is_raised_in_corpus_order(self, monkeypatch, cpus,
+                                                                capfd):
+        # an instance a worker could not judge is judged again in the diff
+        # process: a failure that only the worker met leaves the report as it
+        # was, and one met everywhere ends the command as at one worker
+        argv = ["diff", "--count", "6", "--seed", "1", "--no-timing"]
+        cpus(1)
+        assert main(argv) == 0
+        expected = capfd.readouterr()
+        diff = os.getpid()
+        real = oracle._judge
+
+        def judge(i, f, seeds):
+            if i >= 3 and (os.getpid() != diff or fails_here):
+                raise ValueError(f"instance {i} cannot be judged")
+            return real(i, f, seeds)
+
+        monkeypatch.setattr(oracle, "_judge", judge)
+        cpus(2)
+        fails_here = False
+        assert main(argv) == 0
+        assert capfd.readouterr() == expected
+        fails_here = True
+        for count in (1, 2, 3):
+            cpus(count)
+            assert main(argv) == EXIT_USAGE
+            assert capfd.readouterr() == ("", "error: instance 3 cannot be judged\n")
+        assert no_child_left()
+
+    def test_an_interrupt_reaps_every_worker(self, monkeypatch, cpus):
+        # worker 0 is interrupted while the others are still judging: each
+        # forked pid is killed and waited for, and none by os.wait
+        cpus(3)
+        diff = os.getpid()
+        real_judge, real_fork, real_waitpid = oracle._judge, os.fork, os.waitpid
+        forked, waited = [], []
+
+        def judge(i, f, seeds):
+            if os.getpid() == diff:
+                raise KeyboardInterrupt
+            time.sleep(30)
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def waitpid(pid, options):
+            waited.append((pid, options))
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(oracle, "_judge", judge)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        monkeypatch.setattr(os, "wait", None)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            differential_corpus([GOLDEN] * 6, permutations=0)
+        assert time.perf_counter() - t0 < 10
+        assert len(forked) == 2 and waited == [(pid, 0) for pid in forked]
+        monkeypatch.undo()
+        assert no_child_left()
+
+    def test_a_worker_stops_when_its_diff_process_is_gone(self, tmp_path):
+        # the diff process judges its share at once and waits for its worker,
+        # which prints its pid and sleeps at each instance; once the diff
+        # process is killed, the worker ends within one instance, which
+        # closes the pipe it shares with the diff process's standard output
+        probe = (
+            "import os, time\n"
+            "from x1scan import oracle\n"
+            "from x1scan.formula import formula\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "diff, real = os.getpid(), oracle._judge\n"
+            "def judge(i, f, seeds):\n"
+            "    if os.getpid() != diff:\n"
+            "        print(os.getpid(), flush=True)\n"
+            "        time.sleep(0.5)\n"
+            "    return real(i, f, seeds)\n"
+            "oracle._judge = judge\n"
+            "oracle.differential_corpus([formula(2, [[1, 2]])] * 40, permutations=0)\n"
+        )
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, env=env)
+        worker = None
+        try:
+            line = b""
+            while not line.endswith(b"\n"):
+                chunk = os.read(proc.stdout.fileno(), 64)
+                assert chunk, "the worker never started"
+                line += chunk
+            worker = int(line.split()[0])
+            proc.kill()
+            proc.wait()
+            t0 = time.monotonic()
+            # the worker's share is 20 instances of 0.5 s
+            while select.select([proc.stdout], [], [], 5.0)[0]:
+                if not os.read(proc.stdout.fileno(), 4096):
+                    break
+            else:
+                pytest.fail("the worker outlived its diff process by 5 s")
+            assert time.monotonic() - t0 < 2.0
+            worker = None
+        finally:
+            proc.stdout.close()
+            if worker is not None:
+                try:
+                    os.kill(worker, 9)
+                except ProcessLookupError:
+                    pass
+            proc.kill()
+            proc.wait()
 
 
 class TestMinimizer:
