@@ -266,48 +266,45 @@ def _formula_rows(f: Formula) -> dict:
     return {"n": f.n_vars, "clauses": [list(lits) for lits in f.rows]}
 
 
-def _judge(i: int, f: Formula, seeds: list) -> list:
-    """Instance ``i``'s part of a report, JSON-ready: its ``statuses``
-    mark, the milliseconds its group of scans took (None where the scans
-    raised), whether every order gave the fixed order's status, and its
-    entry: the error, the minimized disagreement, or None where the scan
-    and the oracle agree."""
+def _judge(corpus: Sequence[Formula], i: int, seeds: list) -> list:
+    """Instance ``i``'s part of a report, JSON-ready, from its draw
+    ``corpus[i]`` on: its ``statuses`` mark, the milliseconds its group of
+    scans took (None where they did not end), whether every order gave the
+    fixed order's status, and its entry: the minimized disagreement, None
+    where the scan and the oracle agree, or, marked ``e``, the error where
+    drawing, scanning, deciding or minimizing the instance raised."""
     ms = None
     try:
+        f = corpus[i]
         t0 = time.perf_counter()
         v, *others = scans(f, seeds)
         ms = (time.perf_counter() - t0) * 1000.0
         oracle_sat = find_model(f, DEFAULT_STATE_BUDGET) is not None
+        invariant = all(o.status == v.status for o in others)
+        if _agrees(v.status, oracle_sat):
+            return [_STATUS_MARK[v.status], ms, invariant, None]
+        return [_STATUS_MARK[v.status], ms, invariant, {
+            "instance_id": i,
+            "formula": _formula_rows(f),
+            "scan_status": v.status,
+            "oracle_status": "sat" if oracle_sat else "unsat",
+            "class": DISAGREEMENT_CLASS[v.status, oracle_sat],
+            "minimized": _formula_rows(minimize_counterexample(f)),
+        }]
     except Exception as e:  # recorded, never fatal to the campaign
         return ["e", ms, False, {"instance_id": i, "error": f"{type(e).__name__}: {e}"}]
-    invariant = all(o.status == v.status for o in others)
-    if _agrees(v.status, oracle_sat):
-        return [_STATUS_MARK[v.status], ms, invariant, None]
-    return [_STATUS_MARK[v.status], ms, invariant, {
-        "instance_id": i,
-        "formula": _formula_rows(f),
-        "scan_status": v.status,
-        "oracle_status": "sat" if oracle_sat else "unsat",
-        "class": DISAGREEMENT_CLASS[v.status, oracle_sat],
-        "minimized": _formula_rows(minimize_counterexample(f)),
-    }]
 
 
 def _share(corpus: Sequence[Formula], w: int, workers: int, seeds: list,
            parent: int | None = None) -> list[list]:
     """Worker ``w``'s results, in corpus order: those of the instances
-    i = w (mod ``workers``), up to the first that raises outside the judge's
-    own catch, which the diff process judges again so that the exception is
-    raised there, in corpus order. A forked worker also stops once its diff
-    process, ``parent``, is gone."""
+    i = w (mod ``workers``). A forked worker stops once its diff process,
+    ``parent``, is gone."""
     results = []
     for i in range(w, len(corpus), workers):
         if parent is not None and os.getppid() != parent:
             break
-        try:
-            results.append(_judge(i, corpus[i], seeds))
-        except Exception:  # raised again where the diff process judges it
-            break
+        results.append(_judge(corpus, i, seeds))
     return results
 
 
@@ -399,7 +396,8 @@ def differential_corpus(
 
     ``statuses`` has one character per instance, in corpus order: the scan
     status (``s`` sat, ``u`` unsat, ``c`` claimed_sat_unverified), or ``e``
-    where the scan or the oracle raised.
+    where judging the instance raised: its draw, its scans, the exact search
+    or the minimization. ``errors`` holds their entries, in corpus order.
 
     The instances are judged on one worker per CPU this process may run on
     (``os.sched_getaffinity``), up to one per instance: this process is
@@ -423,8 +421,7 @@ def differential_corpus(
     varied: list[int] = []
     agreements = 0
     for i in range(len(corpus)):
-        share, k = shares[i % workers], i // workers
-        mark, ms, same, entry = share[k] if k < len(share) else _judge(i, corpus[i], seeds)
+        mark, ms, same, entry = shares[i % workers][i // workers]
         marks.append(mark)
         if ms is not None:
             timings.append(ms)

@@ -36,7 +36,7 @@ variables fill whole index components and E's values satisfy every pair in
 them. E's units therefore pin only roots that no surviving pair reaches and
 clash with nothing, and such a scope has a model exactly when the probe's new
 pairs have one over the index's roots. An expansion that stopped on no
-residue may hold unexpanded units, and is decided with them.
+residue may hold unexpanded units; it is decided on its assembled scope.
 
 The full scope is assembled only when read: by a trace dump, or when the
 verdict needs the XOR witness or model (an unsatisfiable scope, or one that
@@ -166,7 +166,8 @@ class Built:
 
     ``touched`` maps each clause the probe changed to its live literals in the
     probe ([] once absorbed); ``three_left`` counts the 3-literal residues left.
-    ``scope`` and ``residual3`` are assembled from these on first read."""
+    ``scope`` and ``residual3`` are assembled from these on first read;
+    ``satisfiable`` decides an expansion with residue left without them."""
 
     def __init__(self, index: PairIndex, units: tuple[int, ...],
                  touched: dict[int, list[int]], three_left: int) -> None:
@@ -188,17 +189,16 @@ class Built:
         return tuple(k for k in self.index.threes if k not in self.touched)
 
     def satisfiable(self) -> bool:
-        """Whether the scope has a model: E and the probe's new pairs added over
-        the index's roots. An expansion with residue left ran to its end, so
-        E's units clash with nothing (see the module docstring) and only the
-        new pairs are decided; with none, or no root met twice, they are a
-        forest and have a model."""
+        """Whether the scope of an expansion with residue left
+        (``three_left`` > 0, the one kind ``incompatible`` asks about) has a
+        model. Such an expansion ran to its end, so E's units clash with
+        nothing (see the module docstring) and only the probe's new pairs are
+        decided, over the index's roots; with none, or no root met twice,
+        they are a forest and have a model."""
         if not self.index.consistent:
             return False
         rp = self.index.root_parity
         new_pairs = [ls for ls in self.touched.values() if len(ls) == 2]
-        if not self.three_left:
-            return not isinstance(_parity(self.units, new_pairs, rp), tuple)
         if not new_pairs:
             return True
         roots = {rp[v][0] if v in rp else v for a, b in new_pairs for v in (abs(a), abs(b))}
@@ -349,8 +349,10 @@ def incompatible(
     XOR model is a satisfiability witness. The model covers the scope's
     variables only; ``solver.extract_assignment(state, base=res.model)``
     completes it from the state's settled facts. Residual 3-literal clauses
-    are never tested for satisfiability: they cannot make z_v incompatible. A satisfiable scope with residue left
-    needs neither witness nor model, so only the shared index decides it.
+    are never tested for satisfiability: they cannot make z_v incompatible.
+    A satisfiable scope with residue left needs neither witness nor model,
+    so only the shared index decides it (``Built.satisfiable``); every other
+    scope is assembled and decided by ``xor2sat_satisfiable``.
     """
     res = build_scope(state, z_v, index)
     if isinstance(res, EarlyConflict):

@@ -57,7 +57,6 @@ from .reduction import (
     necessary_literals,
 )
 from .scope import (
-    Built,
     CoversSatisfiable,
     Incompatible,
     NotYet,
@@ -133,9 +132,7 @@ class CarriedVerdicts:
     one was read by the expansion. So (c) files only the literals of the new
     pairs. Each verdict is filed under every clause it read, those literals
     and the residues it consumed, so applying a rule costs what changed, not
-    what is carried. A verdict without a ``Built`` expansion, or with no
-    residue left (``incompatible`` makes no such ``not_yet``), has no
-    closure to vouch for and is not carried."""
+    what is carried."""
 
     def __init__(self) -> None:
         # literal -> serial number of the verdict that holds it, and serial
@@ -158,10 +155,9 @@ class CarriedVerdicts:
 
     def note(self, res: NotYet, index: PairIndex) -> None:
         """Carry ``res`` and, with it, every literal of its expansion not
-        already carried."""
+        already carried. ``res`` is a verdict of ``incompatible``, so its
+        expansion is a ``Built`` with residue left."""
         built = res.built
-        if not isinstance(built, Built) or not built.three_left:
-            return
         self.serial += 1
         serial = self.serial
         kept = self.kept

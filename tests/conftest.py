@@ -25,17 +25,28 @@ def criterion():
     return record
 
 
+class Planted(NotYet):
+    """A not_yet verdict that ``ignore_incompatible`` made up."""
+
+
 @pytest.fixture
 def ignore_incompatible(monkeypatch):
     """Plant a defect in the scan loop: every incompatible probe reads as
-    not-yet, so no literal is ever discarded by the scope check."""
-    real = solver.incompatible
+    not-yet, so no literal is ever discarded by the scope check. A planted
+    verdict is never carried: the carry vouches only for the expansions of
+    true not_yet verdicts, which ran to their end with a satisfiable scope."""
+    real, real_note = solver.incompatible, solver.CarriedVerdicts.note
 
     def probe(state, z, index):
         res = real(state, z, index)
-        return NotYet(z, res.built) if isinstance(res, Incompatible) else res
+        return Planted(z, res.built) if isinstance(res, Incompatible) else res
+
+    def note(carried, res, index):
+        if not isinstance(res, Planted):
+            real_note(carried, res, index)
 
     monkeypatch.setattr(solver, "incompatible", probe)
+    monkeypatch.setattr(solver.CarriedVerdicts, "note", note)
 
 
 @pytest.fixture

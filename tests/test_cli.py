@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import sysconfig
 import time
 from importlib import resources
 from pathlib import Path
@@ -956,6 +957,24 @@ def child_env(unbuffered: bool = True) -> dict:
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
+
+
+def test_the_console_script_answers_as_the_module_does(golden_path):
+    # the script and `python -m x1scan.cli` share one entry point, cli.run;
+    # only an installed package has the script, so this runs where x1scan is
+    # imported from outside this checkout's src/
+    if SRC == Path(__file__).resolve().parent.parent / "src":
+        pytest.skip("x1scan is imported from this checkout's src/")
+    script = Path(sysconfig.get_path("scripts")) / "x1scan"
+    if not script.is_file():
+        pytest.skip(f"no x1scan script in {script.parent}")
+    ends = []
+    for entry in ([str(script)], [sys.executable, "-m", "x1scan.cli"]):
+        proc = subprocess.run([*entry, "solve", golden_path, "--json", "--no-timing"],
+                              capture_output=True, text=True, env=child_env())
+        ends.append((proc.returncode, proc.stdout))
+    assert ends[0] == ends[1]
+    assert ends[0][0] == EXIT_SAT
 
 
 def test_a_bare_interpreter_loads_no_dead_weight(golden_path):

@@ -25,7 +25,7 @@ from helpers import (
 from test_acceptance import COUNTEREXAMPLE, DEGREE_TWO_COUNTEREXAMPLE
 
 from x1scan import oracle
-from x1scan.cli import EXIT_INTERNAL, EXIT_USAGE, main
+from x1scan.cli import EXIT_INTERNAL, main
 from x1scan.formula import (
     DEFAULT_STATE_BUDGET,
     BudgetError,
@@ -416,12 +416,12 @@ class TestWorkers:
         diff = os.getpid()
         real = oracle._judge
 
-        def judge(i, f, seeds):
+        def judge(corpus, i, seeds):
             if os.getpid() != diff and i == 1:
                 if how == "exit":
                     os._exit(3)
                 raise KeyboardInterrupt
-            return real(i, f, seeds)
+            return real(corpus, i, seeds)
 
         monkeypatch.setattr(oracle, "_judge", judge)
         assert main(["diff", "--count", "4", "--seed", "1", "--no-timing"]) == EXIT_INTERNAL
@@ -431,33 +431,53 @@ class TestWorkers:
                        f"(exit code {3 if how == 'exit' else 1})\n")
         assert no_child_left()
 
-    def test_an_exception_in_a_worker_is_raised_in_corpus_order(self, monkeypatch, cpus,
-                                                                capfd):
-        # an instance a worker could not judge is judged again in the diff
-        # process: a failure that only the worker met leaves the report as it
-        # was, and one met everywhere ends the command as at one worker
+    def test_an_exception_in_a_worker_is_recorded_in_corpus_order(self, monkeypatch, cpus):
+        # every minimization raises: each disagreement becomes an error entry
+        # where it was judged, and the entries merge in corpus order, the two
+        # in one worker at two workers and in different ones at three
+        def shrink(f):
+            raise RuntimeError("the minimizer gave up")
+
+        monkeypatch.setattr(oracle, "minimize_counterexample", shrink)
+        corpus = [GOLDEN, DEGREE_TWO_COUNTEREXAMPLE, GOLDEN, DEGREE_TWO_COUNTEREXAMPLE, GOLDEN]
+        one, every, three = self.reports(corpus, cpus)
+        assert one == every == three
+        r = json.loads(one)
+        assert r["statuses"] == "seses"
+        assert r["disagreements"] == []
+        assert r["errors"] == [{"instance_id": i, "error": "RuntimeError: the minimizer gave up"}
+                               for i in (1, 3)]
+
+    def test_a_draw_that_raises_is_an_error_entry_on_any_worker_count(self, monkeypatch,
+                                                                      cpus, capfd):
+        # the one instance whose draw raises reads e, and the report is the
+        # one that drawing it would give otherwise, at any worker count
         argv = ["diff", "--count", "6", "--seed", "1", "--no-timing"]
         cpus(1)
         assert main(argv) == 0
-        expected = capfd.readouterr()
-        diff = os.getpid()
-        real = oracle._judge
+        expected = json.loads(capfd.readouterr().out)
+        real = oracle.Campaign.__getitem__
 
-        def judge(i, f, seeds):
-            if i >= 3 and (os.getpid() != diff or fails_here):
-                raise ValueError(f"instance {i} cannot be judged")
-            return real(i, f, seeds)
+        def draw(campaign, i):
+            if i == 3:
+                raise ValueError(f"instance {i} cannot be drawn")
+            return real(campaign, i)
 
-        monkeypatch.setattr(oracle, "_judge", judge)
-        cpus(2)
-        fails_here = False
-        assert main(argv) == 0
-        assert capfd.readouterr() == expected
-        fails_here = True
+        monkeypatch.setattr(oracle.Campaign, "__getitem__", draw)
+        printed = []
         for count in (1, 2, 3):
             cpus(count)
-            assert main(argv) == EXIT_USAGE
-            assert capfd.readouterr() == ("", "error: instance 3 cannot be judged\n")
+            assert main(argv) == 0
+            out, err = capfd.readouterr()
+            assert err == ""
+            printed.append(out)
+        assert printed[0] == printed[1] == printed[2]
+        r = json.loads(printed[0])
+        assert r["statuses"] == expected["statuses"][:3] + "e" + expected["statuses"][4:]
+        assert r["errors"] == [{"instance_id": 3,
+                                "error": "ValueError: instance 3 cannot be drawn"}]
+        assert r["instance_count"] == 6
+        assert r["order_invariance"]["instances"] == 5
         assert no_child_left()
 
     def test_an_interrupt_reaps_every_worker(self, monkeypatch, cpus):
@@ -468,7 +488,7 @@ class TestWorkers:
         real_judge, real_fork, real_waitpid = oracle._judge, os.fork, os.waitpid
         forked, waited = [], []
 
-        def judge(i, f, seeds):
+        def judge(corpus, i, seeds):
             if os.getpid() == diff:
                 raise KeyboardInterrupt
             time.sleep(30)
@@ -506,11 +526,11 @@ class TestWorkers:
             "from x1scan.formula import formula\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "diff, real = os.getpid(), oracle._judge\n"
-            "def judge(i, f, seeds):\n"
+            "def judge(corpus, i, seeds):\n"
             "    if os.getpid() != diff:\n"
             "        print(os.getpid(), flush=True)\n"
             "        time.sleep(0.5)\n"
-            "    return real(i, f, seeds)\n"
+            "    return real(corpus, i, seeds)\n"
             "oracle._judge = judge\n"
             "oracle.differential_corpus([formula(2, [[1, 2]])] * 40, permutations=0)\n"
         )

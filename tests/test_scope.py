@@ -12,6 +12,7 @@ from helpers import (
     reference_xor2sat,
 )
 
+from x1scan import scope as scope_module
 from x1scan.formula import formula
 from x1scan.oracle import generate_random
 from x1scan.reduction import discard, init_state
@@ -30,7 +31,7 @@ from x1scan.scope import (
     scope_as_dict,
     xor2sat_satisfiable,
 )
-from x1scan.solver import CarriedVerdicts, extract_assignment
+from x1scan.solver import CarriedVerdicts, extract_assignment, scans
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
 
@@ -365,15 +366,14 @@ def test_carried_verdicts_match_reference_on_seeded_formulas():
         probe_along_random_discards(formula(n, rows), rng)
 
 
-def closures_along_random_discards(f, rng) -> tuple[int, int]:
-    """Probe every open literal, discard a random one, repeat. A fresh carry
-    is offered each not_yet verdict, and, as if not_yet, each expansion that
-    stopped with no 3-literal residue left; every literal it then holds must
-    probe not_yet by the reference, with units inside the offered E. Returns
-    the literals held besides the probed one, and the offers the carry had
-    to refuse."""
+def closures_along_random_discards(f, rng) -> int:
+    """Probe every open literal, discard a random one, repeat. Each not_yet
+    verdict must have an expansion with residue left, the one kind the carry
+    takes, and a fresh carry is given it; every literal the carry then holds
+    must probe not_yet by the reference, with units inside the verdict's E.
+    Returns the literals held besides the probed one."""
     state = init_state(f)
-    closed = refused = 0
+    closed = 0
     while True:
         zs = open_literals(state)
         if not zs:
@@ -381,32 +381,26 @@ def closures_along_random_discards(f, rng) -> tuple[int, int]:
         index = PairIndex(state)
         for z in zs:
             res = incompatible(state, z, index)
-            built = res.built
-            if not isinstance(built, Built) or not (
-                isinstance(res, NotYet) or built.three_left == 0
-            ):
+            if not isinstance(res, NotYet):
                 continue
+            built = res.built
+            assert isinstance(built, Built) and built.three_left > 0
             carried = CarriedVerdicts()
-            carried.note(NotYet(z, built), index)
+            carried.note(res, index)
             for a in carried.kept:
                 ref = reference_incompatible(state, a)
                 assert isinstance(ref, NotYet), (z, a)
                 assert set(ref.built.scope.units) <= set(built.units)
-            if isinstance(res, NotYet):
-                closed += len(carried.kept) - 1
-            else:
-                assert not carried.kept
-                refused += 1
+            closed += len(carried.kept) - 1
         if discard(state, rng.choice(zs)) is not None:
             break
-    return closed, refused
+    return closed
 
 
 def test_a_not_yet_verdict_holds_for_its_whole_expansion():
     """A not_yet probe's expansion ran to its end, so each literal of its E
-    is not_yet in the same state; an expansion with no residue left vouches
-    for nothing, not even its own literal."""
-    closed = refused = 0
+    is not_yet in the same state."""
+    closed = 0
     for seed in range(400):
         rng = random.Random(seed)
         n = rng.randint(3, 9)
@@ -415,22 +409,20 @@ def test_a_not_yet_verdict_holds_for_its_whole_expansion():
              for v in rng.sample(range(1, n + 1), rng.choice((2, 3, 3, 3)))]
             for _ in range(rng.randint(2, 12))
         ]
-        c, r = closures_along_random_discards(formula(n, rows), rng)
-        closed += c
-        refused += r
-    assert closed > 200 and refused > 1000
+        closed += closures_along_random_discards(formula(n, rows), rng)
+    assert closed > 200
 
 
 # --- the root-level decision against the assembled scope -------------------
 
 
-def satisfiable_along_random_discards(f, rng) -> tuple[int, int, int]:
+def satisfiable_along_random_discards(f, rng) -> tuple[int, int]:
     """Expand every open literal in random order, discard a random one,
-    repeat; each ``Built`` must decide its scope as the assembled scope's XOR
-    decision does. Returns the expansions checked, those with no 3-literal
-    residue left and those made against an inconsistent pair index."""
+    repeat; each ``Built`` with 3-literal residue left must decide its scope
+    as the assembled scope's XOR decision does. Returns the expansions
+    checked and those of them made against an inconsistent pair index."""
     state = init_state(f)
-    checked = no_residue = inconsistent = 0
+    checked = inconsistent = 0
     while True:
         zs = open_literals(state)
         if not zs:
@@ -439,15 +431,14 @@ def satisfiable_along_random_discards(f, rng) -> tuple[int, int, int]:
         index = PairIndex(state)
         for z in zs:
             built = build_scope(state, z, index)
-            if not isinstance(built, Built):
+            if not isinstance(built, Built) or not built.three_left:
                 continue
             assert built.satisfiable() == isinstance(xor2sat_satisfiable(built.scope), XorSat)
             checked += 1
-            no_residue += built.three_left == 0
             inconsistent += not index.consistent
         if discard(state, rng.choice(zs)) is not None:
             break
-    return checked, no_residue, inconsistent
+    return checked, inconsistent
 
 
 @settings(max_examples=300, deadline=None)
@@ -457,9 +448,9 @@ def test_scope_satisfiable_matches_xor_decision(f, rng):
 
 
 def test_scope_satisfiable_matches_xor_decision_on_seeded_formulas():
-    """Mostly 3-literal clauses and some pairs: the walks meet scopes with
-    and without residue left, and pair indexes with no model."""
-    totals = [0, 0, 0]
+    """Mostly 3-literal clauses and some pairs: the walks meet pair indexes
+    with no model."""
+    totals = [0, 0]
     for seed in range(1000):
         rng = random.Random(seed)
         n = rng.randint(3, 9)
@@ -470,8 +461,36 @@ def test_scope_satisfiable_matches_xor_decision_on_seeded_formulas():
         ]
         for i, k in enumerate(satisfiable_along_random_discards(formula(n, rows), rng)):
             totals[i] += k
-    checked, no_residue, inconsistent = totals
-    assert checked > no_residue > 0 and inconsistent > 0
+    checked, inconsistent = totals
+    assert checked > inconsistent > 0
+
+
+def test_only_expansions_with_residue_left_are_decided_alone(monkeypatch):
+    """Over seeded scans in groups of orders, ``Built.satisfiable`` is asked
+    only about expansions with residue left, though the scans meet others:
+    ``incompatible`` decides those on their assembled scope."""
+    real_satisfiable, real_build = Built.satisfiable, scope_module.build_scope
+    asked, no_residue = [], 0
+
+    def satisfiable(built):
+        asked.append(built.three_left)
+        return real_satisfiable(built)
+
+    def build(state, z, index):
+        nonlocal no_residue
+        res = real_build(state, z, index)
+        no_residue += isinstance(res, Built) and not res.three_left
+        return res
+
+    monkeypatch.setattr(Built, "satisfiable", satisfiable)
+    monkeypatch.setattr(scope_module, "build_scope", build)
+    for seed in range(200):
+        for profile in ("uniform3", "mixed", "adversarial"):
+            n = 6 + seed % 25
+            scans(generate_random(n, max(1, n * (1 + seed % 4) // 5), seed, profile),
+                  [None, 0, 1, 2])
+    assert len(asked) > 2000 and no_residue > 1000
+    assert min(asked) > 0
 
 
 def test_verdicts_compare_and_print_without_their_scope():
