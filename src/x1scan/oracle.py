@@ -272,8 +272,9 @@ def _judge(corpus: Sequence[Formula], i: int, seeds: list) -> list:
     scans took (None where they did not end), whether every order gave the
     fixed order's status, and its entry: the minimized disagreement, None
     where the scan and the oracle agree, or, marked ``e``, the error where
-    drawing, scanning, deciding or minimizing the instance raised."""
-    ms = None
+    drawing, scanning, deciding or minimizing the instance raised, with the
+    formula once it was drawn and the scan status once the scans ended."""
+    ms = f = v = None
     try:
         f = corpus[i]
         t0 = time.perf_counter()
@@ -292,7 +293,12 @@ def _judge(corpus: Sequence[Formula], i: int, seeds: list) -> list:
             "minimized": _formula_rows(minimize_counterexample(f)),
         }]
     except Exception as e:  # recorded, never fatal to the campaign
-        return ["e", ms, False, {"instance_id": i, "error": f"{type(e).__name__}: {e}"}]
+        entry = {"instance_id": i, "error": f"{type(e).__name__}: {e}"}
+        if f is not None:
+            entry["formula"] = _formula_rows(f)
+        if v is not None:
+            entry["scan_status"] = v.status
+        return ["e", ms, False, entry]
 
 
 def _share(corpus: Sequence[Formula], w: int, workers: int, seeds: list,
@@ -313,12 +319,23 @@ class WorkerLost(Exception):
     its results."""
 
 
+def _place(cpus: Iterable[int]) -> None:
+    """Run this process on ``cpus`` only, or, where the OS refuses, where it
+    ran before: no verdict depends on the CPU that reaches it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _worker(corpus: Sequence[Formula], w: int, workers: int, seeds: list, out: int,
-            inherited: list[int], parent: int) -> None:
-    """A forked worker's whole life, which never returns: judge its share
-    and send it to the diff process as JSON down the pipe ``out``."""
+            inherited: list[int], parent: int, cpu: int) -> None:
+    """A forked worker's whole life, which never returns: move to the CPU
+    ``cpu``, judge its share and send it to the diff process as JSON down
+    the pipe ``out``."""
     code = 1
     try:
+        _place({cpu})
         for fd in inherited:  # the read ends of the other workers' pipes
             os.close(fd)
         with open(out, "w") as pipe:
@@ -341,7 +358,11 @@ def _worker_count(instances: int) -> int:
 def _fan_out(corpus: Sequence[Formula], seeds: list, workers: int) -> list[list[list]]:
     """Every worker's share of the results: worker 0's judged in this
     process, the others' in forked workers, each of which is reaped before
-    this returns or raises."""
+    this returns or raises. Worker w runs on the w-th CPU of this process's
+    mask, and this process gets its mask back before it returns or raises."""
+    if workers == 1:
+        return [_share(corpus, 0, 1, seeds)]
+    cpus = sorted(os.sched_getaffinity(0))
     parent = os.getpid()
     pipes: dict[int, int] = {}  # a worker's pid -> the read end of its pipe
     try:
@@ -354,9 +375,10 @@ def _fan_out(corpus: Sequence[Formula], seeds: list, workers: int) -> list[list[
                 os.close(out)
                 raise
             if pid == 0:
-                _worker(corpus, w, workers, seeds, out, [r, *pipes.values()], parent)
+                _worker(corpus, w, workers, seeds, out, [r, *pipes.values()], parent, cpus[w])
             os.close(out)
             pipes[pid] = r
+        _place({cpus[0]})
         shares = [_share(corpus, 0, workers, seeds)]
         for w, pid in enumerate(list(pipes), 1):
             with open(pipes[pid], "rb", closefd=False) as pipe:
@@ -369,6 +391,7 @@ def _fan_out(corpus: Sequence[Formula], seeds: list, workers: int) -> list[list[
             shares.append(json.loads(data))
         return shares
     finally:
+        _place(cpus)
         if pipes:  # an error or an interrupt came first: stop the workers left
             import signal  # here only: a campaign that ends well sends no signal
 
@@ -405,9 +428,13 @@ def differential_corpus(
     corpus, only the instances i = w (mod the worker count). The workers send
     their results back as JSON, and they are merged in corpus order, so the
     report is the same, byte for byte, for any worker count, ``timing_ms``
-    aside, which times each group in the worker that scanned it. A worker
-    that ends without its results raises WorkerLost. The caller runs no
-    other thread, as a fork copies only the one that calls it."""
+    aside, which times each group in the worker that scanned it. Worker w
+    runs on the w-th CPU of this process's mask alone while the workers
+    judge, so that none waits for another's CPU, and this process gets its
+    mask back before this returns or raises; a placement the OS refuses
+    leaves that process where it was. A worker that ends without its
+    results raises WorkerLost. The caller runs no other thread, as a fork
+    copies only the one that calls it."""
     # the fixed order, then the seeded shuffles; no scope dumps: only statuses are read
     seeds = [None, *range(permutations)]
     workers = _worker_count(len(corpus))

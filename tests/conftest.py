@@ -52,11 +52,20 @@ def ignore_incompatible(monkeypatch):
 @pytest.fixture
 def cpus(monkeypatch):
     """Set how many CPUs this process may run on, as the campaign reads it
-    to count its workers; the process's real affinity is left alone."""
+    to count its workers and place them; the process's real affinity is left
+    alone. A placement on one CPU of the faked mask, or back on the whole
+    of it, is accepted and changes nothing; any other is refused."""
 
     def pin(count: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
+        mask = set(range(count))
+
+        def place(pid, cpus):
+            cpus = set(cpus)
+            if cpus != mask and not (len(cpus) == 1 and cpus <= mask):
+                raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", place, raising=False)
 
     return pin
 

@@ -767,11 +767,13 @@ def test_diff_without_random_orders_counts_every_instance_invariant(capsys):
 @pytest.mark.parametrize("argv", [
     ["--count", "25", "--n-min", "2", "--n-max", "14", "--profiles",
      "mixed,uniform3,adversarial", "--seed", "0"],
+    ["--count", "25", "--n-min", "2", "--n-max", "14", "--profiles",
+     "mixed,uniform3,adversarial", "--seed", "47000"],
     ["--count", "9", "--n-min", "30", "--n-max", "60", "--permutations", "2", "--seed", "4"],
-], ids=["benchmark-batch", "n30-60"])
+], ids=["benchmark-batch", "benchmark-seed-47000", "n30-60"])
 def test_diff_prints_the_same_report_on_one_cpu_and_on_all(argv):
     # the child pinned to one CPU judges every instance itself; unpinned, it
-    # forks a worker per CPU
+    # forks a worker per CPU and places each on a CPU of its own
     cpu = min(os.sched_getaffinity(0))
     ends = []
     for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):

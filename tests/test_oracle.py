@@ -8,6 +8,7 @@ import select
 import subprocess
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,11 @@ from x1scan.oracle import (
 from x1scan.solver import Verdict
 
 GOLDEN = formula(3, [[1, -3], [1, -2, 3], [2, -3]])
+
+
+def as_rows(f) -> dict:
+    """A formula as a report writes it."""
+    return {"n": f.n_vars, "clauses": [list(row) for row in f.rows]}
 
 
 class TestBruteForce:
@@ -315,13 +321,28 @@ class TestDifferential:
         assert all(1 <= f.n_clauses <= 2 * f.n_vars for f in fs)
 
     def test_a_spent_oracle_budget_is_an_error_entry(self, monkeypatch):
+        # the scans ended before the exact search spent its budget: the entry
+        # keeps the formula and its scan status
         monkeypatch.setattr(oracle, "DEFAULT_STATE_BUDGET", 100)
         r = differential_corpus([GOLDEN, COUNTEREXAMPLE], permutations=0)
         assert r["statuses"] == "se"
+        assert validate(r, load_schema("diff_report")) == []
         assert r["errors"] == [{
             "instance_id": 1,
             "error": "BudgetError: exact search spent its budget of 100 steps",
+            "formula": as_rows(COUNTEREXAMPLE),
+            "scan_status": "claimed_sat_unverified",
         }]
+
+    def test_a_scan_that_raises_keeps_only_the_formula(self, monkeypatch):
+        def scans(f, seeds, dumps=False):
+            raise RuntimeError("the scan gave up")
+
+        monkeypatch.setattr(oracle, "scans", scans)
+        r = differential_corpus([GOLDEN], permutations=0, no_timing=True)
+        assert validate(r, load_schema("diff_report")) == []
+        assert r["errors"] == [{"instance_id": 0, "error": "RuntimeError: the scan gave up",
+                                "formula": as_rows(GOLDEN)}]
 
     def test_an_undecided_shrink_keeps_the_formula_unminimized(self, monkeypatch,
                                                               ignore_incompatible):
@@ -400,6 +421,8 @@ class TestWorkers:
         assert r["errors"] == [{
             "instance_id": 2,
             "error": "BudgetError: exact search spent its budget of 300 steps",
+            "formula": as_rows(spent),
+            "scan_status": "unsat",
         }]
 
     def test_each_worker_times_its_own_instances(self, cpus):
@@ -445,8 +468,11 @@ class TestWorkers:
         r = json.loads(one)
         assert r["statuses"] == "seses"
         assert r["disagreements"] == []
-        assert r["errors"] == [{"instance_id": i, "error": "RuntimeError: the minimizer gave up"}
-                               for i in (1, 3)]
+        # each entry keeps what was known: the formula and the scan's claim
+        assert validate(r, load_schema("diff_report")) == []
+        assert r["errors"] == [{"instance_id": i, "error": "RuntimeError: the minimizer gave up",
+                                "formula": as_rows(DEGREE_TWO_COUNTEREXAMPLE),
+                                "scan_status": "claimed_sat_unverified"} for i in (1, 3)]
 
     def test_a_draw_that_raises_is_an_error_entry_on_any_worker_count(self, monkeypatch,
                                                                       cpus, capfd):
@@ -565,6 +591,86 @@ class TestWorkers:
                     pass
             proc.kill()
             proc.wait()
+
+
+class Where(Sequence):
+    """A corpus whose every draw raises, naming the CPUs the process that
+    draws it may run on."""
+
+    def __init__(self, count: int):
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i):
+        raise RuntimeError(sorted(os.sched_getaffinity(0)))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="a campaign forks no worker on one CPU")
+class TestPlacement:
+    """Each worker runs on a CPU of its own, on this process's real mask,
+    and the diff process gets its mask back however the campaign ends."""
+
+    @pytest.fixture
+    def mask(self):
+        """This process's mask, given back to it after the test whatever
+        the test finds, so that no later test starts on fewer CPUs."""
+        mask = os.sched_getaffinity(0)
+        yield mask
+        os.sched_setaffinity(0, mask)
+
+    def test_each_worker_runs_on_a_cpu_of_its_own(self, mask):
+        workers = len(mask)
+        r = differential_corpus(Where(2 * workers), permutations=0, no_timing=True)
+        assert r["statuses"] == "e" * 2 * workers
+        named: dict[int, set[str]] = {}
+        for entry in r["errors"]:
+            named.setdefault(entry["instance_id"] % workers, set()).add(entry["error"])
+        # each worker drew two instances, both on the same one CPU
+        where = []
+        for w in range(workers):
+            [error] = named[w]
+            [cpu] = json.loads(error.removeprefix("RuntimeError: "))
+            where.append(cpu)
+        assert len(set(where)) == workers and set(where) <= mask
+        assert os.sched_getaffinity(0) == mask
+        assert no_child_left()
+
+    @pytest.mark.parametrize("how", ["clean", "lost", "interrupt"])
+    def test_the_diff_process_gets_its_mask_back(self, how, mask, monkeypatch):
+        diff, real = os.getpid(), oracle._judge
+
+        def judge(corpus, i, seeds):
+            if how == "lost" and os.getpid() != diff:
+                os._exit(3)
+            if how == "interrupt" and os.getpid() == diff:
+                raise KeyboardInterrupt
+            return real(corpus, i, seeds)
+
+        monkeypatch.setattr(oracle, "_judge", judge)
+        corpus = [GOLDEN] * (2 * len(mask))
+        if how == "clean":
+            assert differential_corpus(corpus, permutations=0)["statuses"] == "s" * len(corpus)
+        else:
+            with pytest.raises(oracle.WorkerLost if how == "lost" else KeyboardInterrupt):
+                differential_corpus(corpus, permutations=0)
+        assert os.sched_getaffinity(0) == mask
+        assert no_child_left()
+
+    def test_a_refused_placement_changes_no_report(self, mask, monkeypatch):
+        corpus = generate_campaign(*CAMPAIGN_BATCH, 0)
+        placed = json.dumps(differential_corpus(corpus, no_timing=True), sort_keys=True)
+
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        refused = json.dumps(differential_corpus(corpus, no_timing=True), sort_keys=True)
+        assert refused == placed
+        assert os.sched_getaffinity(0) == mask
+        assert no_child_left()
 
 
 class TestMinimizer:
