@@ -181,21 +181,57 @@ def check_profiles(profiles: Iterable[str], n_min: int, m_max: int) -> None:
             )
 
 
-def _draw_clause(rng: Random, n: int, profile: str, prev: tuple[int, ...] | None):
-    if profile == "uniform3":
-        vs = rng.sample(range(1, n + 1), 3)
-    elif profile == "mixed":
-        size = min(rng.choices((1, 2, 3), weights=(1, 2, 7))[0], n)
-        vs = rng.sample(range(1, n + 1), size)
-    else:  # adversarial
-        if prev is None:
-            vs = rng.sample(range(1, n + 1), 3)
-        else:
-            shared = rng.choice([abs(l) for l in prev])
-            rest = [v for v in range(1, n + 1) if v != shared]
-            vs = [shared] + rng.sample(rest, 2)
-    lits = sorted((v if rng.random() < 0.5 else -v for v in vs), key=abs)
-    return tuple(lits)
+def _below(bits, n: int) -> int:
+    """A draw from range(n), n >= 1, off ``bits`` (a generator's
+    getrandbits), as CPython's Random._randbelow_with_getrandbits makes it."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(bits, size: int, k: int) -> list[int]:
+    """k <= 3 distinct draws from 1..size, as Random.sample(range(1, size + 1),
+    k) makes them: off a pool with each pick's place refilled from its end
+    while the population is at most 21, else by redrawing a repeat."""
+    picked = []
+    if size <= 21:
+        pool = list(range(1, size + 1))
+        for i in range(k):
+            j = _below(bits, size - i)
+            picked.append(pool[j])
+            pool[j] = pool[size - i - 1]
+        return picked
+    for _ in range(k):
+        v = _below(bits, size) + 1
+        while v in picked:
+            v = _below(bits, size) + 1
+        picked.append(v)
+    return picked
+
+
+def _draw_clause(bits, coin, n: int, profile: str, prev: tuple[int, ...] | None):
+    """One clause off a generator's ``bits`` (getrandbits) and ``coin``
+    (random): the variables, then a sign for each, in the order drawn."""
+    if profile == "adversarial" and prev is not None:
+        # Random.choice of prev's variables, then Random.sample of 2 from
+        # the n - 1 others in order
+        shared = abs(prev[_below(bits, len(prev))])
+        vs = [shared] + [v + (v >= shared) for v in _sample(bits, n - 1, 2)]
+    else:
+        size = 3
+        if profile == "mixed":
+            # Random.choices((1, 2, 3), weights=(1, 2, 7)): one coin against
+            # the cumulative weights 1 and 3 of 10
+            x = coin() * 10.0
+            size = min(1 if x < 1 else 2 if x < 3 else 3, n)
+        vs = _sample(bits, n, size)
+    for i, v in enumerate(vs):
+        if coin() >= 0.5:
+            vs[i] = -v
+    vs.sort(key=abs)
+    return tuple(vs)
 
 
 def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> Formula:
@@ -205,6 +241,11 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
     uniform3: every clause has 3 literals. mixed: 1-3 literals weighted
     1:2:7. adversarial: 3-literal chain, each clause sharing a variable with
     its predecessor.
+
+    A draw is defined by the getrandbits and random() calls it makes on
+    Random(f"{profile}:{n}:{m}:{seed}"), no other method of the generator;
+    it gives the formulas that Random.sample, choice and choices drew at
+    every earlier commit, on CPython 3.10 to 3.13.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -215,6 +256,7 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
         raise ValueError(f"profile {profile} needs n >= {least}")
     check_profiles((profile,), n, m)
     rng = Random(f"{profile}:{n}:{m}:{seed}")
+    bits, coin = rng.getrandbits, rng.random
     rows: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     attempts = 0
@@ -224,7 +266,7 @@ def generate_random(n: int, m: int, seed: int, profile: str = "uniform3") -> For
             raise ValueError(
                 f"cannot draw {m} distinct {profile} clauses over {n} variables"
             )
-        clause = _draw_clause(rng, n, profile, rows[-1] if rows else None)
+        clause = _draw_clause(bits, coin, n, profile, rows[-1] if rows else None)
         if clause in seen:
             continue
         seen.add(clause)

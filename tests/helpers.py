@@ -572,6 +572,45 @@ def brute_force_sat(f: Formula) -> list[int] | None:
     return None
 
 
+# --- reference draw: the generator's clauses through random.py ------------------
+
+
+def reference_clause(rng: random.Random, n: int, profile: str, prev) -> tuple[int, ...]:
+    if profile == "uniform3":
+        vs = rng.sample(range(1, n + 1), 3)
+    elif profile == "mixed":
+        size = min(rng.choices((1, 2, 3), weights=(1, 2, 7))[0], n)
+        vs = rng.sample(range(1, n + 1), size)
+    else:  # adversarial
+        if prev is None:
+            vs = rng.sample(range(1, n + 1), 3)
+        else:
+            shared = rng.choice([abs(l) for l in prev])
+            rest = [v for v in range(1, n + 1) if v != shared]
+            vs = [shared] + rng.sample(rest, 2)
+    return tuple(sorted((v if rng.random() < 0.5 else -v for v in vs), key=abs))
+
+
+def reference_draw(n: int, m: int, seed: int, profile: str) -> list[tuple[int, ...]]:
+    """The rows `oracle.generate_random(n, m, seed, profile)` draws, through
+    `Random.sample`, `choice` and `choices` as the package drew them before
+    it read the generator's bits itself; raises ValueError where the package
+    gives up drawing."""
+    rng = random.Random(f"{profile}:{n}:{m}:{seed}")
+    rows: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    attempts = 0
+    while len(rows) < m:
+        attempts += 1
+        if attempts > 200 * (m + 1):
+            raise ValueError(f"cannot draw {m} distinct {profile} clauses over {n} variables")
+        clause = reference_clause(rng, n, profile, rows[-1] if rows else None)
+        if clause not in seen:
+            seen.add(clause)
+            rows.append(clause)
+    return rows
+
+
 # --- exhaustive corpora -------------------------------------------------------
 
 

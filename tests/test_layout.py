@@ -8,11 +8,13 @@ must be set by `src/` itself: an option that only tests set is a test hook.
 And every parameter with a default, of a top-level function, must be passed by
 some call in `src/`: a parameter that no caller passes is a branch nothing
 takes. And only `oracle._draw_clause` tests a generator profile's name: every
-other rule of a profile is read off its row of `oracle.PROFILES`.
+other rule of a profile is read off its row of `oracle.PROFILES`. And the
+draw calls no method of its generator but `getrandbits` and `random`.
 """
 
 import ast
 from pathlib import Path
+from random import Random
 
 from x1scan.oracle import PROFILES
 
@@ -209,3 +211,59 @@ def test_only_the_draw_tests_a_profile_name():
     assert set(profile_name_tests(trees, exempt="")) == {"oracle._draw_clause"}
     tree = ast.parse('def rule(p):\n    return 3 if p in ("uniform3", "adversarial") else 1\n')
     assert profile_name_tests({"gen": tree}) == ["gen.rule"]
+
+
+# the generator's methods the draw may call: a profile's clauses then depend
+# on the stream of bits alone, not on how random.py turns bits into samples
+DRAW_CALLS = {"getrandbits", "random"}
+
+
+def generator_calls(tree: ast.Module, roots=("generate_random", "_draw_clause")) -> list[str]:
+    """`function.name` of each method of `random.Random` other than
+    DRAW_CALLS that the functions ``roots``, or a top-level function they
+    reach by name, read off anything, and `function.<rng>` where one of them
+    hands a generator it made, `Random(...)`, to a call whole, out of this
+    rule's sight."""
+    methods = {name for name in dir(Random) if not name.startswith("__")} - DRAW_CALLS
+    functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    found, todo, done = [], list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in done or name not in functions:
+            continue
+        done.add(name)
+        fn = functions[name]
+        made = {
+            t.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "Random"
+            for t in node.targets if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr in methods:
+                found.append(f"{name}.{node.attr}")
+            elif isinstance(node, ast.Name):
+                todo.append(node.id)
+            if isinstance(node, ast.Call):
+                whole = [a for a in [*node.args, *(k.value for k in node.keywords)]
+                         if isinstance(a, ast.Name) and a.id in made]
+                found += [f"{name}.<{a.id}>" for a in whole]
+    return sorted(found)
+
+
+def test_the_draw_calls_only_getrandbits_and_random():
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    assert generator_calls(tree) == []
+    # the rule sees a draw through random.py, in the functions the draw
+    # reaches, and a generator handed on whole
+    bad = ast.parse(
+        "def generate_random(n, seed):\n"
+        "    rng = Random(seed)\n"
+        "    return [_draw_clause(rng.getrandbits, n), _pick(rng)]\n"
+        "def _draw_clause(bits, n):\n"
+        "    return _sign(bits(3))\n"
+        "def _sign(x):\n"
+        "    return x.choice((1, -1))\n"
+    )
+    assert generator_calls(bad) == ["_sign.choice", "generate_random.<rng>"]

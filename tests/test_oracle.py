@@ -10,6 +10,7 @@ import sys
 import time
 from collections.abc import Sequence
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -20,6 +21,8 @@ from helpers import (
     general_clause_types,
     load_schema,
     net_cross_check,
+    reference_clause,
+    reference_draw,
     special_clause_types,
     validate,
 )
@@ -213,6 +216,43 @@ class TestGenerator:
                 for seed in range(3):
                     text.update(emit_x1cnf(generate_random(n, m, seed, profile)).encode())
         assert text.hexdigest() == digest
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_draws_match_random_py_row_for_row(self, profile):
+        # the draw reads the generator's bits itself; it must give what
+        # Random.sample, choice and choices gave, across sample's switch from
+        # a pool to a set of picks (populations of 21 and 22, for adversarial
+        # also the n - 1 variables a clause does not share)
+        least = PROFILES[profile][0]
+        for n in [*range(least, 31), 40, 200, 1000]:
+            for m in (1, n, 2 * n):
+                for seed in range(5):
+                    assert generate_random(n, m, seed, profile).rows == tuple(
+                        reference_draw(n, m, seed, profile)), (n, m, seed)
+
+    def test_a_coin_on_a_cut_gives_what_random_py_gives(self):
+        # random() right at a cut, which a seeded stream all but never hits:
+        # 0.5 for a sign, 0.1 and 0.3 (times 10) for mixed's weights 1:2:7
+        cuts = (0.0, 0.1, 0.3, 0.5, math.nextafter(0.1, 0), math.nextafter(0.5, 0), 0.7)
+
+        class Scripted(Random):
+            def __init__(self):
+                super().__init__(0)
+                self.coins = Random(1)
+
+            def random(self):
+                return self.coins.choice(cuts)
+
+            def getrandbits(self, k):  # so that sample still draws with it
+                return super().getrandbits(k)
+
+        for profile in PROFILES:
+            for n in (3, 5, 22, 40):
+                a, b, prev = Scripted(), Scripted(), None
+                for _ in range(40):
+                    want = reference_clause(a, n, profile, prev)
+                    assert oracle._draw_clause(b.getrandbits, b.random, n, profile, prev) == want
+                    prev = want
 
 
 class TestExhaustiveCorpora:
