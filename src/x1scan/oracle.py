@@ -192,9 +192,10 @@ def _below(bits, n: int) -> int:
 
 
 def _sample(bits, size: int, k: int) -> list[int]:
-    """k <= 3 distinct draws from 1..size, as Random.sample(range(1, size + 1),
+    """k <= 5 distinct draws from 1..size, as Random.sample(range(1, size + 1),
     k) makes them: off a pool with each pick's place refilled from its end
-    while the population is at most 21, else by redrawing a repeat."""
+    while the population is at most 21 (sample's switch for k <= 5), else by
+    redrawing a repeat."""
     picked = []
     if size <= 21:
         pool = list(range(1, size + 1))

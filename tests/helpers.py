@@ -7,9 +7,10 @@ rewrite; the token-by-token X-DIMACS parser that the package's parser is
 compared against; the token game and the reference reachability search that
 the package's net engine is compared against, and the check of both net
 constructions against an oracle verdict; the brute-force oracle that the
-package's exact search is compared against; the exhaustive formula corpora;
-a structural checker for the shipped JSON schemas; and the argparse parser
-that the package's command line is compared against."""
+package's exact search is compared against; the draw through `random.sample`
+that the package's generator is compared against; the exhaustive formula
+corpora; a structural checker for the shipped JSON schemas; and the argparse
+parser that the package's command line is compared against."""
 
 import argparse
 import itertools
@@ -576,6 +577,8 @@ def brute_force_sat(f: Formula) -> list[int] | None:
 
 
 def reference_clause(rng: random.Random, n: int, profile: str, prev) -> tuple[int, ...]:
+    """One clause of ``profile`` through `Random.sample`, `choice` and
+    `choices`; ``prev`` is the last row drawn, or None."""
     if profile == "uniform3":
         vs = rng.sample(range(1, n + 1), 3)
     elif profile == "mixed":
@@ -592,10 +595,9 @@ def reference_clause(rng: random.Random, n: int, profile: str, prev) -> tuple[in
 
 
 def reference_draw(n: int, m: int, seed: int, profile: str) -> list[tuple[int, ...]]:
-    """The rows `oracle.generate_random(n, m, seed, profile)` draws, through
-    `Random.sample`, `choice` and `choices` as the package drew them before
-    it read the generator's bits itself; raises ValueError where the package
-    gives up drawing."""
+    """The rows `oracle.generate_random(n, m, seed, profile)` draws, drawn
+    clause by clause with `reference_clause` off the same seeded generator;
+    raises ValueError where the package gives up drawing."""
     rng = random.Random(f"{profile}:{n}:{m}:{seed}")
     rows: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()

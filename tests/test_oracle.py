@@ -243,7 +243,8 @@ class TestGenerator:
             def random(self):
                 return self.coins.choice(cuts)
 
-            def getrandbits(self, k):  # so that sample still draws with it
+            # random() overridden alone would make sample draw through it
+            def getrandbits(self, k):
                 return super().getrandbits(k)
 
         for profile in PROFILES:
