@@ -20,7 +20,6 @@ from .formula import (
     DEFAULT_STATE_BUDGET,
     BudgetError,
     Formula,
-    ParseError,
     convert_special,
     parse_x1cnf,
 )
@@ -443,7 +442,7 @@ def main(argv: list[str]) -> int:
     args = parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except (ParseError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetError as e:

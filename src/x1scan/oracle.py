@@ -371,41 +371,23 @@ def _place(cpus: Iterable[int]) -> None:
         pass
 
 
-def _worker(corpus: Sequence[Formula], w: int, workers: int, seeds: list, out: int,
-            inherited: list[int], parent: int, cpu: int) -> None:
-    """A forked worker's whole life, which never returns: move to the CPU
-    ``cpu``, judge its share and send it to the diff process as JSON down
-    the pipe ``out``."""
-    code = 1
-    try:
-        _place({cpu})
-        for fd in inherited:  # the read ends of the other workers' pipes
-            os.close(fd)
-        with open(out, "w") as pipe:
-            pipe.write(json.dumps(_share(corpus, w, workers, seeds, parent)))
-        code = 0
-    finally:
-        # never back into the code that forked it, and no traceback: the diff
-        # process reports a worker that ends without its results
-        os._exit(code)
-
-
-def _worker_count(instances: int) -> int:
-    """One worker per CPU this process may run on, and no more than there
-    are instances; one where the platform cannot fork or tell."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), instances))
-
-
-def _fan_out(corpus: Sequence[Formula], seeds: list, workers: int) -> list[list[list]]:
-    """Every worker's share of the results: worker 0's judged in this
-    process, the others' in forked workers, each of which is reaped before
-    this returns or raises. Worker w runs on the w-th CPU of this process's
-    mask, and this process gets its mask back before it returns or raises."""
+def _fan_out(corpus: Sequence[Formula], seeds: list) -> list[list]:
+    """Every instance's results, in corpus order, judged on N workers: one
+    per CPU of this process's mask, read here once, and no more than there
+    are instances; N is 1 where the platform cannot fork or tell. This
+    process is worker 0 and forks the others; worker w judges the instances
+    i = w (mod N) on the w-th CPU of the mask alone and sends its results
+    down a pipe as JSON. A forked worker's whole life, its placement
+    included, runs inside one guard that ends it with os._exit, so it never
+    returns into the code that forked it and leaves no traceback. Every
+    forked worker is reaped, and this process gets its mask back, before
+    this returns or raises."""
+    cpus = []
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+    workers = max(1, min(len(cpus), len(corpus)))
     if workers == 1:
-        return [_share(corpus, 0, 1, seeds)]
-    cpus = sorted(os.sched_getaffinity(0))
+        return _share(corpus, 0, 1, seeds)
     parent = os.getpid()
     pipes: dict[int, int] = {}  # a worker's pid -> the read end of its pipe
     try:
@@ -418,11 +400,22 @@ def _fan_out(corpus: Sequence[Formula], seeds: list, workers: int) -> list[list[
                 os.close(out)
                 raise
             if pid == 0:
-                _worker(corpus, w, workers, seeds, out, [r, *pipes.values()], parent, cpus[w])
+                code = 1
+                try:
+                    _place({cpus[w]})
+                    for fd in [r, *pipes.values()]:  # read ends: its own, the others'
+                        os.close(fd)
+                    with open(out, "w") as pipe:
+                        pipe.write(json.dumps(_share(corpus, w, workers, seeds, parent)))
+                    code = 0
+                finally:
+                    # the diff process reports a worker that ends without its results
+                    os._exit(code)
             os.close(out)
             pipes[pid] = r
         _place({cpus[0]})
-        shares = [_share(corpus, 0, workers, seeds)]
+        results: list = [None] * len(corpus)
+        results[::workers] = _share(corpus, 0, workers, seeds)
         for w, pid in enumerate(list(pipes), 1):
             with open(pipes[pid], "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -431,8 +424,8 @@ def _fan_out(corpus: Sequence[Formula], seeds: list, workers: int) -> list[list[
             if status != 0:
                 raise WorkerLost(f"campaign worker {w} ended without its results "
                                  f"(exit code {os.waitstatus_to_exitcode(status)})")
-            shares.append(json.loads(data))
-        return shares
+            results[w::workers] = json.loads(data)
+        return results
     finally:
         _place(cpus)
         if pipes:  # an error or an interrupt came first: stop the workers left
@@ -466,23 +459,18 @@ def differential_corpus(
     or the minimization. ``errors`` holds their entries, in corpus order.
 
     The instances are judged on one worker per CPU this process may run on
-    (``os.sched_getaffinity``), up to one per instance: this process is
-    worker 0 and forks the others, and worker w judges, and reads from the
-    corpus, only the instances i = w (mod the worker count). The workers send
-    their results back as JSON, and they are merged in corpus order, so the
-    report is the same, byte for byte, for any worker count, ``timing_ms``
-    aside, which times each group in the worker that scanned it. Worker w
-    runs on the w-th CPU of this process's mask alone while the workers
-    judge, so that none waits for another's CPU, and this process gets its
-    mask back before this returns or raises; a placement the OS refuses
-    leaves that process where it was. A worker that ends without its
-    results raises WorkerLost. The caller runs no other thread, as a fork
-    copies only the one that calls it."""
+    (``os.sched_getaffinity``, read once), up to one per instance: this
+    process is worker 0 and forks the others, and worker w judges, and reads
+    from the corpus, only the instances i = w (mod the worker count), on a
+    CPU of its own (:func:`_fan_out`). The results come back in corpus
+    order, so the report is the same, byte for byte, for any worker count,
+    ``timing_ms`` aside, which times each group in the worker that scanned
+    it. This process gets its mask back before this returns or raises; a
+    placement the OS refuses leaves that process where it was. A worker
+    that ends without its results raises WorkerLost. The caller runs no
+    other thread, as a fork copies only the one that calls it."""
     # the fixed order, then the seeded shuffles; no scope dumps: only statuses are read
     seeds = [None, *range(permutations)]
-    workers = _worker_count(len(corpus))
-    shares = _fan_out(corpus, seeds, workers)
-
     disagreements: list[dict] = []
     errors: list[dict] = []
     timings: list[float] = []
@@ -490,8 +478,7 @@ def differential_corpus(
     invariant = 0
     varied: list[int] = []
     agreements = 0
-    for i in range(len(corpus)):
-        mark, ms, same, entry = shares[i % workers][i // workers]
+    for i, (mark, ms, same, entry) in enumerate(_fan_out(corpus, seeds)):
         marks.append(mark)
         if ms is not None:
             timings.append(ms)
@@ -582,8 +569,7 @@ def minimize_counterexample(f: Formula) -> Formula:
     fixpoint. The result is clause-minimal under single drops, among the
     candidates the exact search decides within its budget."""
     rows = list(f.rows)
-    start = formula(f.n_vars, rows)
-    target = (scan(start).status, find_model(start, DEFAULT_STATE_BUDGET) is not None)
+    target = (scan(f).status, find_model(f, DEFAULT_STATE_BUDGET) is not None)
     if _agrees(*target):
         raise ValueError("input is not a scan/oracle disagreement")
 

@@ -7,6 +7,7 @@ summary section "acceptance criteria".
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -36,7 +37,6 @@ from x1scan.formula import (
     parse_x1cnf,
 )
 from x1scan.oracle import (
-    _worker_count,
     differential_corpus,
     find_model,
     generate_campaign,
@@ -160,6 +160,25 @@ def test_4_net_oracle_equivalence(criterion):
     )
 
 
+def test_4_reach_on_disjoint_clauses(criterion, tmp_path, capsys):
+    # recorded, not gated (ROADMAP item 12): 20 clauses that share no
+    # variable, each with two models; the inverse net answers at once, and
+    # the forward net spends its whole step budget
+    path = tmp_path / "disjoint.cnf"
+    path.write_text("p x1cnf 40 20\n" + "".join(f"{2 * i + 1} {2 * i + 2} 0\n" for i in range(20)))
+    ran = []
+    for direction in ([], ["--forward"]):
+        t0 = time.perf_counter()
+        code = main(["net", *direction, "--check-reach", str(path)])
+        ms = (time.perf_counter() - t0) * 1000.0
+        out, err = capsys.readouterr()
+        said = out.splitlines()[-1] if code == 0 else err.strip()
+        ran.append(f"{'forward' if direction else 'inverse'} net exit {code} in {ms:.0f} ms "
+                   f"({said})")
+    criterion("4 reach on disjoint clauses", True,
+              f"p x1cnf 40 20, clause i = 2i+1 2i+2: {'; '.join(ran)}; recorded, not gated")
+
+
 def test_5_conversion(criterion):
     conv = convert_special(formula(4, [[1, -3, 4], [1, -2, 2], [2, -3]]))
     golden_ok = (
@@ -239,6 +258,16 @@ def test_7_monotone_incompatibility(criterion):
     )
 
 
+def workers(instances: int) -> int:
+    """How many workers a campaign of ``instances`` runs on, as
+    `oracle._fan_out` decides it: one per CPU of this process's mask, no
+    more than there are instances, and one where the platform cannot fork
+    or tell."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), instances))
+
+
 def test_8_differential_campaign(criterion, tmp_path):
     t0 = time.perf_counter()
     report = differential_corpus(
@@ -272,7 +301,7 @@ def test_8_differential_campaign(criterion, tmp_path):
         f"agreements, {len(disagreements)} disagreements minimized+written, "
         f"{len(errors)} errors, "
         f"{order['invariant']}/{order['instances']} "
-        f"order-invariant, {elapsed:.1f} s < 300 s on {_worker_count(10_000)} workers",
+        f"order-invariant, {elapsed:.1f} s < 300 s on {workers(10_000)} workers",
     )
 
 
@@ -299,7 +328,7 @@ def test_8_campaign_beyond_n8(criterion):
         f"810 seeded instances (mixed, uniform3, adversarial; 10 orders): "
         f"{report['agreements']}/810 verified agreements, {len(report['errors'])} errors, "
         f"{order['invariant']}/{order['instances']} order-invariant, {elapsed:.1f} s < 30 s "
-        f"on {_worker_count(810)} workers",
+        f"on {workers(810)} workers",
     )
 
 

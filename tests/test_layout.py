@@ -9,7 +9,9 @@ And every parameter with a default, of a top-level function, must be passed by
 some call in `src/`: a parameter that no caller passes is a branch nothing
 takes. And only `oracle._draw_clause` tests a generator profile's name: every
 other rule of a profile is read off its row of `oracle.PROFILES`. And the
-draw calls no method of its generator but `getrandbits` and `random`.
+draw calls no method of its generator but `getrandbits` and `random`. And
+only `oracle._fan_out` names `os.fork` or `os.sched_getaffinity`: one
+function decides how many workers a campaign runs and where.
 """
 
 import ast
@@ -267,3 +269,44 @@ def test_the_draw_calls_only_getrandbits_and_random():
         "    return x.choice((1, -1))\n"
     )
     assert generator_calls(bad) == ["_sign.choice", "generate_random.<rng>"]
+
+
+# what a campaign's fan-out alone may name: how many workers run, and where,
+# is decided in one place, from one read of the mask
+FAN_OUT_NAMES = {"fork", "sched_getaffinity"}
+
+
+def fan_out_owners(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.name`, for the top-level statement it sits in, of each place
+    that names a member of FAN_OUT_NAMES: as an attribute, imported from a
+    module, or written out as a string (``hasattr(os, "fork")``)."""
+    found = set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            where = f"{module}.{getattr(stmt, 'name', '<module>')}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Constant):
+                    names = {node.value}
+                else:
+                    continue
+                if names & FAN_OUT_NAMES:
+                    found.add(where)
+    return sorted(found)
+
+
+def test_only_the_fan_out_forks_or_reads_the_mask():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert fan_out_owners(trees) == ["oracle._fan_out"]
+    # the rule sees each way of naming them, and not a placement
+    tree = ast.parse(
+        "from os import fork\n"
+        "def count(n):\n"
+        "    return min(n, len(os.sched_getaffinity(0))) if hasattr(os, 'fork') else 1\n"
+        "def place(cpus):\n"
+        "    os.sched_setaffinity(0, cpus)\n"
+    )
+    assert fan_out_owners({"m": tree}) == ["m.<module>", "m.count"]

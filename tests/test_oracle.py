@@ -582,6 +582,43 @@ class TestWorkers:
         monkeypatch.undo()
         assert no_child_left()
 
+    def test_a_mask_that_narrows_after_it_is_read_changes_nothing(self, monkeypatch,
+                                                                    cpus, capfd):
+        # the mask reads {0, 1} first and {0} from then on: the campaign runs
+        # on the two workers of its one read, and no forked worker comes back
+        # into this test; one that did would end here at once
+        corpus = generate_campaign(4, *CAMPAIGN_BATCH[1:], 0)
+        argv = ["diff", "--count", "4", "--no-timing"]
+        cpus(1)
+        one = json.dumps(differential_corpus(corpus, no_timing=True), sort_keys=True)
+        assert main(argv) == 0
+        printed, _ = capfd.readouterr()
+
+        def narrowing():
+            reads = []
+
+            def mask(pid):
+                reads.append(pid)
+                return {0, 1} if len(reads) == 1 else {0}
+
+            monkeypatch.setattr(os, "sched_getaffinity", mask, raising=False)
+
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+        test = os.getpid()
+        try:
+            narrowing()
+            r = differential_corpus(corpus, no_timing=True)
+            assert no_child_left()
+            narrowing()
+            code = main(argv)
+        finally:
+            if os.getpid() != test:  # a forked worker, back in the code that forked it
+                os._exit(1)
+        assert json.dumps(r, sort_keys=True) == one
+        out, err = capfd.readouterr()
+        assert (code, out, err) == (0, printed, "")
+        assert no_child_left()
+
     def test_a_worker_stops_when_its_diff_process_is_gone(self, tmp_path):
         # the diff process judges its share at once and waits for its worker,
         # which prints its pid and sleeps at each instance; once the diff
